@@ -32,7 +32,7 @@ from .frames import (
     partition,
 )
 from .gbdt import GbdtModel, GbdtParams, fit_gbdt, predict_gbdt
-from .grids import ParamState, RegressorSpec, enumerate_grid, make_spec, naive_predict
+from .grids import MODELS, ParamState, enumerate_grid
 from .metrics import DmResult, MetricTable, compute_metrics, dm_test
 from .net import NetConfig, TrainResult, forward, init_params, predict, train
 from .selection import ImportanceReport, rf_importance, select_top_k

@@ -7,22 +7,21 @@ Exit codes: 0 success, 1 usage, 2 data error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-
-import numpy as np
+from dataclasses import replace
 
 from .config import RunConfig, load_config, manifest
 from .creditvix import implied_variance, implied_vol, load_option_chain
 from .errors import DataError, NumericError, UsageError, VollabError
-from .features import engineer
+from .features import engineer, log_diff
 from .frames import TimeSeriesFrame, align, generate_synthetic, load_csv, partition
-from .grids import ParamState, enumerate_grid
+from .grids import MODELS, derive_seed, enumerate_grid, resolve_grid
 from .report import write_report
 from .plots import write_plots
 from .selection import rf_importance, select_top_k
-from .walkforward import ExperimentData, derive_seed, run_experiment, write_records_csv
+from .walkforward import (ExperimentData, check_history, run_experiment, task_seed,
+                          write_records_csv)
 
 
 def _load_frame(cfg: RunConfig) -> TimeSeriesFrame:
@@ -43,7 +42,8 @@ def _volume_columns(cfg: RunConfig, frame: TimeSeriesFrame) -> set:
     return {n for n in frame.names if n.startswith("volume")}
 
 
-def _prepare(cfg: RunConfig) -> ExperimentData:
+def _engineer(cfg: RunConfig) -> ExperimentData:
+    """Frame -> span partition -> engineered features and target levels."""
     frame = _load_frame(cfg)
     span = cfg.partition_spec("span")
     if span is not None:
@@ -56,15 +56,11 @@ def _prepare(cfg: RunConfig) -> ExperimentData:
     )
     feats = engineer(feature_frame, _volume_columns(cfg, frame))
     levels = frame.column(cfg.target_column)[len(frame) - len(feats):]
-    data = ExperimentData(feats.dates, levels, feats)
-    if cfg.top_k is not None:
-        data = _select_features(cfg, data)
-    return data
+    return ExperimentData(feats.dates, levels, feats)
 
 
-def _select_features(cfg: RunConfig, data: ExperimentData) -> ExperimentData:
-    from .features import log_diff
-
+def _rank_features(cfg: RunConfig, data: ExperimentData):
+    """Forest importances over the selection partition, else the early rows."""
     diffs = log_diff(data.levels)
     sel = cfg.partition_spec("selection")
     if sel is not None:
@@ -73,32 +69,19 @@ def _select_features(cfg: RunConfig, data: ExperimentData) -> ExperimentData:
         # default: the first half of the pre-test span, well before any test date
         cut = max(60, (len(data.dates) - cfg.horizon) // 2)
         keep = list(range(min(cut, len(data.dates) - 1)))
-    X = data.features.select(data.features.names)  # copy
+    X = data.features
     sub = type(X)(tuple(X.dates[i] for i in keep), X.names, X.values[keep],
                   X.zero_variance)
-    report = rf_importance(sub, diffs[keep], seed=derive_seed(cfg.seed, "select"))
-    names = select_top_k(report, min(cfg.top_k, len(X.names)))
+    return rf_importance(sub, diffs[keep], seed=derive_seed(cfg.seed, "select"))
+
+
+def _prepare(cfg: RunConfig) -> ExperimentData:
+    data = _engineer(cfg)
+    if cfg.top_k is None:
+        return data
+    k = min(cfg.top_k, len(data.features.names))
+    names = select_top_k(_rank_features(cfg, data), k)
     return ExperimentData(data.dates, data.levels, data.features.select(names))
-
-
-def _grid_for(cfg: RunConfig, kind: str):
-    entries = cfg.grids.get(kind)
-    if entries is None:
-        return None
-    full = enumerate_grid(kind)
-    out = []
-    for item in entries:
-        if isinstance(item, int):
-            if not 0 <= item < len(full):
-                raise UsageError(
-                    f"grid index {item} out of range for {kind} (size {len(full)})"
-                )
-            out.append(full[item])
-        elif isinstance(item, str):
-            out.append(ParamState.from_text(kind, item))
-        else:
-            raise UsageError(f"grid entries must be indexes or text states, got {item!r}")
-    return out
 
 
 def cmd_generate(args) -> int:
@@ -120,40 +103,31 @@ def cmd_features(args) -> int:
 
 def cmd_select(args) -> int:
     cfg = load_config(args.config)
-    frame = _load_frame(cfg)
-    feature_frame = TimeSeriesFrame(
-        frame.dates,
-        {n: c for n, c in frame.columns.items() if n != cfg.target_column},
-    )
-    feats = engineer(feature_frame, _volume_columns(cfg, frame))
-    from .features import log_diff
-
-    levels = frame.column(cfg.target_column)[len(frame) - len(feats):]
-    diffs = log_diff(levels)
-    sub = type(feats)(feats.dates[:-1], feats.names, feats.values[:-1],
-                      feats.zero_variance)
-    report = rf_importance(sub, diffs, seed=derive_seed(cfg.seed, "select"))
+    data = _engineer(cfg)
+    report = _rank_features(cfg, data)
     out = args.out or os.path.join(cfg.out, "importance.csv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     report.to_csv(out)
-    k = cfg.top_k or 10
-    print("selected:", ", ".join(select_top_k(report, min(k, len(feats.names)))))
+    k = min(cfg.top_k or 10, len(data.features.names))
+    print("selected:", ", ".join(select_top_k(report, k)))
     return 0
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = RunConfig(**{**cfg.as_dict(), "seed": args.seed})
-    if args.out is not None:
-        cfg = RunConfig(**{**cfg.as_dict(), "out": args.out})
-    if args.threads is not None:
-        cfg = RunConfig(**{**cfg.as_dict(), "threads": args.threads})
+    cfg = replace(cfg, **{k: getattr(args, k) for k in ("seed", "out", "threads")
+                          if getattr(args, k) is not None})
     data = _prepare(cfg)
     os.makedirs(cfg.out, exist_ok=True)
+    for stale in ("INCOMPLETE", "manifest.json"):  # a rerun must not inherit them
+        if os.path.exists(os.path.join(cfg.out, stale)):
+            os.remove(os.path.join(cfg.out, stale))
     written = []
     try:
+        for window in cfg.windows:
+            check_history(len(data.dates), window, cfg.horizon, cfg.sequence_length)
         for kind in cfg.models:
+            grid = resolve_grid(kind, cfg.grids[kind]) if kind in cfg.grids else None
             for window in cfg.windows:
                 records = run_experiment(
                     data,
@@ -162,7 +136,7 @@ def cmd_run(args) -> int:
                     horizon=cfg.horizon,
                     s=cfg.sequence_length,
                     root_seed=cfg.seed,
-                    grid=_grid_for(cfg, kind),
+                    grid=grid,
                     model_options=cfg.model_options or None,
                     threads=cfg.threads,
                 )
@@ -174,11 +148,13 @@ def cmd_run(args) -> int:
             fh.write("run aborted; partial outputs:\n" + "\n".join(written) + "\n")
         raise
     write_report(cfg.out, cfg.out)
+    test_dates = data.dates[-cfg.horizon:]
     seeds = {
-        f"{kind}_{window}": derive_seed(cfg.seed, kind, window, "root")
+        f"{kind}_{window}": {d.isoformat(): task_seed(cfg.seed, kind, window, d)
+                             for d in test_dates}
         for kind in cfg.models for window in cfg.windows
     }
-    grid_sizes = {k: len(enumerate_grid(k)) for k in ("svr", "gbdt")}
+    grid_sizes = {k: len(enumerate_grid(k)) for k, m in MODELS.items() if m.axes}
     with open(os.path.join(cfg.out, "manifest.json"), "w") as fh:
         fh.write(manifest(cfg, {"derived_seeds": seeds, "grid_sizes": grid_sizes}))
     print(f"wrote {len(written)} record files and report to {cfg.out}")

@@ -9,23 +9,18 @@ from __future__ import annotations
 import datetime as dt
 import json
 import platform
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import UsageError
 from .frames import PartitionSpec
-
-_TOP_KEYS = {
-    "data", "target_column", "volume_columns", "models", "windows", "horizon",
-    "sequence_length", "seed", "out", "top_k", "partitions", "grids",
-    "model_options", "threads",
-}
+from .grids import MODELS, check_model_options, resolve_grid
 
 DEFAULTS = {
     "target_column": "vol_index",
     "volume_columns": None,  # None = infer columns whose name starts with "volume"
-    "models": ["naive", "svr", "gbdt", "attn_gru"],
+    "models": list(MODELS),
     "windows": [63, 126, 252],
     "horizon": 63,
     "sequence_length": 5,
@@ -37,6 +32,7 @@ DEFAULTS = {
     "model_options": {},
     "threads": 1,
 }
+_TOP_KEYS = {"data", *DEFAULTS}
 
 
 @dataclass(frozen=True)
@@ -63,24 +59,6 @@ class RunConfig:
         return PartitionSpec(name, dt.date.fromisoformat(rng[0]),
                              dt.date.fromisoformat(rng[1]))
 
-    def as_dict(self) -> dict:
-        return {
-            "data": self.data,
-            "target_column": self.target_column,
-            "volume_columns": self.volume_columns,
-            "models": self.models,
-            "windows": self.windows,
-            "horizon": self.horizon,
-            "sequence_length": self.sequence_length,
-            "seed": self.seed,
-            "out": self.out,
-            "top_k": self.top_k,
-            "partitions": self.partitions,
-            "grids": self.grids,
-            "model_options": self.model_options,
-            "threads": self.threads,
-        }
-
 
 def parse_config(raw: dict) -> RunConfig:
     unknown = set(raw) - _TOP_KEYS
@@ -97,9 +75,14 @@ def parse_config(raw: dict) -> RunConfig:
             raise UsageError(f"unknown synthetic keys: {sorted(extra)}")
     merged = {**DEFAULTS, **{k: v for k, v in raw.items() if k != "data"}}
     cfg = RunConfig(data=data, **merged)
-    for kind in cfg.models:
-        if kind not in ("naive", "svr", "gbdt", "attn_gru"):
+    if not isinstance(cfg.grids, dict) or not isinstance(cfg.model_options, dict):
+        raise UsageError("'grids' and 'model_options' must be objects")
+    for kind in [*cfg.models, *cfg.grids]:
+        if kind not in MODELS:
             raise UsageError(f"unknown model kind {kind!r}")
+    for kind, entries in cfg.grids.items():
+        resolve_grid(kind, entries)
+    check_model_options(cfg.model_options)
     if cfg.horizon < 1 or cfg.sequence_length < 1:
         raise UsageError("horizon and sequence_length must be >= 1")
     if any(w < 12 for w in cfg.windows):
@@ -122,7 +105,7 @@ def manifest(cfg: RunConfig, extra: dict) -> str:
     import vollab
 
     doc = {
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "versions": {
             "vollab": getattr(vollab, "__version__", "0"),
             "numpy": np.__version__,

@@ -1,31 +1,29 @@
-"""Common regressor contract: hyperparameter grids and the naive baseline.
+"""Common regressor contract: one table describes every model kind.
 
-Grid axes and values are fixed enumerations; enumeration order is the
-documented cartesian order of the axis lists below, last axis fastest.
+`MODELS` holds, per kind, its hyperparameter grid axes, the
+`model_options` section it reads with the keys allowed there, and its
+fit.  Grid enumeration order is the documented cartesian order of the
+axis lists, last axis fastest.  Adding a model kind is one table entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
-import numpy as np
+from .errors import UsageError, VollabError
+from .features import add_uniform_noise, apply_scaler, fit_scaler
+from .gbdt import GbdtParams, fit_gbdt, predict_gbdt
+from .net import NetConfig, predict as net_predict, train as net_train
+from .svr import SvrParams, fit_svr, predict_svr
 
-from .errors import VollabError
 
-KINDS = ("svr", "gbdt", "attn_gru", "naive")
-
-SVR_AXES = {
-    "kernel": ("poly", "rbf", "sigmoid"),
-    "gamma": ("scale", "auto", 0.1, 0.15, 0.2),
-    "epsilon": (0.05, 0.1, 0.15),
-}
-
-GBDT_AXES = {
-    "leaves": (75, 100, 125),
-    "min_data": (10, 20, 30),
-    "max_depth": (-1, 5, 10),
-    "feature_fraction": (0.4, 0.5, 0.6),
-}
+def derive_seed(root_seed: int, *parts) -> int:
+    """Stable 63-bit seed from the root seed and any hashable context."""
+    text = ":".join([str(root_seed)] + [str(p) for p in parts])
+    digest = hashlib.sha256(text.encode()).digest()
+    return int.from_bytes(digest[:8], "big") >> 1
 
 
 @dataclass(frozen=True)
@@ -46,11 +44,9 @@ class ParamState:
 
     @classmethod
     def from_text(cls, kind: str, text: str) -> "ParamState":
-        if text == "default":
-            return cls(kind, ())
-        axes = SVR_AXES if kind == "svr" else GBDT_AXES if kind == "gbdt" else {}
-        pairs = []
-        for item in text.split(";"):
+        axes = model_kind(kind).axes
+        given = {}
+        for item in [] if text == "default" else text.split(";"):
             k, _, raw = item.partition("=")
             allowed = axes.get(k)
             if allowed is None:
@@ -58,43 +54,159 @@ class ParamState:
             match = next((v for v in allowed if str(v) == raw), None)
             if match is None:
                 raise VollabError(f"value {raw!r} not in the {k} enumeration")
-            pairs.append((k, match))
-        return cls(kind, tuple(pairs))
+            given[k] = match
+        if len(given) != len(axes):
+            raise VollabError(f"a {kind} state must set each of {list(axes)}: {text!r}")
+        return cls(kind, tuple((k, given[k]) for k in axes))
+
+
+# A fit takes the scaled, noised training slice, the state, the fit's seed
+# and its kind's model_options section, and returns (predict(scaled block)
+# -> float, internal validation MAE or nan).  The solvers are looked up as
+# module globals when a fit runs, so a tracer that rebinds them sees the calls.
+
+
+def _fit_svr(train, state, seed, options):
+    model = fit_svr(train.flat(), train.targets, SvrParams(**dict(state.values)))
+    return (lambda block: float(predict_svr(model, block.ravel()))), float("nan")
+
+
+def _fit_gbdt(train, state, seed, options):
+    values = dict(state.values)
+    values["min_data"] = min(values["min_data"], max(1, len(train) // 3))
+    params = GbdtParams(**values, **options, seed=derive_seed(seed, "gbdt"))
+    model = fit_gbdt(train.flat(), train.targets, params)
+    return (lambda block: float(predict_gbdt(model, block.ravel()))), float("nan")
+
+
+def _fit_net(train, state, seed, options):
+    config = NetConfig(**{**options, "seed": derive_seed(seed, "net") % (2**31)})
+    result = net_train(config, (train.blocks, train.targets))
+    return (lambda block: float(net_predict(result.params, block[None, :, :], config)[0]),
+            result.best_val_mae)
 
 
 @dataclass(frozen=True)
-class RegressorSpec:
-    kind: str
-    grid: tuple[ParamState, ...]
-    input_shape: str  # "flat" or "tensor"
+class ModelKind:
+    """One model kind.  Without a fit the kind is the random walk in levels:
+    it skips scaling and noise and predicts a zero log-diff."""
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise VollabError(f"unknown regressor kind {self.kind!r}")
-        if not self.grid:
-            raise VollabError(f"{self.kind}: grid must be non-empty")
+    axes: dict = field(default_factory=dict)  # grid axis -> values, in order
+    section: str | None = None  # the model_options section it reads
+    options_type: type | None = None  # what that section's keys configure
+    keys: frozenset = frozenset()  # the keys allowed in that section
+    fit: Callable | None = None
+
+
+MODELS = {
+    "naive": ModelKind(),
+    "svr": ModelKind(
+        axes={
+            "kernel": ("poly", "rbf", "sigmoid"),
+            "gamma": ("scale", "auto", 0.1, 0.15, 0.2),
+            "epsilon": (0.05, 0.1, 0.15),
+        },
+        fit=_fit_svr,
+    ),
+    "gbdt": ModelKind(
+        axes={
+            "leaves": (75, 100, 125),
+            "min_data": (10, 20, 30),
+            "max_depth": (-1, 5, 10),
+            "feature_fraction": (0.4, 0.5, 0.6),
+        },
+        section="gbdt",
+        options_type=GbdtParams,
+        keys=frozenset({"rounds", "learning_rate"}),
+        fit=_fit_gbdt,
+    ),
+    "attn_gru": ModelKind(
+        section="net",
+        options_type=NetConfig,
+        keys=frozenset(f.name for f in fields(NetConfig)) - {"seed"},  # seed is per fit
+        fit=_fit_net,
+    ),
+}
+
+
+def model_kind(kind: str) -> ModelKind:
+    try:
+        return MODELS[kind]
+    except KeyError:
+        raise VollabError(f"unknown regressor kind {kind!r}") from None
 
 
 def enumerate_grid(kind: str) -> list[ParamState]:
     """Every ParamState of a kind, in deterministic cartesian order."""
-    if kind not in KINDS:
-        raise VollabError(f"unknown regressor kind {kind!r}")
-    if kind in ("attn_gru", "naive"):
-        return [ParamState(kind, ())]
-    axes = SVR_AXES if kind == "svr" else GBDT_AXES
     states = [ParamState(kind, ())]
-    for name, vals in axes.items():
+    for name, vals in model_kind(kind).axes.items():
         states = [
             ParamState(kind, s.values + ((name, v),)) for s in states for v in vals
         ]
     return states
 
 
-def make_spec(kind: str, grid=None) -> RegressorSpec:
-    shape = "tensor" if kind == "attn_gru" else "flat"
-    return RegressorSpec(kind, tuple(grid) if grid else tuple(enumerate_grid(kind)), shape)
+def resolve_grid(kind: str, entries) -> list[ParamState]:
+    """A config grid: integer indexes into enumerate_grid or text states."""
+    full = enumerate_grid(kind)
+    if not isinstance(entries, list) or not entries:
+        raise UsageError(f"the {kind} grid must be a non-empty list")
+    out = []
+    for item in entries:
+        if isinstance(item, int):
+            if not 0 <= item < len(full):
+                raise UsageError(
+                    f"grid index {item} out of range for {kind} (size {len(full)})"
+                )
+            out.append(full[item])
+        elif isinstance(item, str):
+            try:
+                out.append(ParamState.from_text(kind, item))
+            except VollabError as exc:
+                raise UsageError(f"{kind} grid: {exc}") from None
+        else:
+            raise UsageError(f"grid entries must be indexes or text states, got {item!r}")
+    return out
 
 
-def naive_predict(history=None) -> float:
-    """Random-walk-in-levels baseline: the predicted log-diff is always zero."""
-    return 0.0
+def check_model_options(options: dict) -> None:
+    """Reject unknown sections, unknown keys and values the section's type refuses."""
+    sections = {m.section: m for m in MODELS.values() if m.section}
+    for section, opts in options.items():
+        m = sections.get(section)
+        if m is None or not isinstance(opts, dict):
+            raise UsageError(
+                f"model_options.{section} is not a known section with an object "
+                f"value; known sections: {sorted(sections)}"
+            )
+        unknown = set(opts) - m.keys
+        if unknown:
+            raise UsageError(
+                f"unknown model_options.{section} keys {sorted(unknown)}; "
+                f"allowed: {sorted(m.keys)}"
+            )
+        defaults = m.options_type()
+        for key, value in opts.items():  # every option is an int or a float
+            want = type(getattr(defaults, key))
+            if isinstance(value, bool) or not isinstance(value, (int, want)):
+                raise UsageError(f"model_options.{section}.{key} must be "
+                                 f"{want.__name__}, got {value!r}")
+        try:
+            m.options_type(**opts)
+        except VollabError as exc:
+            raise UsageError(f"model_options.{section}: {exc}") from None
+
+
+def fit_model(kind: str, train, state: ParamState, seed: int, options: dict | None):
+    """Fit one kind on a training slice: scaler, then noise, then the kind's fit.
+
+    Returns (predict(block) -> float, internal validation MAE or nan).
+    """
+    m = model_kind(kind)
+    if m.fit is None:
+        return (lambda block: 0.0), float("nan")
+    scaler = fit_scaler(train)
+    noised = add_uniform_noise(apply_scaler(scaler, train),
+                               seed=derive_seed(seed, "noise", len(train)))
+    predict, val_mae = m.fit(noised, state, seed, (options or {}).get(m.section, {}))
+    return (lambda block: predict((block - scaler.mean) / scaler.std)), val_mae

@@ -15,9 +15,6 @@ import numpy as np
 
 from .errors import VollabError
 
-GAMMA_CHOICES = ("scale", "auto")
-
-
 @dataclass(frozen=True)
 class SvrParams:
     kernel: str = "rbf"

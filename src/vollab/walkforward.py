@@ -11,7 +11,6 @@ discard all state.  Tasks share nothing, so they may run in any order
 from __future__ import annotations
 
 import datetime as dt
-import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,29 +18,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, VollabError
-from .features import (
-    FeatureMatrix,
-    SequencedDataset,
-    add_uniform_noise,
-    apply_scaler,
-    fit_scaler,
-    log_diff,
-    sequence,
-)
-from .gbdt import GbdtParams, fit_gbdt, predict_gbdt
-from .grids import ParamState, enumerate_grid, naive_predict
-from .net import NetConfig, predict as net_predict, train as net_train
-from .svr import SvrParams, fit_svr, predict_svr
+from .features import FeatureMatrix, SequencedDataset, log_diff, sequence
+from .grids import ParamState, derive_seed, enumerate_grid, fit_model
 
 MIN_VALIDATION_SEED = 10  # sequenced observations in the initial training slice
 WINDOWS = (63, 126, 252)
 
 
-def derive_seed(root_seed: int, *parts) -> int:
-    """Stable 63-bit seed from the root seed and any hashable context."""
-    text = ":".join([str(root_seed)] + [str(p) for p in parts])
-    digest = hashlib.sha256(text.encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
+def task_seed(root_seed: int, kind: str, window: int, test_date: dt.date) -> int:
+    """The seed of the task that forecasts test_date; every fit in it derives from this."""
+    return derive_seed(root_seed, kind, window, test_date.isoformat())
+
+
+def check_history(n: int, window: int, horizon: int, s: int) -> None:
+    need = window + s + horizon
+    if n < need:
+        raise DataError(
+            f"need at least {need} aligned observations for window={window}, "
+            f"horizon={horizon}, s={s}; got {n}"
+        )
 
 
 @dataclass(frozen=True)
@@ -87,68 +82,6 @@ class BatchTask:
     model_options: dict | None = None
 
 
-class _Regressor:
-    """Uniform fit/predict facade over the four model kinds."""
-
-    def __init__(self, kind: str, state: ParamState, seed: int, options: dict | None):
-        self.kind = kind
-        self.state = state
-        self.seed = seed
-        self.options = options or {}
-        self._model = None
-        self._scaler = None
-        self._config: NetConfig | None = None
-        self.internal_val_mae = math.nan
-
-    def fit(self, train: SequencedDataset) -> None:
-        if self.kind == "naive":
-            return
-        self._scaler = fit_scaler(train)
-        scaled = apply_scaler(self._scaler, train)
-        noised = add_uniform_noise(scaled, seed=derive_seed(self.seed, "noise", len(train)))
-        if self.kind == "svr":
-            params = SvrParams(
-                kernel=self.state.get("kernel"),
-                C=1.0,
-                gamma=self.state.get("gamma"),
-                epsilon=self.state.get("epsilon"),
-            )
-            self._model = fit_svr(noised.flat(), noised.targets, params)
-        elif self.kind == "gbdt":
-            self._model = fit_gbdt(
-                noised.flat(),
-                noised.targets,
-                GbdtParams(
-                    leaves=self.state.get("leaves"),
-                    min_data=min(self.state.get("min_data"), max(1, len(train) // 3)),
-                    max_depth=self.state.get("max_depth"),
-                    feature_fraction=self.state.get("feature_fraction"),
-                    learning_rate=self.options.get("gbdt", {}).get("learning_rate", 0.005),
-                    rounds=self.options.get("gbdt", {}).get("rounds", 200),
-                    seed=derive_seed(self.seed, "gbdt"),
-                ),
-            )
-        elif self.kind == "attn_gru":
-            overrides = dict(self.options.get("net", {}))
-            overrides["seed"] = derive_seed(self.seed, "net") % (2**31)
-            self._config = NetConfig(**overrides)
-            result = net_train(self._config, (noised.blocks, noised.targets))
-            self._model = result.params
-            self.internal_val_mae = result.best_val_mae
-        else:
-            raise VollabError(f"unknown regressor kind {self.kind!r}")
-
-    def predict(self, block: np.ndarray) -> float:
-        if self.kind == "naive":
-            return naive_predict()
-        scaled = (block - self._scaler.mean) / self._scaler.std
-        if self.kind == "svr":
-            return float(predict_svr(self._model, scaled.ravel()))
-        if self.kind == "gbdt":
-            return float(predict_gbdt(self._model, scaled.ravel()))
-        return float(net_predict(self._model, scaled[None, :, :], self._config)[0])
-
-
 def validate_params(batch: SequencedDataset, kind: str, state: ParamState,
                     seed: int, options: dict | None = None) -> float:
     """Expanding-window validation MAE of one parameter state inside a batch.
@@ -165,10 +98,9 @@ def validate_params(batch: SequencedDataset, kind: str, state: ParamState,
         )
     errors = []
     for v in range(MIN_VALIDATION_SEED, n):
-        reg = _Regressor(kind, state, derive_seed(seed, "val", v), options)
-        reg.fit(batch.slice(0, v))
-        pred = reg.predict(batch.blocks[v])
-        errors.append(abs(pred - batch.targets[v]))
+        predict, _ = fit_model(kind, batch.slice(0, v), state,
+                               derive_seed(seed, "val", v), options)
+        errors.append(abs(predict(batch.blocks[v]) - batch.targets[v]))
     return float(np.mean(errors))
 
 
@@ -176,32 +108,26 @@ def run_batch(task: BatchTask) -> ForecastRecord:
     """Select, refit, predict once, and drop all state."""
     if not task.grid:
         raise VollabError("task grid is empty")
-    if len(task.grid) == 1:
-        best_state, best_mae = task.grid[0], math.nan
-    else:
-        best_state, best_mae = None, math.inf
-        for state in task.grid:
-            try:
+    try:
+        if len(task.grid) == 1:
+            best_state, best_mae = task.grid[0], math.nan
+        else:
+            best_state, best_mae = None, math.inf
+            for state in task.grid:
                 mae = validate_params(task.batch, task.kind, state, task.seed,
                                       task.model_options)
-            except Exception as exc:
-                raise type(exc)(
-                    f"{exc} [task kind={task.kind} window={task.window} "
-                    f"date={task.test_date}]"
-                ) from exc
-            if mae < best_mae:
-                best_state, best_mae = state, mae
-    reg = _Regressor(task.kind, best_state, derive_seed(task.seed, "refit"),
-                     task.model_options)
-    try:
-        reg.fit(task.batch)
-        pred = reg.predict(task.predict_block)
+                if mae < best_mae:
+                    best_state, best_mae = state, mae
+        predict, internal_mae = fit_model(task.kind, task.batch, best_state,
+                                          derive_seed(task.seed, "refit"),
+                                          task.model_options)
+        pred = predict(task.predict_block)
     except Exception as exc:
         raise type(exc)(
             f"{exc} [task kind={task.kind} window={task.window} date={task.test_date}]"
         ) from exc
-    if math.isnan(best_mae) and not math.isnan(reg.internal_val_mae):
-        best_mae = reg.internal_val_mae
+    if math.isnan(best_mae):  # singleton grid: the net's own best-epoch MAE, if any
+        best_mae = internal_mae
     return ForecastRecord(
         date=task.test_date,
         pred_logdiff=pred,
@@ -239,12 +165,7 @@ def build_tasks(
     model_options: dict | None = None,
 ) -> list[BatchTask]:
     n = len(data.dates)
-    need = window + s + horizon
-    if n < need:
-        raise DataError(
-            f"need at least {need} aligned observations for window={window}, "
-            f"horizon={horizon}, s={s}; got {n}"
-        )
+    check_history(n, window, horizon, s)
     diffs = log_diff(data.levels)  # diffs[i] spans dates i -> i+1
     ds = sequence(data.features, diffs, s=s)  # row ending at t targets diffs[t]
     grid = tuple(grid) if grid is not None else tuple(enumerate_grid(kind))
@@ -266,7 +187,7 @@ def build_tasks(
                 prev_level=float(data.levels[t - 1]),
                 actual_level=float(data.levels[t]),
                 grid=grid,
-                seed=derive_seed(root_seed, kind, window, data.dates[t].isoformat()),
+                seed=task_seed(root_seed, kind, window, data.dates[t]),
                 model_options=model_options,
             )
         )

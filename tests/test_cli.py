@@ -9,7 +9,7 @@ from vollab.config import DEFAULTS, load_config, parse_config
 from vollab.errors import UsageError
 from vollab.frames import load_csv
 from vollab.grids import enumerate_grid
-from vollab.walkforward import read_records_csv
+from vollab.walkforward import build_tasks, read_records_csv
 
 CHAIN = """\
 # k0=100
@@ -51,6 +51,23 @@ class TestConfig:
             parse_config({**base, "models": ["ridge"]})
         with pytest.raises(UsageError, match="windows must be"):
             parse_config({**base, "windows": [5]})
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"grids": {"svm": [0]}}, "unknown model kind 'svm'"),
+        ({"grids": {"svr": []}}, "non-empty list"),
+        ({"grids": {"svr": ["kernel=rbf"]}}, "must set each of"),
+        ({"model_options": {"ridge": {}}}, "model_options.ridge"),
+        ({"model_options": {"gbdt": {"round": 5}}}, r"keys \['round'\]"),
+        ({"model_options": {"net": {"bogus": 1}}}, r"keys \['bogus'\]"),
+        ({"model_options": {"net": {"conv_channels": 5}}}, "heads"),
+        ({"model_options": {"gbdt": {"rounds": "5"}}}, "rounds must be int"),
+        ({"model_options": {"net": {"epochs": 2.5}}}, "epochs must be int"),
+        ({"model_options": {"net": {"dropout": True}}}, "dropout must be float"),
+        ({"model_options": []}, "must be objects"),
+    ])
+    def test_grids_and_model_options_checked(self, overrides, message):
+        with pytest.raises(UsageError, match=message):
+            parse_config({"data": {"synthetic": {}}, **overrides})
 
     def test_invalid_json_is_usage_error(self, tmp_path):
         p = tmp_path / "c.json"
@@ -100,6 +117,25 @@ class TestFeaturesAndSelect:
         imp = tmp_path / "out" / "importance.csv"
         assert imp.exists()
         assert "selected:" in capsys.readouterr().out
+
+    def test_select_names_the_features_run_uses(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json", out=str(tmp_path / "out"), top_k=3, horizon=20,
+            data={"synthetic": {"seed": 3, "n_days": 220, "n_series": 2}},
+            partitions={"span": ["2018-02-01", "2018-10-31"]},
+        )
+        assert main(["features", "--config", cfg]) == 0
+        header = (tmp_path / "out" / "features.csv").read_text().splitlines()[0]
+        capsys.readouterr()
+        assert main(["select", "--config", cfg]) == 0
+        selected = capsys.readouterr().out.split("selected:")[1].strip().split(", ")
+        assert header.split(",")[1:] == selected and len(selected) == 3
+
+    def test_select_missing_target_is_data_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", out=str(tmp_path / "out"),
+                           target_column="nope")
+        assert main(["select", "--config", cfg]) == 2
+        assert "target column 'nope'" in capsys.readouterr().err
 
 
 class TestRun:
@@ -152,6 +188,55 @@ class TestRun:
         marker = tmp_path / "out" / "INCOMPLETE"
         assert marker.exists() and "run aborted" in marker.read_text()
         assert "error (data):" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        {"models": ["naive", "attn_gru"], "model_options": {"net": {"bogus": 1}}},
+        {"models": ["naive", "svr"], "grids": {"svr": [999]}},
+        {"models": ["naive"], "grids": {"svm": [0]}},
+        {"models": ["naive"], "model_options": {"ridge": {}}},
+        {"models": ["naive"], "model_options": {"gbdt": {"round": 5}}},
+        {"models": ["naive", "gbdt"], "grids": {"gbdt": [0]},
+         "model_options": {"gbdt": {"rounds": "5"}}},
+    ])
+    def test_config_errors_exit_before_any_record(self, tmp_path, capsys, overrides):
+        cfg = self.run_config(tmp_path, **overrides)
+        assert main(["run", "--config", cfg]) == 1
+        assert "error (usage):" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_infeasible_window_fails_before_any_record(self, tmp_path, capsys):
+        cfg = self.run_config(tmp_path, windows=[63, 390])
+        assert main(["run", "--config", cfg]) == 2
+        assert "window=390" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert sorted(os.listdir(out)) == ["INCOMPLETE"]
+        assert (out / "INCOMPLETE").read_text() == "run aborted; partial outputs:\n\n"
+
+    def test_rerun_clears_stale_incomplete_marker(self, tmp_path):
+        bad = self.run_config(tmp_path, windows=[390])
+        assert main(["run", "--config", bad]) == 2
+        assert (tmp_path / "out" / "INCOMPLETE").exists()
+        assert main(["run", "--config", self.run_config(tmp_path)]) == 0
+        assert (tmp_path / "out" / "manifest.json").exists()
+        assert not (tmp_path / "out" / "INCOMPLETE").exists()
+
+    def test_failed_rerun_drops_old_manifest(self, tmp_path):
+        assert main(["run", "--config", self.run_config(tmp_path)]) == 0
+        assert main(["run", "--config", self.run_config(tmp_path, windows=[390])]) == 2
+        assert (tmp_path / "out" / "INCOMPLETE").exists()
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_manifest_echoes_task_seeds(self, tmp_path):
+        from vollab.cli import _prepare
+
+        path = self.run_config(tmp_path, seed=4)
+        assert main(["run", "--config", path]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        tasks = build_tasks(_prepare(load_config(path)), "naive", 63, horizon=5,
+                            root_seed=4)
+        assert manifest["derived_seeds"] == {
+            "naive_63": {t.test_date.isoformat(): t.seed for t in tasks}
+        }
 
     def test_bad_grid_index_is_usage_error(self, tmp_path, capsys):
         cfg = self.run_config(tmp_path, models=["svr"], grids={"svr": [999]})

@@ -1,7 +1,19 @@
+import math
+
+import numpy as np
 import pytest
 
-from vollab.errors import VollabError
-from vollab.grids import ParamState, enumerate_grid, make_spec, naive_predict
+from conftest import planted_signal_data
+from vollab.errors import UsageError, VollabError
+from vollab.grids import (
+    MODELS,
+    ParamState,
+    check_model_options,
+    enumerate_grid,
+    fit_model,
+    resolve_grid,
+)
+from vollab.walkforward import build_tasks
 
 
 class TestEnumerate:
@@ -15,11 +27,15 @@ class TestEnumerate:
         assert len(enumerate_grid("attn_gru")) == 1
         assert len(enumerate_grid("naive")) == 1
 
+    def test_table_order(self):
+        assert list(MODELS) == ["naive", "svr", "gbdt", "attn_gru"]
+
     def test_states_unique_and_ordered(self):
-        for kind in ("svr", "gbdt"):
+        for kind, m in MODELS.items():
             states = enumerate_grid(kind)
             texts = [s.to_text() for s in states]
             assert len(set(texts)) == len(texts)
+            assert len(states) == math.prod(len(v) for v in m.axes.values())
             assert enumerate_grid(kind) == states  # stable enumeration
 
     def test_unknown_kind(self):
@@ -29,7 +45,7 @@ class TestEnumerate:
 
 class TestParamState:
     def test_text_round_trip(self):
-        for kind in ("svr", "gbdt"):
+        for kind in MODELS:
             for s in enumerate_grid(kind):
                 assert ParamState.from_text(kind, s.to_text()) == s
 
@@ -41,16 +57,69 @@ class TestParamState:
         with pytest.raises(VollabError):
             ParamState.from_text("svr", "kernel:rbf")
 
+    def test_from_text_requires_every_axis(self):
+        for kind, m in MODELS.items():
+            if m.axes:
+                first_axis = enumerate_grid(kind)[0].to_text().split(";")[0]
+                with pytest.raises(VollabError, match="must set each of"):
+                    ParamState.from_text(kind, first_axis)
+                with pytest.raises(VollabError):
+                    ParamState.from_text(kind, "default")
+
+    def test_from_text_orders_axes(self):
+        state = ParamState.from_text("svr", "epsilon=0.1;kernel=rbf;gamma=scale")
+        assert state.to_text() == "kernel=rbf;gamma=scale;epsilon=0.1"
+
     def test_get(self):
         s = enumerate_grid("svr")[0]
         assert s.get("kernel") in ("rbf", "poly", "sigmoid")
 
 
-class TestSpecAndNaive:
-    def test_make_spec_defaults_to_full_grid(self):
-        spec = make_spec("svr")
-        assert len(spec.grid) == 45
+class TestConfigChecks:
+    def test_resolve_grid(self):
+        text = "kernel=rbf;gamma=auto;epsilon=0.05"
+        assert resolve_grid("svr", [3, text]) == [
+            enumerate_grid("svr")[3], ParamState.from_text("svr", text)
+        ]
+        for bad in ([], [45], [1.5], ["kernel=rbf"], 3):
+            with pytest.raises(UsageError):
+                resolve_grid("svr", bad)
+
+    def test_model_options_keys(self):
+        for kind, m in MODELS.items():
+            if m.section:
+                check_model_options({m.section: {}})
+                with pytest.raises(UsageError, match="unknown model_options"):
+                    check_model_options({m.section: {"bogus": 1}})
+        with pytest.raises(UsageError, match="not a known section"):
+            check_model_options({"ridge": {}})
+        with pytest.raises(UsageError, match="seed"):
+            check_model_options({"net": {"seed": 1}})  # every fit derives its own
+
+    def test_model_options_values(self):
+        check_model_options({"gbdt": {"rounds": 5, "learning_rate": 1},
+                             "net": {"dropout": 0}})
+        with pytest.raises(UsageError, match="learning_rate"):
+            check_model_options({"gbdt": {"learning_rate": 0.0}})
+        with pytest.raises(UsageError, match="heads"):
+            check_model_options({"net": {"conv_channels": 5}})
+
+
+class TestFitModel:
+    def test_every_kind_fits_and_predicts(self):
+        data = planted_signal_data(n=120)
+        batch = build_tasks(data, "naive", window=63, horizon=1)[0].batch
+        opts = {"gbdt": {"rounds": 3},
+                "net": {"conv_channels": 8, "heads": 2, "head_size": 4, "fcl1_units": 8,
+                        "gru1_units": 8, "gru2_units": 4, "epochs": 1}}
+        for kind in MODELS:
+            predict, val_mae = fit_model(kind, batch.slice(0, 30), enumerate_grid(kind)[0],
+                                         seed=1, options=opts)
+            assert np.isfinite(predict(batch.blocks[30]))
+            assert math.isnan(val_mae) == (kind != "attn_gru")
 
     def test_naive_predicts_zero_logdiff(self):
-        assert naive_predict() == 0.0
-        assert naive_predict([0.1, -0.2]) == 0.0
+        data = planted_signal_data(n=120)
+        batch = build_tasks(data, "naive", window=63, horizon=1)[0].batch
+        predict, _ = fit_model("naive", batch, enumerate_grid("naive")[0], 0, None)
+        assert predict(batch.blocks[0]) == 0.0
