@@ -119,8 +119,9 @@ def cmd_run(args) -> int:
                           if getattr(args, k) is not None})
     data = _prepare(cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    for stale in ("INCOMPLETE", "manifest.json"):  # a rerun must not inherit them
-        if os.path.exists(os.path.join(cfg.out, stale)):
+    for stale in os.listdir(cfg.out):  # a rerun must not inherit them
+        if stale in ("INCOMPLETE", "manifest.json") or (
+                stale.startswith("records_") and stale.endswith(".csv")):
             os.remove(os.path.join(cfg.out, stale))
     written = []
     try:
@@ -225,22 +226,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _message(exc: Exception) -> str:
+    """The error text followed by its context notes, such as the failing task."""
+    return " ".join([str(exc), *getattr(exc, "__notes__", ())])
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
-        print(f"error (usage): {exc}", file=sys.stderr)
+        print(f"error (usage): {_message(exc)}", file=sys.stderr)
         return 1
     except DataError as exc:
-        print(f"error (data): {exc}", file=sys.stderr)
+        print(f"error (data): {_message(exc)}", file=sys.stderr)
         return 2
     except NumericError as exc:
-        print(f"error (numeric): {exc}", file=sys.stderr)
+        print(f"error (numeric): {_message(exc)}", file=sys.stderr)
         return 3
     except VollabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 1
 
 

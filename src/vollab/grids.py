@@ -197,16 +197,28 @@ def check_model_options(options: dict) -> None:
             raise UsageError(f"model_options.{section}: {exc}") from None
 
 
-def fit_model(kind: str, train, state: ParamState, seed: int, options: dict | None):
-    """Fit one kind on a training slice: scaler, then noise, then the kind's fit.
+def slice_fitter(kind: str, train, seed: int, options: dict | None):
+    """Scale a training slice, then noise it, once; returns fit(state).
 
-    Returns (predict(block) -> float, internal validation MAE or nan).
+    fit(state) runs the kind's fit on that shared noised slice, which fits
+    must not modify, and returns (predict(block) -> float, internal
+    validation MAE or nan).
     """
     m = model_kind(kind)
     if m.fit is None:
-        return (lambda block: 0.0), float("nan")
+        return lambda state: ((lambda block: 0.0), float("nan"))
     scaler = fit_scaler(train)
     noised = add_uniform_noise(apply_scaler(scaler, train),
                                seed=derive_seed(seed, "noise", len(train)))
-    predict, val_mae = m.fit(noised, state, seed, (options or {}).get(m.section, {}))
-    return (lambda block: predict((block - scaler.mean) / scaler.std)), val_mae
+    section = (options or {}).get(m.section, {})
+
+    def fit(state):
+        predict, val_mae = m.fit(noised, state, seed, section)
+        return (lambda block: predict((block - scaler.mean) / scaler.std)), val_mae
+
+    return fit
+
+
+def fit_model(kind: str, train, state: ParamState, seed: int, options: dict | None):
+    """Fit one state on a training slice; see slice_fitter."""
+    return slice_fitter(kind, train, seed, options)(state)

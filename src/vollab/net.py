@@ -13,7 +13,7 @@ the best epoch.  Everything is seeded and bit-reproducible.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,10 +109,6 @@ class ForwardTrace:
     gru1_out: np.ndarray
     gru2_out: np.ndarray
     predictions: np.ndarray
-    _pred_node: Tensor = field(repr=False, default=None)
-    _param_nodes: dict = field(repr=False, default=None)
-    _token: tuple = field(repr=False, default=None)
-    _consumed: bool = field(repr=False, default=False)
 
 
 def _conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int) -> Tensor:
@@ -214,7 +210,6 @@ def build_graph(params: dict, x: np.ndarray, config: NetConfig,
         H1=h1.data, A=a.data, H2=h2.data, Z1=z1.data, O=o.data,
         attn_weights=attn_w.data, gru1_out=g1.data, gru2_out=g2.data,
         predictions=pred.data,
-        _pred_node=pred, _param_nodes=p, _token=(id(params), x.shape, train_mode, seed),
     )
     return pred, p, trace
 
@@ -225,33 +220,15 @@ def forward(params: dict, x, config: NetConfig, train_mode: bool = False, seed: 
     return trace.predictions, trace
 
 
-def backward(params: dict, trace: ForwardTrace, x, targets) -> dict:
-    """Exact reverse-mode gradients of the mean absolute error.
-
-    The trace must come from a forward pass over the same params and
-    input; a trace may be consumed once.
-    """
-    x = np.asarray(x)
-    if trace._token is None or trace._token[0] != id(params) or trace._token[1] != x.shape:
-        raise VollabError("stale trace: produced by a different forward pass")
-    if trace._consumed:
-        raise VollabError("trace already consumed by a backward pass")
-    trace._consumed = True
-    y = Tensor(np.asarray(targets, dtype=x.dtype), requires_grad=False)
-    loss = (trace._pred_node - y).abs().mean()
-    loss.backward()
-    return {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-        for name, t in trace._param_nodes.items()
-    }
-
-
 def mae_and_grads(params: dict, x, targets, config: NetConfig,
                   train_mode: bool = True, seed: int = 0):
-    pred, p, trace = build_graph(params, x, config, train_mode, seed)
-    grads = backward(params, trace, x, targets)
-    loss = float(np.mean(np.abs(trace.predictions - np.asarray(targets))))
-    return loss, grads
+    """Mean absolute error and its exact reverse-mode gradient per parameter."""
+    pred, nodes, trace = build_graph(params, x, config, train_mode, seed)
+    y = Tensor(np.asarray(targets, dtype=np.asarray(x).dtype), requires_grad=False)
+    (pred - y).abs().mean().backward()
+    grads = {name: t.grad if t.grad is not None else np.zeros_like(t.data)
+             for name, t in nodes.items()}
+    return float(np.mean(np.abs(trace.predictions - np.asarray(targets)))), grads
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> dict:

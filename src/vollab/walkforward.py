@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import DataError, VollabError
 from .features import FeatureMatrix, SequencedDataset, log_diff, sequence
-from .grids import ParamState, derive_seed, enumerate_grid, fit_model
+from .grids import ParamState, derive_seed, enumerate_grid, fit_model, slice_fitter
 
 MIN_VALIDATION_SEED = 10  # sequenced observations in the initial training slice
 WINDOWS = (63, 126, 252)
@@ -82,13 +83,14 @@ class BatchTask:
     model_options: dict | None = None
 
 
-def validate_params(batch: SequencedDataset, kind: str, state: ParamState,
-                    seed: int, options: dict | None = None) -> float:
-    """Expanding-window validation MAE of one parameter state inside a batch.
+def validate_params(batch: SequencedDataset, kind: str, grid, seed: int,
+                    options: dict | None = None) -> list[float]:
+    """Expanding-window validation MAE of every grid state inside a batch.
 
     Starts from the first MIN_VALIDATION_SEED sequenced observations, then
     repeatedly fits, predicts the next observation, and grows the window by
-    one until the batch is exhausted.
+    one until the batch is exhausted.  Each step's slice is scaled and
+    noised once and shared by every state.
     """
     n = len(batch)
     if n <= MIN_VALIDATION_SEED:
@@ -96,12 +98,13 @@ def validate_params(batch: SequencedDataset, kind: str, state: ParamState,
             f"batch of {n} sequenced observations is too small to validate "
             f"(need > {MIN_VALIDATION_SEED})"
         )
-    errors = []
+    errors = [[] for _ in grid]
     for v in range(MIN_VALIDATION_SEED, n):
-        predict, _ = fit_model(kind, batch.slice(0, v), state,
-                               derive_seed(seed, "val", v), options)
-        errors.append(abs(predict(batch.blocks[v]) - batch.targets[v]))
-    return float(np.mean(errors))
+        fit = slice_fitter(kind, batch.slice(0, v), derive_seed(seed, "val", v), options)
+        for state, state_errors in zip(grid, errors):
+            predict, _ = fit(state)
+            state_errors.append(abs(predict(batch.blocks[v]) - batch.targets[v]))
+    return [float(np.mean(e)) for e in errors]
 
 
 def run_batch(task: BatchTask) -> ForecastRecord:
@@ -110,22 +113,19 @@ def run_batch(task: BatchTask) -> ForecastRecord:
         raise VollabError("task grid is empty")
     try:
         if len(task.grid) == 1:
-            best_state, best_mae = task.grid[0], math.nan
+            best, best_mae = 0, math.nan
         else:
-            best_state, best_mae = None, math.inf
-            for state in task.grid:
-                mae = validate_params(task.batch, task.kind, state, task.seed,
-                                      task.model_options)
-                if mae < best_mae:
-                    best_state, best_mae = state, mae
-        predict, internal_mae = fit_model(task.kind, task.batch, best_state,
+            maes = validate_params(task.batch, task.kind, task.grid, task.seed,
+                                   task.model_options)
+            best = int(np.nanargmin(maes))  # ties go to the first state
+            best_mae = maes[best]
+        predict, internal_mae = fit_model(task.kind, task.batch, task.grid[best],
                                           derive_seed(task.seed, "refit"),
                                           task.model_options)
         pred = predict(task.predict_block)
     except Exception as exc:
-        raise type(exc)(
-            f"{exc} [task kind={task.kind} window={task.window} date={task.test_date}]"
-        ) from exc
+        exc.add_note(f"[task kind={task.kind} window={task.window} date={task.test_date}]")
+        raise
     if math.isnan(best_mae):  # singleton grid: the net's own best-epoch MAE, if any
         best_mae = internal_mae
     return ForecastRecord(
@@ -136,7 +136,7 @@ def run_batch(task: BatchTask) -> ForecastRecord:
         actual_level=task.actual_level,
         model=task.kind,
         window=task.window,
-        params=best_state.to_text(),
+        params=task.grid[best].to_text(),
         val_mae=best_mae,
     )
 
@@ -214,10 +214,13 @@ def run_experiment(
 
 
 def write_records_csv(records: list[ForecastRecord], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(ForecastRecord.CSV_HEADER + "\n")
-        for r in records:
-            fh.write(r.csv_row() + "\n")
+    """Write every record or none: the rows go to a temporary file in the
+    same directory, which is then renamed into place."""
+    lines = [ForecastRecord.CSV_HEADER] + [r.csv_row() for r in records]
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    os.replace(tmp, path)
 
 
 def read_records_csv(path) -> list[ForecastRecord]:

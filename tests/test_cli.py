@@ -226,6 +226,28 @@ class TestRun:
         assert (tmp_path / "out" / "INCOMPLETE").exists()
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    def test_rerun_clears_stale_record_files(self, tmp_path):
+        assert main(["run", "--config", self.run_config(tmp_path)]) == 0
+        assert main(["run", "--config", self.run_config(tmp_path, windows=[70])]) == 0
+        out = tmp_path / "out"
+        assert sorted(f for f in os.listdir(out) if f.startswith("records_")) == [
+            "records_naive_70.csv"]
+        report = (out / "report.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in report[1:]] == [["naive", "70"]]
+
+    def test_task_error_names_the_task(self, tmp_path, capsys, monkeypatch):
+        from vollab import grids
+        from vollab.errors import NumericError
+
+        def broken(*args, **kwargs):
+            raise NumericError("solver broke")
+
+        monkeypatch.setattr(grids, "fit_svr", broken)
+        cfg = self.run_config(tmp_path, models=["svr"], grids={"svr": [0]})
+        assert main(["run", "--config", cfg]) == 3
+        assert "error (numeric): solver broke [task kind=svr window=63 date=" in (
+            capsys.readouterr().err)
+
     def test_manifest_echoes_task_seeds(self, tmp_path):
         from vollab.cli import _prepare
 

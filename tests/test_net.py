@@ -5,8 +5,6 @@ from vollab.errors import VollabError
 from vollab.net import (
     TINY_CONFIG,
     NetConfig,
-    backward,
-    build_graph,
     clip_global_norm,
     forward,
     init_params,
@@ -115,22 +113,6 @@ class TestBackward:
         for k, g in grads.items():
             assert g.shape == p[k].shape, k
             assert np.all(np.isfinite(g)), k
-
-    def test_trace_single_use(self, rng):
-        x, y = tiny_batch(rng)
-        p = init_params(TINY_CONFIG, 3, seed=3)
-        _, _, trace = build_graph(p, x, TINY_CONFIG, False)
-        backward(p, trace, x, y)
-        with pytest.raises(VollabError, match="consumed"):
-            backward(p, trace, x, y)
-
-    def test_stale_trace_rejected(self, rng):
-        x, y = tiny_batch(rng)
-        p = init_params(TINY_CONFIG, 3, seed=3)
-        _, _, trace = build_graph(p, x, TINY_CONFIG, False)
-        other = init_params(TINY_CONFIG, 3, seed=4)
-        with pytest.raises(VollabError, match="stale"):
-            backward(other, trace, x, y)
 
     def test_clip_global_norm(self):
         g = {"a": np.array([3.0]), "b": np.array([4.0])}

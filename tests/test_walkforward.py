@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ import pytest
 from conftest import planted_signal_data
 from vollab.errors import VollabError
 from vollab.features import SEQ_LEN, log_diff, sequence
-from vollab.grids import enumerate_grid
+from vollab import grids
+from vollab.grids import enumerate_grid, fit_model
 from vollab.walkforward import (
     MIN_VALIDATION_SEED,
     WINDOWS,
     BatchTask,
     ExperimentData,
+    ForecastRecord,
     build_tasks,
     derive_seed,
     read_records_csv,
@@ -80,22 +83,34 @@ class TestBuildTasks:
         assert len({t.seed for t in tasks}) == 5
 
 
+def state_major_validation(batch, kind, grid, seed, options=None):
+    """The validation sweep as one fit_model call per state and step."""
+    maes = []
+    for state in grid:
+        errors = []
+        for v in range(MIN_VALIDATION_SEED, len(batch)):
+            predict, _ = fit_model(kind, batch.slice(0, v), state,
+                                   derive_seed(seed, "val", v), options)
+            errors.append(abs(predict(batch.blocks[v]) - batch.targets[v]))
+        maes.append(float(np.mean(errors)))
+    return maes
+
+
 class TestValidateParams:
     def test_expanding_schedule_error_count(self):
         data = planted_signal_data(n=120)
         tasks = build_tasks(data, "svr", window=63, horizon=1)
         batch = tasks[0].batch
-        state = enumerate_grid("svr")[0]
+        grid = enumerate_grid("svr")[:1]
         # one error per step from MIN_VALIDATION_SEED to len(batch)-1
-        mae = validate_params(batch, "svr", state, seed=1)
+        [mae] = validate_params(batch, "svr", grid, seed=1)
         assert math.isfinite(mae) and mae >= 0
         assert len(batch) - MIN_VALIDATION_SEED == 53
 
     def test_naive_validation_is_mean_abs_target(self):
         data = planted_signal_data(n=120)
         batch = build_tasks(data, "naive", window=63, horizon=1)[0].batch
-        state = enumerate_grid("naive")[0]
-        mae = validate_params(batch, "naive", state, seed=1)
+        [mae] = validate_params(batch, "naive", enumerate_grid("naive"), seed=1)
         want = np.abs(batch.targets[MIN_VALIDATION_SEED:]).mean()
         assert mae == pytest.approx(want, rel=1e-12)
 
@@ -104,7 +119,29 @@ class TestValidateParams:
         batch = build_tasks(data, "naive", window=63, horizon=1)[0].batch
         with pytest.raises(VollabError):
             validate_params(batch.slice(0, MIN_VALIDATION_SEED), "naive",
-                            enumerate_grid("naive")[0], seed=1)
+                            enumerate_grid("naive"), seed=1)
+
+    @pytest.mark.parametrize("kind, states, options", [
+        ("naive", [0], None),
+        ("svr", [0, 20, 40], None),  # poly, rbf, sigmoid
+        ("gbdt", [0, 80], {"gbdt": {"rounds": 2}}),
+    ])
+    def test_equals_state_major_sweep(self, kind, states, options):
+        data = planted_signal_data(n=120)
+        batch = build_tasks(data, kind, window=63, horizon=1)[0].batch
+        grid = [enumerate_grid(kind)[i] for i in states]
+        want = state_major_validation(batch, kind, grid, 7, options)
+        assert validate_params(batch, kind, grid, 7, options) == want
+
+    def test_each_slice_scaled_and_noised_once(self, monkeypatch):
+        data = planted_signal_data(n=120)
+        batch = build_tasks(data, "svr", window=63, horizon=1)[0].batch
+        calls = []
+        original = grids.add_uniform_noise
+        monkeypatch.setattr(grids, "add_uniform_noise",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        validate_params(batch, "svr", enumerate_grid("svr")[:3], seed=1)
+        assert len(calls) == len(batch) - MIN_VALIDATION_SEED
 
 
 class TestRunBatch:
@@ -133,7 +170,7 @@ class TestRunBatch:
         grid = [g[0], g[9]]
         task = build_tasks(data, "svr", window=63, horizon=1, grid=grid)[0]
         rec = run_batch(task)
-        maes = [validate_params(task.batch, "svr", s, task.seed) for s in grid]
+        maes = validate_params(task.batch, "svr", grid, task.seed)
         assert rec.params == grid[int(np.argmin(maes))].to_text()
         assert rec.val_mae == pytest.approx(min(maes), rel=1e-12)
 
@@ -152,6 +189,23 @@ class TestRunBatch:
                            model_options=opts)[0]
         with pytest.raises(VollabError, match="kind=attn_gru"):
             run_batch(task)
+
+    def test_error_keeps_its_class_and_gains_a_note(self, monkeypatch):
+        class TwoArgError(Exception):
+            def __init__(self, code, detail):
+                super().__init__(f"{code}: {detail}")
+
+        def broken(*args, **kwargs):
+            raise TwoArgError(7, "solver broke")
+
+        monkeypatch.setattr(grids, "fit_svr", broken)
+        data = planted_signal_data(n=120)
+        task = build_tasks(data, "svr", window=63, horizon=1,
+                           grid=enumerate_grid("svr")[:1])[0]
+        with pytest.raises(TwoArgError) as info:
+            run_batch(task)
+        assert str(info.value) == "7: solver broke"
+        assert any("kind=svr" in note for note in info.value.__notes__)
 
     def test_empty_grid_rejected(self):
         data = planted_signal_data(n=120)
@@ -194,6 +248,21 @@ class TestRecordsCsv:
         write_records_csv(recs, p)
         back = read_records_csv(p)
         assert back == recs  # bit-exact floats via repr round-trip
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        data = planted_signal_data(n=120)
+        recs = run_experiment(data, "naive", 63, horizon=3)
+        original = ForecastRecord.csv_row
+
+        def second_row_fails(record):
+            if record is recs[1]:
+                raise RuntimeError("cannot format the second record")
+            return original(record)
+
+        monkeypatch.setattr(ForecastRecord, "csv_row", second_row_fails)
+        with pytest.raises(RuntimeError):
+            write_records_csv(recs, tmp_path / "records_naive_63.csv")
+        assert os.listdir(tmp_path) == []
 
     def test_rejects_foreign_file(self, tmp_path):
         p = tmp_path / "records_x.csv"
