@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .config import RunConfig, load_config, manifest
 from .creditvix import implied_variance, implied_vol, load_option_chain
@@ -114,9 +113,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    cfg = replace(cfg, **{k: getattr(args, k) for k in ("seed", "out", "threads")
-                          if getattr(args, k) is not None})
+    cfg = load_config(args.config, **{k: getattr(args, k) for k in ("seed", "out", "threads")
+                                      if getattr(args, k) is not None})
     data = _prepare(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     for stale in os.listdir(cfg.out):  # a rerun must not inherit them

@@ -60,6 +60,18 @@ class RunConfig:
                              dt.date.fromisoformat(rng[1]))
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_date(v) -> bool:
+    try:
+        dt.date.fromisoformat(v)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
 def parse_config(raw: dict) -> RunConfig:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
@@ -73,8 +85,23 @@ def parse_config(raw: dict) -> RunConfig:
         extra = set(data["synthetic"]) - {"seed", "n_days", "n_series"}
         if extra:
             raise UsageError(f"unknown synthetic keys: {sorted(extra)}")
+        for key, value in data["synthetic"].items():
+            if not _is_int(value):
+                raise UsageError(f"synthetic.{key} must be int, got {value!r}")
     merged = {**DEFAULTS, **{k: v for k, v in raw.items() if k != "data"}}
     cfg = RunConfig(data=data, **merged)
+    for key in ("horizon", "sequence_length", "seed", "threads"):
+        if not _is_int(getattr(cfg, key)):
+            raise UsageError(f"{key} must be int, got {getattr(cfg, key)!r}")
+    if not (isinstance(cfg.windows, list) and cfg.windows and all(map(_is_int, cfg.windows))):
+        raise UsageError(f"windows must be a non-empty list of ints, got {cfg.windows!r}")
+    if cfg.top_k is not None and not (_is_int(cfg.top_k) and cfg.top_k >= 1):
+        raise UsageError(f"top_k must be null or an int >= 1, got {cfg.top_k!r}")
+    if not isinstance(cfg.partitions, dict) or set(cfg.partitions) - {"span", "selection"}:
+        raise UsageError("'partitions' may hold only 'span' and 'selection'")
+    for name, rng in cfg.partitions.items():
+        if not (isinstance(rng, list) and len(rng) == 2 and all(map(_is_date, rng))):
+            raise UsageError(f"partitions.{name} must be two ISO dates, got {rng!r}")
     if not isinstance(cfg.grids, dict) or not isinstance(cfg.model_options, dict):
         raise UsageError("'grids' and 'model_options' must be objects")
     for kind in [*cfg.models, *cfg.grids]:
@@ -83,14 +110,15 @@ def parse_config(raw: dict) -> RunConfig:
     for kind, entries in cfg.grids.items():
         resolve_grid(kind, entries)
     check_model_options(cfg.model_options)
-    if cfg.horizon < 1 or cfg.sequence_length < 1:
-        raise UsageError("horizon and sequence_length must be >= 1")
+    if cfg.horizon < 1 or cfg.sequence_length < 1 or cfg.threads < 1:
+        raise UsageError("horizon, sequence_length and threads must be >= 1")
     if any(w < 12 for w in cfg.windows):
         raise UsageError("windows must be >= 12 sequenced observations")
     return cfg
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, **overrides) -> RunConfig:
+    """Parse the JSON file at path, with top-level keys replaced by overrides."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -98,7 +126,9 @@ def load_config(path) -> RunConfig:
         raise UsageError(f"{path}: invalid JSON ({exc})") from None
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from None
-    return parse_config(raw)
+    if not isinstance(raw, dict):
+        raise UsageError(f"{path}: config must be a JSON object")
+    return parse_config({**raw, **overrides})
 
 
 def manifest(cfg: RunConfig, extra: dict) -> str:

@@ -150,10 +150,6 @@ class SequencedDataset:
         return self.blocks.shape[0]
 
     @property
-    def seq_len(self) -> int:
-        return self.blocks.shape[1]
-
-    @property
     def n_features(self) -> int:
         return self.blocks.shape[2]
 

@@ -26,7 +26,6 @@ class GbdtParams:
     max_depth: int = -1  # -1 = unbounded; leaves become the binding constraint
     feature_fraction: float = 0.5
     bagging_fraction: float = 0.9
-    bagging_freq: int = 1
     rounds: int = 200
     seed: int = 0
 
@@ -84,15 +83,7 @@ def fit_gbdt(X, y, params: GbdtParams) -> GbdtModel:
         resid = y[sub] - F[sub]
         grad = np.sign(resid)
         tree_seed = int(rng.integers(0, 2**63 - 1))
-        tree = fit_regression_tree(
-            X[sub],
-            grad,
-            policy="leaf",
-            limits=limits,
-            leaf_value_rule="mean",
-            feature_subset=params.feature_fraction if params.feature_fraction < 1 else None,
-            seed=tree_seed,
-        )
+        tree = fit_regression_tree(X[sub], grad, limits, params.feature_fraction, tree_seed)
         # MAE-exact leaf values: median of the in-bag residuals per leaf
         leaf_ids = tree.apply(X[sub])
         for j in np.unique(leaf_ids):

@@ -20,15 +20,6 @@ class MetricTable:
     log_loss: float  # squared log level ratio, scaled by 100
     cov_actual_levels: float  # std / mean of the actual levels
 
-    def as_dict(self) -> dict:
-        return {
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "mape": self.mape,
-            "log_loss_x100": self.log_loss,
-            "cov_actual_levels": self.cov_actual_levels,
-        }
-
 
 def compute_metrics(records) -> MetricTable:
     """MAE/RMSE on log-diffs; MAPE and scaled squared-log loss on levels."""

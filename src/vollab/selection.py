@@ -75,15 +75,7 @@ def rf_importance(
         for t in range(n_trees):
             boot = rng.integers(0, b, size=b)
             tree_seed = int(rng.integers(0, 2**63 - 1))
-            tree = fit_regression_tree(
-                Xi[boot],
-                yi[boot],
-                policy="leaf",
-                limits=limits,
-                leaf_value_rule="mean",
-                feature_subset=frac,
-                seed=tree_seed,
-            )
+            tree = fit_regression_tree(Xi[boot], yi[boot], limits, frac, tree_seed)
             gains += tree.feature_gains()
         total = gains.sum()
         per_split[i] = gains / total if total > 0 else np.full(m, 1.0 / m)

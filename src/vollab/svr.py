@@ -194,7 +194,7 @@ def fit_svr(X, y, params: SvrParams, tol: float = 1e-3, max_passes: int = 10_000
         if np.any(overlap > 0):
             alpha -= overlap
             alpha_star -= overlap
-        history.append(dual_objective(X, y, beta, alpha, alpha_star, params, gamma))
+        history.append(float(-0.5 * beta @ f + beta @ y - eps * (alpha + alpha_star).sum()))
         if converged or not progressed:
             break
 

@@ -1,10 +1,10 @@
-"""Regression tree with leaf-wise (best-gain-first) or level-wise growth.
+"""Regression tree grown leaf-wise (best gain first) with mean-valued leaves.
 
 Shared by the random-forest feature selector and the boosting engine.
 Splits scan the midpoints between sorted unique feature values; the gain
 is the reduction in total squared error.  Thresholds route strictly-less
-to the left.  Ties are broken deterministically by (leaf id, feature
-index, threshold).
+to the left.  Ties are broken deterministically: the lower leaf id, then
+the lower feature index, then the lower threshold.
 """
 
 from __future__ import annotations
@@ -106,10 +106,6 @@ def predict_tree(tree: RegressionTree, X) -> np.ndarray:
     return vals[0] if single else vals
 
 
-def _leaf_value(y: np.ndarray, rule: str) -> float:
-    return float(np.median(y)) if rule == "median" else float(y.mean())
-
-
 def _sse(y: np.ndarray) -> float:
     return float(((y - y.mean()) ** 2).sum())
 
@@ -118,7 +114,9 @@ def best_split(X, y, features, min_samples_leaf: int):
     """Best (gain, feature, threshold) over the given feature indices.
 
     Returns None when no split satisfies the leaf-size constraint.  Equal
-    gains resolve to the lower feature index, then the lower threshold.
+    gains resolve to the lower feature index, then the lower threshold:
+    candidates are scanned in that order and only a strictly larger gain
+    replaces the best.
     """
     n = len(y)
     if n < 2 * min_samples_leaf:
@@ -129,7 +127,7 @@ def best_split(X, y, features, min_samples_leaf: int):
     # order eps * parent, so ties are judged at a tolerance on that scale
     tie_tol = 1e-10 * max(1.0, parent)
     best = None
-    for f in features:
+    for f in sorted(features):
         col = X[:, f]
         order = np.argsort(col, kind="stable")
         xs, ys = col[order], y[order]
@@ -147,29 +145,19 @@ def best_split(X, y, features, min_samples_leaf: int):
             ql, qr = csq[i], total_sq - csq[i]
             children = (ql - sl * sl / nl) + (qr - sr * sr / nr)
             gain = parent - children
-            thr = (xs[i] + xs[i + 1]) / 2.0
-            if best is None or gain > best[0] + tie_tol or (
-                abs(gain - best[0]) <= tie_tol and (f, thr) < (best[1], best[2])
-            ):
-                best = (gain, f, thr)
+            if best is None or gain > best[0] + tie_tol:
+                best = (gain, f, (xs[i] + xs[i + 1]) / 2.0)
     return best
 
 
 def fit_regression_tree(
-    X,
-    y,
-    policy: str = "leaf",
-    limits: TreeLimits | None = None,
-    leaf_value_rule: str = "mean",
-    feature_subset: float | None = None,
-    seed: int = 0,
+    X, y, limits: TreeLimits | None = None, feature_subset: float = 1.0, seed: int = 0
 ) -> RegressionTree:
-    """Grow a regression tree.
+    """Grow a regression tree, expanding at each step the frontier leaf whose
+    best split has maximal gain.
 
-    policy "leaf": expand, at each step, the frontier leaf whose best split
-    has maximal gain.  policy "level": expand leaves in creation order
-    (breadth first).  feature_subset < 1 restricts every split search to a
-    seeded random fraction of the features (one draw per tree).
+    feature_subset < 1 restricts every split search to a seeded random
+    fraction of the features (one draw per tree).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -177,13 +165,9 @@ def fit_regression_tree(
         raise VollabError("fit_regression_tree needs matching, non-empty X and y")
     if not np.all(np.isfinite(y)):
         raise VollabError("targets must be finite")
-    if policy not in ("leaf", "level"):
-        raise VollabError(f"unknown growth policy {policy!r}")
-    if leaf_value_rule not in ("mean", "median"):
-        raise VollabError(f"unknown leaf value rule {leaf_value_rule!r}")
     limits = limits or TreeLimits()
     m = X.shape[1]
-    if feature_subset is not None and feature_subset < 1.0:
+    if feature_subset < 1.0:
         rng = np.random.default_rng(np.random.PCG64(seed))
         k = max(1, int(np.ceil(feature_subset * m)))
         perm = rng.permutation(m)
@@ -191,7 +175,7 @@ def fit_regression_tree(
     else:
         features = list(range(m))
 
-    nodes = [_Node(value=_leaf_value(y, leaf_value_rule), n_samples=len(y), depth=0)]
+    nodes = [_Node(value=float(y.mean()), n_samples=len(y), depth=0)]
     rows = {0: np.arange(len(y))}
     tree = RegressionTree(nodes, m)
 
@@ -209,11 +193,7 @@ def fit_regression_tree(
         frontier[0] = c
 
     while frontier and tree.n_leaves < limits.max_leaves:
-        if policy == "leaf":
-            # max gain; ties -> lower node id, then feature, then threshold
-            j = min(frontier, key=lambda j: (-frontier[j][0], j, frontier[j][1], frontier[j][2]))
-        else:
-            j = min(frontier)
+        j = min(frontier, key=lambda j: (-frontier[j][0], j))  # max gain, then lower id
         gain, f, thr = frontier.pop(j)
         idx = rows.pop(j)
         mask = X[idx, f] < thr
@@ -222,13 +202,8 @@ def fit_regression_tree(
         nd.feature, nd.threshold, nd.gain = f, thr, gain
         for child_rows in (li, ri):
             cid = len(nodes)
-            nodes.append(
-                _Node(
-                    value=_leaf_value(y[child_rows], leaf_value_rule),
-                    n_samples=len(child_rows),
-                    depth=nd.depth + 1,
-                )
-            )
+            nodes.append(_Node(value=float(y[child_rows].mean()),
+                               n_samples=len(child_rows), depth=nd.depth + 1))
             rows[cid] = child_rows
             if nd.left < 0:
                 nd.left = cid

@@ -69,6 +69,28 @@ class TestConfig:
         with pytest.raises(UsageError, match=message):
             parse_config({"data": {"synthetic": {}}, **overrides})
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"horizon": True}, "horizon must be int"),
+        ({"sequence_length": 1.5}, "sequence_length must be int"),
+        ({"seed": "0"}, "seed must be int"),
+        ({"threads": 0}, "threads must be >= 1"),
+        ({"windows": []}, "non-empty list of ints"),
+        ({"top_k": 0}, "top_k must be"),
+        ({"top_k": "10"}, "top_k must be"),
+        ({"data": {"synthetic": {"seed": 1.5}}}, "synthetic.seed must be int"),
+        ({"partitions": []}, "only 'span' and 'selection'"),
+        ({"partitions": {"selection": ["2018-01-01", "2018-13-01"]}}, "two ISO dates"),
+    ])
+    def test_value_types_checked(self, overrides, message):
+        with pytest.raises(UsageError, match=message):
+            parse_config({"data": {"synthetic": {}}, **overrides})
+
+    def test_config_must_be_an_object(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text("[]")
+        with pytest.raises(UsageError, match="JSON object"):
+            load_config(str(p))
+
     def test_invalid_json_is_usage_error(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text("{not json")
@@ -197,11 +219,24 @@ class TestRun:
         {"models": ["naive"], "model_options": {"gbdt": {"round": 5}}},
         {"models": ["naive", "gbdt"], "grids": {"gbdt": [0]},
          "model_options": {"gbdt": {"rounds": "5"}}},
+        {"horizon": "2"},
+        {"windows": 63},
+        {"windows": [63.5]},
+        {"threads": "2"},
+        {"data": {"synthetic": {"seed": 3, "n_days": "300"}}},
+        {"partitions": {"span": ["2018-01-01"]}},
+        {"partitions": {"spam": ["2018-01-01", "2018-06-29"]}},
     ])
     def test_config_errors_exit_before_any_record(self, tmp_path, capsys, overrides):
         cfg = self.run_config(tmp_path, **overrides)
         assert main(["run", "--config", cfg]) == 1
         assert "error (usage):" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_threads_override_is_checked(self, tmp_path, capsys):
+        cfg = self.run_config(tmp_path)
+        assert main(["run", "--config", cfg, "--threads", "0"]) == 1
+        assert "threads must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_infeasible_window_fails_before_any_record(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import qp_oracle_predict, qp_svr_oracle
+from vollab import svr
 from vollab.errors import VollabError
 from vollab.svr import (
     SvrParams,
@@ -76,6 +77,21 @@ class TestFitSvr:
             m = fit_svr(X, y, SvrParams(kernel=kernel, gamma=0.4, epsilon=0.05))
             h = np.asarray(m.objective_history)
             assert np.all(np.diff(h) >= -1e-9), kernel
+
+    def test_objective_history_reuses_the_training_kernel(self, rng, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(svr, "kernel_matrix", counting)
+        X = rng.normal(size=(30, 2))
+        y = np.sin(X[:, 0]) + 0.1 * rng.normal(size=30)
+        m = fit_svr(X, y, SvrParams(kernel="rbf", gamma=1.0, epsilon=0.05))
+        assert m.n_passes > 1 and len(calls) == 1
+        monkeypatch.undo()
+        assert m.objective_history[-1] == pytest.approx(m.dual_objective(), rel=1e-12)
 
     def test_kkt_residual_below_tolerance(self, rng):
         for _ in range(5):

@@ -53,8 +53,9 @@ class TestBestSplit:
         col = np.array([1.0, 2.0, 3.0, 4.0])
         X = np.column_stack([col, col])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        gain, f, thr = best_split(X, y, [0, 1], 1)
-        assert f == 0
+        for features in ([0, 1], [1, 0]):
+            gain, f, thr = best_split(X, y, features, 1)
+            assert f == 0
 
 
 class TestFitRegressionTree:
@@ -65,7 +66,7 @@ class TestFitRegressionTree:
             X = rng.normal(size=(n, m))
             y = rng.normal(size=n)
             limits = TreeLimits(max_leaves=8, min_samples_leaf=2, min_gain=0.0)
-            tree = fit_regression_tree(X, y, policy="leaf", limits=limits)
+            tree = fit_regression_tree(X, y, limits=limits)
             got = [(f, thr) for (_, f, thr, _) in tree.expansion_order]
             want = [(f, thr) for (f, thr, _) in exhaustive_leafwise_order(X, y, 8, 2, 0.0)]
             assert got == want
@@ -102,16 +103,6 @@ class TestFitRegressionTree:
         tree = fit_regression_tree(X, y)
         np.testing.assert_allclose(predict_tree(tree, X), np.full(12, y.mean()))
 
-    def test_median_leaf_rule(self):
-        X = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]])
-        y = np.array([1.0, 2.0, 9.0, -1.0, 0.0, 30.0])
-        tree = fit_regression_tree(
-            X, y, leaf_value_rule="median",
-            limits=TreeLimits(max_leaves=2, min_samples_leaf=1, min_gain=0.0),
-        )
-        preds = predict_tree(tree, np.array([[0.0], [1.0]]))
-        np.testing.assert_array_equal(preds, [2.0, 0.0])
-
     def test_strictly_less_routes_left(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([0.0, 10.0])
@@ -129,16 +120,6 @@ class TestFitRegressionTree:
             X, y, limits=TreeLimits(max_leaves=4, min_samples_leaf=1, min_gain=0.0)
         )
         np.testing.assert_allclose(predict_tree(tree, X), y)
-
-    def test_level_policy_is_fifo(self, rng):
-        X = rng.normal(size=(64, 3))
-        y = rng.normal(size=64)
-        tree = fit_regression_tree(
-            X, y, policy="level",
-            limits=TreeLimits(max_leaves=6, min_samples_leaf=2, min_gain=0.0),
-        )
-        split_ids = [nid for (nid, _, _, _) in tree.expansion_order]
-        assert split_ids == sorted(split_ids)
 
     def test_feature_subset_determinism(self, rng):
         X = rng.normal(size=(50, 8))
@@ -158,8 +139,6 @@ class TestFitRegressionTree:
             fit_regression_tree(np.ones((3, 1)), np.ones(2))
         with pytest.raises(VollabError):
             fit_regression_tree(np.ones((3, 1)), np.array([1.0, np.nan, 2.0]))
-        with pytest.raises(VollabError):
-            fit_regression_tree(np.ones((3, 1)), np.ones(3), policy="zigzag")
 
 
 class TestApplyAndGains:
