@@ -64,6 +64,10 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_strings(v) -> bool:
+    return isinstance(v, list) and all(isinstance(s, str) for s in v)
+
+
 def _is_date(v) -> bool:
     try:
         dt.date.fromisoformat(v)
@@ -81,7 +85,11 @@ def parse_config(raw: dict) -> RunConfig:
     data = raw["data"]
     if not isinstance(data, dict) or set(data) - {"csv", "synthetic"} or len(data) != 1:
         raise UsageError("'data' must be exactly one of {'csv': [...]} or {'synthetic': {...}}")
+    if "csv" in data and not (_is_strings(data["csv"]) and data["csv"]):
+        raise UsageError(f"data.csv must be a non-empty list of paths, got {data['csv']!r}")
     if "synthetic" in data:
+        if not isinstance(data["synthetic"], dict):
+            raise UsageError(f"data.synthetic must be an object, got {data['synthetic']!r}")
         extra = set(data["synthetic"]) - {"seed", "n_days", "n_series"}
         if extra:
             raise UsageError(f"unknown synthetic keys: {sorted(extra)}")
@@ -90,6 +98,13 @@ def parse_config(raw: dict) -> RunConfig:
                 raise UsageError(f"synthetic.{key} must be int, got {value!r}")
     merged = {**DEFAULTS, **{k: v for k, v in raw.items() if k != "data"}}
     cfg = RunConfig(data=data, **merged)
+    if not isinstance(cfg.target_column, str):
+        raise UsageError(f"target_column must be a string, got {cfg.target_column!r}")
+    if not (cfg.volume_columns is None or _is_strings(cfg.volume_columns)):
+        raise UsageError(
+            f"volume_columns must be null or a list of strings, got {cfg.volume_columns!r}")
+    if not (_is_strings(cfg.models) and cfg.models):
+        raise UsageError(f"models must be a non-empty list of strings, got {cfg.models!r}")
     for key in ("horizon", "sequence_length", "seed", "threads"):
         if not _is_int(getattr(cfg, key)):
             raise UsageError(f"{key} must be int, got {getattr(cfg, key)!r}")

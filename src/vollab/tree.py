@@ -3,8 +3,9 @@
 Shared by the random-forest feature selector and the boosting engine.
 Splits scan the midpoints between sorted unique feature values; the gain
 is the reduction in total squared error.  Thresholds route strictly-less
-to the left.  Ties are broken deterministically: the lower leaf id, then
-the lower feature index, then the lower threshold.
+to the left.  A node's split search scores every threshold of every
+feature in one array pass (see best_split); among expandable leaves the
+larger gain wins, then the lower leaf id.
 """
 
 from __future__ import annotations
@@ -53,20 +54,23 @@ class RegressionTree:
         return np.array([n.value for n in self.nodes if n.feature < 0])
 
     def apply(self, X) -> np.ndarray:
-        """Leaf node index for every row."""
+        """Leaf node index for every row; all rows descend one level per step."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.n_features:
             raise VollabError(
                 f"expected {self.n_features} features, got {X.shape[1]}"
             )
-        out = np.empty(len(X), dtype=int)
-        for i, x in enumerate(X):
-            j = 0
-            while self.nodes[j].feature >= 0:
-                nd = self.nodes[j]
-                j = nd.left if x[nd.feature] < nd.threshold else nd.right
-            out[i] = j
-        return out
+        feature, left, right = np.array(
+            [(n.feature, n.left, n.right) for n in self.nodes]).T
+        threshold = np.array([n.threshold for n in self.nodes])
+        node = np.zeros(len(X), dtype=int)
+        live = np.arange(len(X) if feature[0] >= 0 else 0)  # rows not yet at a leaf
+        while live.size:
+            j = node[live]
+            j = np.where(X[live, feature[j]] < threshold[j], left[j], right[j])
+            node[live] = j
+            live = live[feature[j] >= 0]
+        return node
 
     def set_leaf_values(self, leaf_ids, values) -> None:
         for j, v in zip(leaf_ids, values):
@@ -100,10 +104,8 @@ class RegressionTree:
 
 def predict_tree(tree: RegressionTree, X) -> np.ndarray:
     x = np.asarray(X, dtype=float)
-    single = x.ndim == 1
-    leaves = tree.apply(x)
-    vals = np.array([tree.nodes[j].value for j in leaves])
-    return vals[0] if single else vals
+    vals = np.array([n.value for n in tree.nodes])[tree.apply(x)]
+    return vals[0] if x.ndim == 1 else vals
 
 
 def _sse(y: np.ndarray) -> float:
@@ -113,11 +115,16 @@ def _sse(y: np.ndarray) -> float:
 def best_split(X, y, features, min_samples_leaf: int):
     """Best (gain, feature, threshold) over the given feature indices.
 
-    Returns None when no split satisfies the leaf-size constraint.  Equal
-    gains resolve to the lower feature index, then the lower threshold:
-    candidates are scanned in that order and only a strictly larger gain
-    replaces the best.
+    Returns None when no split satisfies the leaf-size constraint.  Every
+    threshold of every feature is scored at once from running sums over the
+    stably sorted columns.  Candidates rank in feature order, thresholds
+    ascending, and a later one replaces the kept one only if its gain is
+    larger by more than tie_tol, so near-equal gains keep the lower feature,
+    then the lower threshold.  Each replacement is a strict running maximum
+    of the gains, so the rule visits only those positions.
     """
+    if min_samples_leaf < 1:
+        raise VollabError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
     n = len(y)
     if n < 2 * min_samples_leaf:
         return None
@@ -126,28 +133,32 @@ def best_split(X, y, features, min_samples_leaf: int):
     # gains; the running-sum arithmetic separates them by rounding noise of
     # order eps * parent, so ties are judged at a tolerance on that scale
     tie_tol = 1e-10 * max(1.0, parent)
-    best = None
-    for f in sorted(features):
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        xs, ys = col[order], y[order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        total, total_sq = csum[-1], csq[-1]
-        # candidate split after position i (left = first i+1 rows) only where
-        # the value actually changes
-        for i in range(min_samples_leaf - 1, n - min_samples_leaf):
-            if xs[i] == xs[i + 1]:
-                continue
-            nl = i + 1
-            nr = n - nl
-            sl, sr = csum[i], total - csum[i]
-            ql, qr = csq[i], total_sq - csq[i]
-            children = (ql - sl * sl / nl) + (qr - sr * sr / nr)
-            gain = parent - children
-            if best is None or gain > best[0] + tie_tol:
-                best = (gain, f, (xs[i] + xs[i + 1]) / 2.0)
-    return best
+    fs = sorted(features)
+    cols = X.T[fs]  # one row per feature, scanned in this order
+    order = np.argsort(cols, axis=1, kind="stable")
+    xs = cols[np.arange(len(fs))[:, None], order]
+    ys = y[order]
+    csum = np.cumsum(ys, axis=1)
+    csq = np.cumsum(ys * ys, axis=1)
+    # split after position i (left = first i+1 rows) for i in [lo, hi)
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+    nl = np.arange(lo + 1, hi + 1)
+    nr = n - nl
+    sl, ql = csum[:, lo:hi], csq[:, lo:hi]
+    sr, qr = csum[:, -1:] - sl, csq[:, -1:] - ql
+    gains = parent - ((ql - sl * sl / nl) + (qr - sr * sr / nr))
+    # flat positions, feature-major, where the sorted value changes
+    cand = np.flatnonzero(xs[:, lo:hi] != xs[:, lo + 1:hi + 1])
+    if cand.size == 0:
+        return None
+    g = gains.ravel()[cand]
+    b = 0
+    for p in (np.flatnonzero(g[1:] > np.maximum.accumulate(g)[:-1]) + 1).tolist():
+        if g[p] > g[b] + tie_tol:
+            b = p
+    r, i = divmod(int(cand[b]), hi - lo)
+    i += lo
+    return g[b], fs[r], (xs[r, i] + xs[r, i + 1]) / 2.0
 
 
 def fit_regression_tree(

@@ -139,6 +139,61 @@ def exhaustive_best_split(X, y, rows, features, min_samples_leaf):
     return best
 
 
+def scan_best_split(X, y, features, min_samples_leaf):
+    """Threshold-by-threshold scan with the library's split rule.
+
+    Features ascend, thresholds ascend within a feature, and a candidate
+    replaces the kept one only if its gain is larger by more than the tie
+    tolerance.  The gain arithmetic (running sums, one expression per
+    threshold) is the library's, so results must agree exactly.
+    """
+    n = len(y)
+    if n < 2 * min_samples_leaf:
+        return None
+    parent = float(((y - y.mean()) ** 2).sum())
+    tie_tol = 1e-10 * max(1.0, parent)
+    best = None
+    for f in sorted(features):
+        col = X[:, f]
+        order = np.argsort(col, kind="stable")
+        xs, ys = col[order], y[order]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        total, total_sq = csum[-1], csq[-1]
+        for i in range(min_samples_leaf - 1, n - min_samples_leaf):
+            if xs[i] == xs[i + 1]:
+                continue
+            nl = i + 1
+            nr = n - nl
+            sl, sr = csum[i], total - csum[i]
+            ql, qr = csq[i], total_sq - csq[i]
+            children = (ql - sl * sl / nl) + (qr - sr * sr / nr)
+            gain = parent - children
+            if best is None or gain > best[0] + tie_tol:
+                best = (gain, f, (xs[i] + xs[i + 1]) / 2.0)
+    return best
+
+
+def walk_apply(tree, X):
+    """Leaf id of every row, walking the nodes one row at a time."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = []
+    for x in X:
+        j = 0
+        while tree.nodes[j].feature >= 0:
+            nd = tree.nodes[j]
+            j = nd.left if x[nd.feature] < nd.threshold else nd.right
+        out.append(j)
+    return np.array(out, dtype=int)
+
+
+def walk_predict(tree, X):
+    """Row-walk prediction: the value of each row's leaf; a scalar for 1-D X."""
+    x = np.asarray(X, dtype=float)
+    vals = np.array([tree.nodes[j].value for j in walk_apply(tree, x)])
+    return vals[0] if x.ndim == 1 else vals
+
+
 def exhaustive_leafwise_order(X, y, max_leaves, min_samples_leaf, min_gain):
     """Grow leaf-wise by exhaustive search; return [(feature, threshold), ...]
 

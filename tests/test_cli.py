@@ -80,6 +80,15 @@ class TestConfig:
         ({"data": {"synthetic": {"seed": 1.5}}}, "synthetic.seed must be int"),
         ({"partitions": []}, "only 'span' and 'selection'"),
         ({"partitions": {"selection": ["2018-01-01", "2018-13-01"]}}, "two ISO dates"),
+        ({"volume_columns": "volume_a"}, "volume_columns must be null or a list of strings"),
+        ({"volume_columns": ["volume_a", 1]}, "volume_columns must be"),
+        ({"data": {"synthetic": 5}}, "data.synthetic must be an object"),
+        ({"data": {"csv": "a.csv"}}, "data.csv must be a non-empty list"),
+        ({"data": {"csv": []}}, "data.csv must be a non-empty list"),
+        ({"data": {"csv": ["a.csv", None]}}, "data.csv must be"),
+        ({"models": "svr"}, "models must be a non-empty list of strings"),
+        ({"models": []}, "models must be a non-empty list"),
+        ({"target_column": 5}, "target_column must be a string"),
     ])
     def test_value_types_checked(self, overrides, message):
         with pytest.raises(UsageError, match=message):
@@ -226,6 +235,12 @@ class TestRun:
         {"data": {"synthetic": {"seed": 3, "n_days": "300"}}},
         {"partitions": {"span": ["2018-01-01"]}},
         {"partitions": {"spam": ["2018-01-01", "2018-06-29"]}},
+        {"volume_columns": "volume_a"},
+        {"data": {"synthetic": 5}},
+        {"data": {"csv": "a.csv"}},
+        {"data": {"csv": []}},
+        {"models": []},
+        {"target_column": 5},
     ])
     def test_config_errors_exit_before_any_record(self, tmp_path, capsys, overrides):
         cfg = self.run_config(tmp_path, **overrides)

@@ -6,16 +6,25 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import vollab.tree
+from oracles import walk_apply
+from vollab.tree import TreeLimits, fit_regression_tree
 
 LAUNCH = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
 
 
-def load_spans():
+def load_launch():
     spec = importlib.util.spec_from_file_location("perfbench_launch", LAUNCH)
     launch = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(launch)
-    return launch.SPANS
+    return launch
+
+
+def load_spans():
+    return load_launch().SPANS
 
 
 @pytest.mark.parametrize("module, attr", [(m, a) for m, a, *_ in load_spans()])
@@ -24,3 +33,40 @@ def test_span_target_exists(module, attr):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def test_one_best_split_call_per_candidate_leaf(monkeypatch, rng):
+    """`tree.best_split.*` counts the module-global `best_split` calls of
+    `fit_regression_tree`, reading them as (X rows, y rows, features,
+    min_samples_leaf); inlining the search would zero those metrics."""
+    calls = []
+    search = vollab.tree.best_split
+
+    def recording(*args, **kwargs):
+        result = search(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(vollab.tree, "best_split", recording)
+    X, y = rng.normal(size=(60, 4)), rng.normal(size=60)
+    tree = fit_regression_tree(X, y, TreeLimits(max_leaves=64, min_samples_leaf=8),
+                               feature_subset=0.5, seed=3)
+    # growth ends when no leaf can split, so every node was a candidate once,
+    # in id order; a node's rows are those whose path from the root visits it
+    assert len(tree.nodes) > 3 and len(calls) == len(tree.nodes)
+    paths = [{0} for _ in range(len(y))]
+    for j, nd in enumerate(tree.nodes):
+        if nd.feature >= 0:
+            for i in np.flatnonzero([j in p for p in paths]):
+                paths[i].add(nd.left if X[i, nd.feature] < nd.threshold else nd.right)
+    assert [max(p) for p in paths] == walk_apply(tree, X).tolist()
+    cells = load_launch()._best_split_cells
+    features = calls[0][0][2]  # the tree's one seeded draw of half the features
+    assert len(features) == 2 and set(features) < set(range(4))
+    for j, (args, kwargs, result) in enumerate(calls):
+        rows = [i for i, p in enumerate(paths) if j in p]
+        assert kwargs == {} and len(args) == 4
+        np.testing.assert_array_equal(args[0], X[rows])
+        np.testing.assert_array_equal(args[1], y[rows])
+        assert list(args[2]) == list(features) and args[3] == 8
+        assert cells(args, kwargs, result) == len(rows) * 2

@@ -3,15 +3,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_best_split, exhaustive_leafwise_order
+from oracles import (
+    exhaustive_best_split,
+    exhaustive_leafwise_order,
+    scan_best_split,
+    walk_apply,
+    walk_predict,
+)
 from vollab.errors import VollabError
 from vollab.tree import (
     RegressionTree,
     TreeLimits,
+    _Node,
+    _sse,
     best_split,
     fit_regression_tree,
     predict_tree,
 )
+
+
+@st.composite
+def split_cases(draw):
+    """(X, y, features, min_samples_leaf) with ties, duplicates and scale."""
+    n = draw(st.integers(1, 90))
+    m = draw(st.integers(1, 50))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = r.normal(size=(n, m))
+    rounded = r.random(m) < 0.5  # few distinct values: many masked positions
+    X[:, rounded] = np.round(X[:, rounded], draw(st.integers(0, 1)))
+    if draw(st.booleans()):  # a bootstrap draw repeats whole rows
+        X = X[r.integers(0, n, size=n)]
+    target = draw(st.sampled_from(["normal", "sign", "scaled"]))
+    if target == "sign":
+        y = r.integers(-1, 2, size=n).astype(float)
+    else:
+        y = r.normal(size=n) * (1e6 if target == "scaled" else 1.0)
+    features = r.permutation(m)[: draw(st.integers(1, m))].tolist()
+    return X, y, features, draw(st.integers(1, 12))
 
 
 class TestBestSplit:
@@ -43,6 +71,13 @@ class TestBestSplit:
         # only the 3/3 split is admissible
         assert sp[2] == 2.5
 
+    def test_min_samples_leaf_below_one_is_rejected(self):
+        X, y = np.arange(6.0).reshape(-1, 1), np.arange(6.0)
+        with pytest.raises(VollabError, match="min_samples_leaf must be >= 1"):
+            best_split(X, y, [0], 0)
+        with pytest.raises(VollabError, match="min_samples_leaf must be >= 1"):
+            fit_regression_tree(X, y, TreeLimits(min_samples_leaf=0))
+
     def test_no_split_on_constant_feature(self):
         X = np.ones((10, 1))
         y = np.arange(10.0)
@@ -56,6 +91,25 @@ class TestBestSplit:
         for features in ([0, 1], [1, 0]):
             gain, f, thr = best_split(X, y, features, 1)
             assert f == 0
+
+    @given(split_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_threshold_scan(self, case):
+        got, want = best_split(*case), scan_best_split(*case)
+        assert got == want
+        if want is not None:
+            assert [type(v) for v in got] == [type(v) for v in want]
+
+    def test_near_tie_keeps_the_earlier_candidate(self):
+        # both features split the rows 5 | 5, but feature 1 visits each side
+        # in another order, so its running sums round to a gain a few ulps
+        # above feature 0's
+        y = np.array([0.1, 0.7, 0.2, 0.3, 0.6, 3.1, 2.9, 3.3, 2.7, 3.05])
+        X = np.column_stack([np.arange(10.0), [3, 4, 0, 2, 1, 9, 6, 8, 5, 7]])
+        g0, g1 = best_split(X, y, [0], 1), best_split(X, y, [1], 1)
+        assert g0[2] == g1[2] == 4.5
+        assert 0 < g1[0] - g0[0] < 1e-10 * _sse(y)
+        assert best_split(X, y, [1, 0], 1) == g0
 
 
 class TestFitRegressionTree:
@@ -154,6 +208,45 @@ class TestApplyAndGains:
         preds = predict_tree(tree, X)
         for leaf in np.unique(leaves):
             np.testing.assert_allclose(preds[leaves == leaf], tree.nodes[leaf].value)
+
+    def test_equals_the_row_walk(self, rng):
+        for _ in range(20):
+            n, m = int(rng.integers(2, 60)), int(rng.integers(1, 6))
+            X = np.round(rng.normal(size=(n, m)), 1)
+            tree = fit_regression_tree(
+                X, rng.normal(size=n),
+                limits=TreeLimits(max_leaves=int(rng.integers(2, 12)), min_gain=0.0),
+            )
+            at = np.array([[nd.threshold if nd.feature == f else 0.0 for f in range(m)]
+                           for nd in tree.nodes if nd.feature >= 0])
+            for Z in (X, rng.normal(size=(7, m)), at, X[0]):
+                np.testing.assert_array_equal(tree.apply(Z), walk_apply(tree, Z))
+                np.testing.assert_array_equal(predict_tree(tree, Z), walk_predict(tree, Z))
+
+    def test_rows_at_a_threshold_route_right(self):
+        nodes = [_Node(feature=1, threshold=0.5, left=1, right=2),
+                 _Node(value=-1.0), _Node(feature=0, threshold=2.0, left=3, right=4),
+                 _Node(value=1.0), _Node(value=2.0)]
+        tree = RegressionTree(nodes, 2)
+        X = np.array([[0.0, 0.4], [0.0, 0.5], [2.0, 0.5], [1.9, 9.0]])
+        np.testing.assert_array_equal(tree.apply(X), [1, 3, 4, 3])
+        np.testing.assert_array_equal(predict_tree(tree, X), [-1.0, 1.0, 2.0, 1.0])
+
+    def test_single_row_and_single_leaf(self):
+        tree = RegressionTree([_Node(feature=0, threshold=0.0, left=1, right=2),
+                               _Node(value=-1.0), _Node(value=1.0)], 1)
+        assert predict_tree(tree, np.array([0.0])) == 1.0
+        assert tree.apply(np.array([-1.0])).tolist() == [1]
+        leaf = RegressionTree([_Node(value=3.0)], 2)
+        np.testing.assert_array_equal(leaf.apply(np.ones((3, 2))), [0, 0, 0])
+        assert predict_tree(leaf, np.ones(2)) == 3.0
+
+    def test_wrong_width_is_rejected(self, rng):
+        tree = fit_regression_tree(rng.normal(size=(20, 3)), rng.normal(size=20))
+        with pytest.raises(VollabError, match="expected 3 features, got 2"):
+            tree.apply(np.ones((4, 2)))
+        with pytest.raises(VollabError, match="expected 3 features"):
+            predict_tree(tree, np.ones(4))
 
     def test_set_leaf_values_changes_predictions(self, rng):
         X = rng.normal(size=(20, 2))
