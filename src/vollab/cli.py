@@ -118,7 +118,7 @@ def cmd_run(args) -> int:
     data = _prepare(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     for stale in os.listdir(cfg.out):  # a rerun must not inherit them
-        if stale in ("INCOMPLETE", "manifest.json") or (
+        if stale in ("INCOMPLETE", "manifest.json", "report.txt", "report.csv") or (
                 stale.startswith("records_") and stale.endswith(".csv")):
             os.remove(os.path.join(cfg.out, stale))
     written = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitError, VollabError
+from .errors import DataError, DomainError, FitError, VollabError
 from .frames import TimeSeriesFrame, _freeze
 
 RV_WINDOW = 21
@@ -95,6 +95,9 @@ def engineer(frame: TimeSeriesFrame, volume_columns=()) -> FeatureMatrix:
     log-difference.  The date index drops the first RV_WINDOW rows consumed
     by the diff + RV warm-up, so all columns share one index.
     """
+    if not frame.names:
+        raise DataError("no series to engineer features from; the data needs a column "
+                        "besides the target")
     volume_columns = set(volume_columns)
     n = len(frame)
     if n < RV_WINDOW + 2:

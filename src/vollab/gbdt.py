@@ -85,11 +85,12 @@ def fit_gbdt(X, y, params: GbdtParams) -> GbdtModel:
         tree_seed = int(rng.integers(0, 2**63 - 1))
         tree = fit_regression_tree(X[sub], grad, limits, params.feature_fraction, tree_seed)
         # MAE-exact leaf values: median of the in-bag residuals per leaf
-        leaf_ids = tree.apply(X[sub])
-        for j in np.unique(leaf_ids):
-            tree.nodes[j].value = float(np.median(resid[leaf_ids == j]))
+        leaf = tree.apply(X)
+        in_bag = leaf[sub]
+        for j in np.unique(in_bag):
+            tree.value[j] = np.median(resid[in_bag == j])
         model.trees.append(tree)
-        F += params.learning_rate * predict_tree(tree, X)
+        F += params.learning_rate * tree.value[leaf]
     return model
 
 

@@ -104,6 +104,23 @@ def dual_objective(X, y, beta, alpha, alpha_star, params, gamma) -> float:
     )
 
 
+def _bias_bounds(r, alpha, alpha_star, C, eps):
+    """Per-variable (lower, upper) bounds on the bias b, given r = y - f."""
+    # lower bounds on b: alpha raisable (alpha < C, p=+1) -> r-eps;
+    #                    alpha* lowerable (alpha* > 0)     -> r+eps
+    # upper bounds on b: alpha lowerable (alpha > 0)       -> r-eps;
+    #                    alpha* raisable (alpha* < C)      -> r+eps
+    low = np.concatenate([
+        np.where(alpha < C, r - eps, -np.inf),
+        np.where(alpha_star > 0, r + eps, -np.inf),
+    ])
+    up = np.concatenate([
+        np.where(alpha > 0, r - eps, np.inf),
+        np.where(alpha_star < C, r + eps, np.inf),
+    ])
+    return low, up
+
+
 def fit_svr(X, y, params: SvrParams, tol: float = 1e-3, max_passes: int = 10_000) -> SvrModel:
     """Solve the epsilon-SVR dual by maximal-violating-pair updates.
 
@@ -130,22 +147,6 @@ def fit_svr(X, y, params: SvrParams, tol: float = 1e-3, max_passes: int = 10_000
     f = np.zeros(n)  # K @ beta
     history: list[float] = []
 
-    def Q_bounds():
-        # lower bounds on b: alpha raisable (alpha < C, p=+1) -> y-f-eps;
-        #                    alpha* lowerable (alpha* > 0)     -> y-f+eps
-        # upper bounds on b: alpha lowerable (alpha > 0)       -> y-f-eps;
-        #                    alpha* raisable (alpha* < C)      -> y-f+eps
-        r = y - f
-        low_vals = np.concatenate([
-            np.where(alpha < C, r - eps, -np.inf),
-            np.where(alpha_star > 0, r + eps, -np.inf),
-        ])
-        up_vals = np.concatenate([
-            np.where(alpha > 0, r - eps, np.inf),
-            np.where(alpha_star < C, r + eps, np.inf),
-        ])
-        return low_vals, up_vals
-
     converged = False
     passes = 0
     updates_per_pass = max(2 * n, 10)
@@ -153,7 +154,7 @@ def fit_svr(X, y, params: SvrParams, tol: float = 1e-3, max_passes: int = 10_000
         passes += 1
         progressed = False
         for _ in range(updates_per_pass):
-            low_vals, up_vals = Q_bounds()
+            low_vals, up_vals = _bias_bounds(y - f, alpha, alpha_star, C, eps)
             i = int(np.argmax(low_vals))
             j = int(np.argmin(up_vals))
             viol = low_vals[i] - up_vals[j]
@@ -207,7 +208,7 @@ def fit_svr(X, y, params: SvrParams, tol: float = 1e-3, max_passes: int = 10_000
         vals = np.where(alpha > alpha_star, r - eps, r + eps)
         bias = float(vals[interior].mean())
     else:
-        low_vals, up_vals = Q_bounds()
+        low_vals, up_vals = _bias_bounds(r, alpha, alpha_star, C, eps)
         bias = float((low_vals.max() + up_vals.min()) / 2.0)
 
     return SvrModel(
@@ -245,14 +246,6 @@ def predict_svr(model: SvrModel, X) -> np.ndarray | float:
 def kkt_violation(model: SvrModel) -> float:
     """Maximal violation of the optimality conditions at the fitted point."""
     f = kernel_matrix(model.X, model.X, model.params, model.gamma) @ model.beta
-    r = model.y - f
-    C, eps = model.params.C, model.params.epsilon
-    low = np.concatenate([
-        np.where(model.alpha < C, r - eps, -np.inf),
-        np.where(model.alpha_star > 0, r + eps, -np.inf),
-    ])
-    up = np.concatenate([
-        np.where(model.alpha > 0, r - eps, np.inf),
-        np.where(model.alpha_star < C, r + eps, np.inf),
-    ])
+    low, up = _bias_bounds(model.y - f, model.alpha, model.alpha_star, model.params.C,
+                           model.params.epsilon)
     return float(low.max() - up.min())

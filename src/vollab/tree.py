@@ -26,32 +26,31 @@ class TreeLimits:
     min_gain: float = 0.0
 
 
-@dataclass
-class _Node:
-    # internal: feature >= 0; leaf: feature == -1
-    feature: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    value: float = 0.0
-    n_samples: int = 0
-    gain: float = 0.0  # realized split gain (internal nodes only)
-    depth: int = 0
-
-
-@dataclass
+@dataclass(eq=False)
 class RegressionTree:
-    nodes: list[_Node]
+    """A fitted tree as arrays indexed by node id; node 0 is the root.
+
+    feature is -1 at a leaf.  An internal node sends a row to left when
+    x[feature] < threshold, else to right, and keeps its realized split
+    gain; value is the prediction at a leaf.
+    """
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray
+    gain: np.ndarray
     n_features: int
     expansion_order: list[tuple[int, int, float, float]] = field(default_factory=list)
     # (node id, feature, threshold, gain) in the order leaves were expanded
 
     @property
     def n_leaves(self) -> int:
-        return sum(1 for n in self.nodes if n.feature < 0)
+        return int((self.feature < 0).sum())
 
     def leaf_values(self) -> np.ndarray:
-        return np.array([n.value for n in self.nodes if n.feature < 0])
+        return self.value[self.feature < 0]
 
     def apply(self, X) -> np.ndarray:
         """Leaf node index for every row; all rows descend one level per step."""
@@ -60,9 +59,7 @@ class RegressionTree:
             raise VollabError(
                 f"expected {self.n_features} features, got {X.shape[1]}"
             )
-        feature, left, right = np.array(
-            [(n.feature, n.left, n.right) for n in self.nodes]).T
-        threshold = np.array([n.threshold for n in self.nodes])
+        feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
         node = np.zeros(len(X), dtype=int)
         live = np.arange(len(X) if feature[0] >= 0 else 0)  # rows not yet at a leaf
         while live.size:
@@ -74,29 +71,25 @@ class RegressionTree:
 
     def set_leaf_values(self, leaf_ids, values) -> None:
         for j, v in zip(leaf_ids, values):
-            if self.nodes[j].feature >= 0:
+            if self.feature[j] >= 0:
                 raise VollabError(f"node {j} is not a leaf")
-            self.nodes[j].value = float(v)
+            self.value[j] = v
 
     def feature_gains(self) -> np.ndarray:
-        """Total split gain attributed to each feature."""
-        g = np.zeros(self.n_features)
-        for n in self.nodes:
-            if n.feature >= 0:
-                g[n.feature] += n.gain
-        return g
+        """Total split gain attributed to each feature, added in node order."""
+        split = self.feature >= 0
+        return np.bincount(self.feature[split], self.gain[split], self.n_features)
 
     def to_json(self) -> str:
         def render(j):
-            n = self.nodes[j]
-            if n.feature < 0:
-                return {"value": n.value, "n": n.n_samples}
+            if self.feature[j] < 0:
+                return {"value": float(self.value[j]), "n": int(self.n_samples[j])}
             return {
-                "feature": n.feature,
-                "threshold": n.threshold,
-                "gain": n.gain,
-                "left": render(n.left),
-                "right": render(n.right),
+                "feature": int(self.feature[j]),
+                "threshold": float(self.threshold[j]),
+                "gain": float(self.gain[j]),
+                "left": render(self.left[j]),
+                "right": render(self.right[j]),
             }
 
         return json.dumps(render(0), indent=1)
@@ -104,7 +97,7 @@ class RegressionTree:
 
 def predict_tree(tree: RegressionTree, X) -> np.ndarray:
     x = np.asarray(X, dtype=float)
-    vals = np.array([n.value for n in tree.nodes])[tree.apply(x)]
+    vals = tree.value[tree.apply(x)]
     return vals[0] if x.ndim == 1 else vals
 
 
@@ -186,12 +179,18 @@ def fit_regression_tree(
     else:
         features = list(range(m))
 
-    nodes = [_Node(value=float(y.mean()), n_samples=len(y), depth=0)]
-    rows = {0: np.arange(len(y))}
-    tree = RegressionTree(nodes, m)
+    n = len(y)
+    size = 2 * n - 1  # a split leaves a row on each side, so at most n leaves
+    feature, left, right = np.full((3, size), -1)
+    threshold, value, gain = np.zeros((3, size))
+    n_samples, depth = np.zeros((2, size), dtype=int)
+    value[0], n_samples[0] = y.mean(), n
+    rows = {0: np.arange(n)}
+    count = 1  # nodes so far; a tree with c nodes has (c + 1) // 2 leaves
+    expansion_order = []
 
     def candidate(j):
-        if limits.max_depth >= 0 and nodes[j].depth >= limits.max_depth:
+        if limits.max_depth >= 0 and depth[j] >= limits.max_depth:
             return None
         sp = best_split(X[rows[j]], y[rows[j]], features, limits.min_samples_leaf)
         if sp is None or sp[0] < limits.min_gain:
@@ -203,28 +202,26 @@ def fit_regression_tree(
     if c is not None:
         frontier[0] = c
 
-    while frontier and tree.n_leaves < limits.max_leaves:
+    while frontier and (count + 1) // 2 < limits.max_leaves:
         j = min(frontier, key=lambda j: (-frontier[j][0], j))  # max gain, then lower id
-        gain, f, thr = frontier.pop(j)
+        g, f, thr = frontier.pop(j)
         idx = rows.pop(j)
         mask = X[idx, f] < thr
-        li, ri = idx[mask], idx[~mask]
-        nd = nodes[j]
-        nd.feature, nd.threshold, nd.gain = f, thr, gain
-        for child_rows in (li, ri):
-            cid = len(nodes)
-            nodes.append(_Node(value=float(y[child_rows].mean()),
-                               n_samples=len(child_rows), depth=nd.depth + 1))
+        feature[j], threshold[j], gain[j] = f, thr, g
+        children = (count, count + 1)
+        left[j], right[j] = children
+        for cid, child_rows in zip(children, (idx[mask], idx[~mask])):
+            value[cid] = y[child_rows].mean()
+            n_samples[cid] = len(child_rows)
+            depth[cid] = depth[j] + 1
             rows[cid] = child_rows
-            if nd.left < 0:
-                nd.left = cid
-            else:
-                nd.right = cid
-        tree.expansion_order.append((j, f, thr, gain))
-        if tree.n_leaves >= limits.max_leaves:
+        count += 2
+        expansion_order.append((j, f, thr, g))
+        if (count + 1) // 2 >= limits.max_leaves:
             break
-        for cid in (nd.left, nd.right):
+        for cid in children:
             c = candidate(cid)
             if c is not None:
                 frontier[cid] = c
-    return tree
+    arrays = (feature, threshold, left, right, value, n_samples, gain)
+    return RegressionTree(*(a[:count].copy() for a in arrays), m, expansion_order)

@@ -180,9 +180,8 @@ def walk_apply(tree, X):
     out = []
     for x in X:
         j = 0
-        while tree.nodes[j].feature >= 0:
-            nd = tree.nodes[j]
-            j = nd.left if x[nd.feature] < nd.threshold else nd.right
+        while tree.feature[j] >= 0:
+            j = tree.left[j] if x[tree.feature[j]] < tree.threshold[j] else tree.right[j]
         out.append(j)
     return np.array(out, dtype=int)
 
@@ -190,7 +189,7 @@ def walk_apply(tree, X):
 def walk_predict(tree, X):
     """Row-walk prediction: the value of each row's leaf; a scalar for 1-D X."""
     x = np.asarray(X, dtype=float)
-    vals = np.array([tree.nodes[j].value for j in walk_apply(tree, x)])
+    vals = np.array([tree.value[j] for j in walk_apply(tree, x)])
     return vals[0] if x.ndim == 1 else vals
 
 

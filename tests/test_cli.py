@@ -7,7 +7,7 @@ import pytest
 from vollab.cli import main
 from vollab.config import DEFAULTS, load_config, parse_config
 from vollab.errors import UsageError
-from vollab.frames import load_csv
+from vollab.frames import generate_synthetic, load_csv
 from vollab.grids import enumerate_grid
 from vollab.walkforward import build_tasks, read_records_csv
 
@@ -162,6 +162,21 @@ class TestFeaturesAndSelect:
         selected = capsys.readouterr().out.split("selected:")[1].strip().split(", ")
         assert header.split(",")[1:] == selected and len(selected) == 3
 
+    @pytest.mark.parametrize("command", ["run", "features", "select"])
+    @pytest.mark.parametrize("source", ["csv", "synthetic"])
+    def test_target_only_data_is_data_error(self, tmp_path, capsys, command, source):
+        data = {"synthetic": {"seed": 3, "n_days": 160, "n_series": 0}}
+        if source == "csv":
+            path = tmp_path / "target.csv"
+            generate_synthetic(3, 160, 0).to_csv(str(path))
+            assert path.read_text().splitlines()[0] == "date,vol_index"
+            data = {"csv": [str(path)]}
+        cfg = write_config(tmp_path / "c.json", data=data, models=["naive"], windows=[63],
+                           horizon=5, out=str(tmp_path / "out"))
+        assert main([command, "--config", cfg]) == 2
+        assert "error (data): no series to engineer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_select_missing_target_is_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", out=str(tmp_path / "out"),
                            target_column="nope")
@@ -271,10 +286,11 @@ class TestRun:
         assert not (tmp_path / "out" / "INCOMPLETE").exists()
 
     def test_failed_rerun_drops_old_manifest(self, tmp_path):
+        out = tmp_path / "out"
         assert main(["run", "--config", self.run_config(tmp_path)]) == 0
+        assert (out / "report.txt").exists() and (out / "report.csv").exists()
         assert main(["run", "--config", self.run_config(tmp_path, windows=[390])]) == 2
-        assert (tmp_path / "out" / "INCOMPLETE").exists()
-        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert sorted(os.listdir(out)) == ["INCOMPLETE"]
 
     def test_rerun_clears_stale_record_files(self, tmp_path):
         assert main(["run", "--config", self.run_config(tmp_path)]) == 0

@@ -66,7 +66,7 @@ class TestFitGbdt:
         leaves = tree.apply(X)
         resid = y - m.base_score
         for leaf in np.unique(leaves):
-            assert tree.nodes[leaf].value == pytest.approx(
+            assert tree.value[leaf] == pytest.approx(
                 np.median(resid[leaves == leaf]), abs=1e-12
             )
 

@@ -11,6 +11,7 @@ import pytest
 
 import vollab.tree
 from oracles import walk_apply
+from vollab.gbdt import GbdtParams, fit_gbdt
 from vollab.tree import TreeLimits, fit_regression_tree
 
 LAUNCH = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
@@ -53,12 +54,14 @@ def test_one_best_split_call_per_candidate_leaf(monkeypatch, rng):
                                feature_subset=0.5, seed=3)
     # growth ends when no leaf can split, so every node was a candidate once,
     # in id order; a node's rows are those whose path from the root visits it
-    assert len(tree.nodes) > 3 and len(calls) == len(tree.nodes)
+    size = len(tree.feature)
+    assert size > 3 and len(calls) == size
     paths = [{0} for _ in range(len(y))]
-    for j, nd in enumerate(tree.nodes):
-        if nd.feature >= 0:
+    for j in range(size):
+        if tree.feature[j] >= 0:
             for i in np.flatnonzero([j in p for p in paths]):
-                paths[i].add(nd.left if X[i, nd.feature] < nd.threshold else nd.right)
+                paths[i].add(tree.left[j] if X[i, tree.feature[j]] < tree.threshold[j]
+                             else tree.right[j])
     assert [max(p) for p in paths] == walk_apply(tree, X).tolist()
     cells = load_launch()._best_split_cells
     features = calls[0][0][2]  # the tree's one seeded draw of half the features
@@ -70,3 +73,16 @@ def test_one_best_split_call_per_candidate_leaf(monkeypatch, rng):
         np.testing.assert_array_equal(args[1], y[rows])
         assert list(args[2]) == list(features) and args[3] == 8
         assert cells(args, kwargs, result) == len(rows) * 2
+
+
+def test_gbdt_facts_count_trees_and_leaves(rng):
+    """`gbdt.trees` and `gbdt.leaves` sum `_gbdt_facts` over the fits; the
+    leaves are counted here by the leaves the row walk reaches, so a tree
+    format the recorder misreads fails here."""
+    X, y = rng.normal(size=(80, 4)), rng.normal(size=80)
+    model = fit_gbdt(X, y, GbdtParams(leaves=6, min_data=4, bagging_fraction=1.0,
+                                      rounds=12, learning_rate=0.2, min_gain=0.0))
+    leaves = sum(len(set(walk_apply(tree, X).tolist())) for tree in model.trees)
+    assert leaves > len(model.trees)
+    facts = load_launch()._gbdt_facts((X, y, model.params), {}, model)
+    assert facts == [len(model.trees), leaves]

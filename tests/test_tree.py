@@ -11,15 +11,58 @@ from oracles import (
     walk_predict,
 )
 from vollab.errors import VollabError
+from vollab.gbdt import GbdtParams, fit_gbdt
 from vollab.tree import (
     RegressionTree,
     TreeLimits,
-    _Node,
     _sse,
     best_split,
     fit_regression_tree,
     predict_tree,
 )
+
+
+def hand_tree(n_features, splits, values):
+    """A tree built from its arrays: node j splits as splits[j] = (feature,
+    threshold, left, right), or is a leaf holding values[j] if splits[j] is None."""
+    size = len(splits)
+    feature, left, right = np.full((3, size), -1)
+    threshold = np.zeros(size)
+    for j, sp in enumerate(splits):
+        if sp is not None:
+            feature[j], threshold[j], left[j], right[j] = sp
+    return RegressionTree(feature, threshold, left, right, np.array(values, dtype=float),
+                          np.zeros(size, dtype=int), np.zeros(size), n_features)
+
+
+def node_depths(tree):
+    """Depth of every node reached from the root through left and right."""
+    depth, stack = {0: 0}, [0]
+    while stack:
+        j = stack.pop()
+        if tree.feature[j] >= 0:
+            for child in (tree.left[j], tree.right[j]):
+                assert child not in depth  # each node has one parent
+                depth[child] = depth[j] + 1
+                stack.append(child)
+    return depth
+
+
+def check_structure(tree, n_rows):
+    """Node arrays of one length, 2 * leaves - 1 nodes all reached from the
+    root, and row counts that add up from the leaves to the root."""
+    size = len(tree.feature)
+    for a in (tree.threshold, tree.left, tree.right, tree.value, tree.n_samples, tree.gain):
+        assert len(a) == size
+    assert size == 2 * tree.n_leaves - 1
+    assert sorted(node_depths(tree)) == list(range(size))
+    split = tree.feature >= 0
+    assert np.all(tree.left[~split] == -1) and np.all(tree.right[~split] == -1)
+    assert np.all(tree.gain[~split] == 0.0)
+    np.testing.assert_array_equal(
+        tree.n_samples[split],
+        tree.n_samples[tree.left[split]] + tree.n_samples[tree.right[split]])
+    assert tree.n_samples[0] == n_rows and np.all(tree.n_samples >= 1)
 
 
 @st.composite
@@ -140,8 +183,9 @@ class TestFitRegressionTree:
             X, y,
             limits=TreeLimits(max_leaves=64, max_depth=2, min_samples_leaf=1, min_gain=0.0),
         )
-        assert max(nd.depth for nd in tree.nodes) <= 3  # leaves sit below depth-2 splits
-        assert all(nd.depth < 3 or nd.feature < 0 for nd in tree.nodes)
+        depth = node_depths(tree)
+        assert max(depth.values()) == 2  # leaves sit below depth-1 splits
+        assert all(d < 2 or tree.feature[j] < 0 for j, d in depth.items())
 
     def test_min_gain_stops_growth(self, rng):
         X = rng.normal(size=(40, 2))
@@ -163,7 +207,7 @@ class TestFitRegressionTree:
         tree = fit_regression_tree(
             X, y, limits=TreeLimits(max_leaves=2, min_samples_leaf=1, min_gain=0.0)
         )
-        thr = tree.nodes[0].threshold
+        thr = tree.threshold[0]
         assert predict_tree(tree, np.array([[thr]]))[0] == 10.0  # at threshold -> right
         assert predict_tree(tree, np.array([[thr - 1e-9]]))[0] == 0.0
 
@@ -204,10 +248,10 @@ class TestApplyAndGains:
         )
         leaves = tree.apply(X)
         values = tree.leaf_values()
-        assert set(np.unique(leaves)) <= set(range(len(tree.nodes)))
+        assert set(np.unique(leaves)) <= set(np.flatnonzero(tree.feature < 0))
         preds = predict_tree(tree, X)
         for leaf in np.unique(leaves):
-            np.testing.assert_allclose(preds[leaves == leaf], tree.nodes[leaf].value)
+            np.testing.assert_allclose(preds[leaves == leaf], tree.value[leaf])
 
     def test_equals_the_row_walk(self, rng):
         for _ in range(20):
@@ -217,27 +261,24 @@ class TestApplyAndGains:
                 X, rng.normal(size=n),
                 limits=TreeLimits(max_leaves=int(rng.integers(2, 12)), min_gain=0.0),
             )
-            at = np.array([[nd.threshold if nd.feature == f else 0.0 for f in range(m)]
-                           for nd in tree.nodes if nd.feature >= 0])
+            at = np.array([[tree.threshold[j] if tree.feature[j] == f else 0.0
+                            for f in range(m)] for j in np.flatnonzero(tree.feature >= 0)])
             for Z in (X, rng.normal(size=(7, m)), at, X[0]):
                 np.testing.assert_array_equal(tree.apply(Z), walk_apply(tree, Z))
                 np.testing.assert_array_equal(predict_tree(tree, Z), walk_predict(tree, Z))
 
     def test_rows_at_a_threshold_route_right(self):
-        nodes = [_Node(feature=1, threshold=0.5, left=1, right=2),
-                 _Node(value=-1.0), _Node(feature=0, threshold=2.0, left=3, right=4),
-                 _Node(value=1.0), _Node(value=2.0)]
-        tree = RegressionTree(nodes, 2)
+        tree = hand_tree(2, [(1, 0.5, 1, 2), None, (0, 2.0, 3, 4), None, None],
+                         [0.0, -1.0, 0.0, 1.0, 2.0])
         X = np.array([[0.0, 0.4], [0.0, 0.5], [2.0, 0.5], [1.9, 9.0]])
         np.testing.assert_array_equal(tree.apply(X), [1, 3, 4, 3])
         np.testing.assert_array_equal(predict_tree(tree, X), [-1.0, 1.0, 2.0, 1.0])
 
     def test_single_row_and_single_leaf(self):
-        tree = RegressionTree([_Node(feature=0, threshold=0.0, left=1, right=2),
-                               _Node(value=-1.0), _Node(value=1.0)], 1)
+        tree = hand_tree(1, [(0, 0.0, 1, 2), None, None], [0.0, -1.0, 1.0])
         assert predict_tree(tree, np.array([0.0])) == 1.0
         assert tree.apply(np.array([-1.0])).tolist() == [1]
-        leaf = RegressionTree([_Node(value=3.0)], 2)
+        leaf = hand_tree(2, [None], [3.0])
         np.testing.assert_array_equal(leaf.apply(np.ones((3, 2))), [0, 0, 0])
         assert predict_tree(leaf, np.ones(2)) == 3.0
 
@@ -266,6 +307,38 @@ class TestApplyAndGains:
         )
         total = sum(g for (_, _, _, g) in tree.expansion_order)
         assert tree.feature_gains().sum() == pytest.approx(total, rel=1e-12)
+
+    def test_feature_gains_equal_the_node_loop(self, rng):
+        for _ in range(20):
+            n, m = int(rng.integers(10, 80)), int(rng.integers(1, 8))
+            X = np.round(rng.normal(size=(n, m)), 1)
+            tree = fit_regression_tree(
+                X, rng.normal(size=n), TreeLimits(max_leaves=int(rng.integers(2, 20))),
+                feature_subset=0.6, seed=int(rng.integers(1000)))
+            want = np.zeros(m)
+            for j in range(len(tree.feature)):
+                if tree.feature[j] >= 0:
+                    want[tree.feature[j]] += tree.gain[j]
+            assert tree.feature_gains().tolist() == want.tolist()
+
+    def test_fitted_node_arrays_are_one_tree(self, rng):
+        for _ in range(30):
+            n, m = int(rng.integers(1, 70)), int(rng.integers(1, 5))
+            X = np.round(rng.normal(size=(n, m)), int(rng.integers(0, 2)))
+            limits = TreeLimits(max_leaves=int(rng.integers(1, 40)),
+                                max_depth=int(rng.integers(-1, 5)),
+                                min_samples_leaf=int(rng.integers(1, 6)),
+                                min_gain=float(rng.choice([0.0, 0.5])))
+            tree = fit_regression_tree(X, rng.normal(size=n), limits,
+                                       feature_subset=0.7, seed=int(rng.integers(1000)))
+            check_structure(tree, n)
+            assert tree.n_leaves <= limits.max_leaves
+            assert len(tree.expansion_order) == tree.n_leaves - 1
+        X = rng.normal(size=(50, 3))
+        model = fit_gbdt(X, rng.normal(size=50), GbdtParams(
+            leaves=6, min_data=3, bagging_fraction=1.0, rounds=10, learning_rate=0.3))
+        for tree in model.trees:
+            check_structure(tree, 50)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
