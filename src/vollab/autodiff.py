@@ -117,13 +117,8 @@ class Tensor:
         out = Tensor(self.data @ other.data, (self, other))
 
         def bw(g):
-            a, b = self.data, other.data
-            if b.ndim == 1:
-                ga = np.outer(g, b) if a.ndim > 1 else g * b
-                gb = a.T @ g if a.ndim > 1 else a * g
-            else:
-                ga = g @ np.swapaxes(b, -1, -2)
-                gb = np.swapaxes(a, -1, -2) @ g
+            ga = g @ np.swapaxes(other.data, -1, -2)
+            gb = np.swapaxes(self.data, -1, -2) @ g
             self._accum(_unbroadcast(ga, self.shape))
             other._accum(_unbroadcast(gb, other.shape))
 
@@ -134,11 +129,6 @@ class Tensor:
     def exp(self):
         out = Tensor(np.exp(self.data), (self,))
         out._backward = lambda g: self._accum(g * out.data)
-        return out
-
-    def log(self):
-        out = Tensor(np.log(self.data), (self,))
-        out._backward = lambda g: self._accum(g / self.data)
         return out
 
     def tanh(self):
@@ -195,11 +185,6 @@ class Tensor:
         out = Tensor(self.data.transpose(*axes), (self,))
         inv = np.argsort(axes)
         out._backward = lambda g: self._accum(g.transpose(*inv))
-        return out
-
-    def flip(self, axis):
-        out = Tensor(np.flip(self.data, axis=axis), (self,))
-        out._backward = lambda g: self._accum(np.flip(g, axis=axis))
         return out
 
     def pad_axis(self, axis: int, before: int, after: int):

@@ -36,6 +36,8 @@ class GbdtParams:
             raise VollabError("fractions must be in (0, 1]")
         if self.leaves < 2:
             raise VollabError("leaves must be >= 2")
+        if self.rounds < 1:
+            raise VollabError("rounds must be >= 1")
 
 
 @dataclass

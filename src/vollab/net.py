@@ -46,6 +46,13 @@ class NetConfig:
             raise VollabError("heads * head_size must equal conv_channels")
         if self.fcl1_units != self.conv_channels:
             raise VollabError("fcl1_units must match conv_channels (residual add)")
+        counts = ("epochs", "batch_size", "conv_kernel", "conv_dilation", "heads",
+                  "head_size", "gru1_units", "gru2_units")
+        small = [name for name in counts if getattr(self, name) < 1]
+        if small:
+            raise VollabError(f"{', '.join(small)} must be >= 1")
+        if not 0 <= self.dropout < 1:
+            raise VollabError("dropout must be in [0, 1)")
 
 
 TINY_CONFIG = NetConfig(
@@ -253,27 +260,22 @@ class TrainResult:
     val_history: list[float]
 
 
-def train(config: NetConfig, train_set, val_set=None) -> TrainResult:
+def train(config: NetConfig, train_set) -> TrainResult:
     """Adam + clipping + early stopping; returns the best-epoch snapshot.
 
-    train_set / val_set are (blocks, targets) pairs of already scaled and
-    noise-augmented sequenced rows.  Without an explicit validation set the
-    final 20% of the training rows (time-ordered) are held out.
+    train_set is a (blocks, targets) pair of already scaled and
+    noise-augmented sequenced rows; the final 20% of them (time-ordered)
+    are held out for validation.
     """
     X, y = np.asarray(train_set[0], dtype=float), np.asarray(train_set[1], dtype=float)
     if len(X) == 0:
         raise VollabError("empty training set")
-    if val_set is None:
-        cut = max(1, int(round(len(X) * 0.8)))
-        if cut == len(X):
-            cut = len(X) - 1
-        if cut <= 0:
-            raise VollabError("training set too small to split out validation rows")
-        X, Xv, y, yv = X[:cut], X[cut:], y[:cut], y[cut:]
-    else:
-        Xv, yv = np.asarray(val_set[0], dtype=float), np.asarray(val_set[1], dtype=float)
-        if len(Xv) == 0:
-            raise VollabError("empty validation set")
+    cut = max(1, int(round(len(X) * 0.8)))
+    if cut == len(X):
+        cut = len(X) - 1
+    if cut <= 0:
+        raise VollabError("training set too small to split out validation rows")
+    X, Xv, y, yv = X[:cut], X[cut:], y[:cut], y[cut:]
 
     params = init_params(config, X.shape[2])
     rng = np.random.default_rng(np.random.PCG64(config.seed ^ 0x5EED))

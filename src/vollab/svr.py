@@ -1,10 +1,13 @@
 """Epsilon-insensitive support vector regression via pairwise dual updates.
 
-The dual is solved in the 2n-variable (alpha, alpha*) box form with
-maximal-violating-pair working-set selection (SMO style).  Every update
-moves a pair along the equality constraint, so dual feasibility
-sum(beta) = 0 holds exactly at all times and the dual objective never
-decreases.  Convergence: max KKT violation <= tol or the pass cap.
+The dual is solved over one signed vector z = (alpha, -alpha*) of length
+2n, in the box [0, C]^n x [-C, 0]^n, with maximal-violating-pair
+working-set selection (SMO style; the signed form is LIBSVM's).  Variable
+u acts on training row u % n, and beta = alpha - alpha* is the sum of its
+two variables.  Every update moves a pair along the equality constraint,
+so dual feasibility sum(beta) = 0 holds exactly at all times and the dual
+objective never decreases.  Convergence: max KKT violation <= tol or
+MAX_PASSES passes.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import VollabError
+
+MAX_PASSES = 10_000
+
 
 @dataclass(frozen=True)
 class SvrParams:
@@ -92,10 +98,6 @@ class SvrModel:
     def support_mask(self) -> np.ndarray:
         return np.abs(self.beta) > 1e-12
 
-    def dual_objective(self) -> float:
-        return dual_objective(self.X, self.y, self.beta, self.alpha, self.alpha_star,
-                              self.params, self.gamma)
-
 
 def dual_objective(X, y, beta, alpha, alpha_star, params, gamma) -> float:
     K = kernel_matrix(X, X, params, gamma)
@@ -104,30 +106,29 @@ def dual_objective(X, y, beta, alpha, alpha_star, params, gamma) -> float:
     )
 
 
-def _bias_bounds(r, alpha, alpha_star, C, eps):
-    """Per-variable (lower, upper) bounds on the bias b, given r = y - f."""
-    # lower bounds on b: alpha raisable (alpha < C, p=+1) -> r-eps;
-    #                    alpha* lowerable (alpha* > 0)     -> r+eps
-    # upper bounds on b: alpha lowerable (alpha > 0)       -> r-eps;
-    #                    alpha* raisable (alpha* < C)      -> r+eps
-    low = np.concatenate([
-        np.where(alpha < C, r - eps, -np.inf),
-        np.where(alpha_star > 0, r + eps, -np.inf),
-    ])
-    up = np.concatenate([
-        np.where(alpha > 0, r - eps, np.inf),
-        np.where(alpha_star < C, r + eps, np.inf),
-    ])
-    return low, up
+def _box(n, C):
+    """Lower and upper limits of the signed dual z = (alpha, -alpha*)."""
+    return (np.concatenate((np.zeros(n), np.full(n, -C))),
+            np.concatenate((np.full(n, C), np.zeros(n))))
 
 
-def fit_svr(X, y, params: SvrParams, tol: float = 1e-3, max_passes: int = 10_000) -> SvrModel:
+def _bias_bounds(r, z, lo, hi, eps):
+    """Per-variable (lower, upper) bounds on the bias b, given r = y - f.
+
+    Variable u has q_u = r - eps on the alpha half and r + eps on the
+    alpha* half.  A valid b satisfies b >= q_u for every u that can rise
+    (z_u < hi_u) and b <= q_u for every u that can fall (z_u > lo_u).
+    """
+    q = np.concatenate((r - eps, r + eps))
+    return np.where(z < hi, q, -np.inf), np.where(z > lo, q, np.inf)
+
+
+def fit_svr(X, y, params: SvrParams, tol: float = 1e-3) -> SvrModel:
     """Solve the epsilon-SVR dual by maximal-violating-pair updates.
 
-    Index u < n is alpha_u (sign +1), u >= n is alpha*_{u-n} (sign -1).
-    G_u = p_u (y - f)_su - eps where f = K beta.  KKT: a valid bias must
-    satisfy b >= Qlow_u for every raisable u and b <= Qup_u for every
-    lowerable u, with Q_u = p_u G_u ... expressed below via y - f directly.
+    Each update raises the variable i with the largest lower bound on b by
+    t and lowers the variable j with the smallest upper bound by t, where t
+    is the Newton step on the violation, cut to keep both in their box.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -141,8 +142,8 @@ def fit_svr(X, y, params: SvrParams, tol: float = 1e-3, max_passes: int = 10_000
     K = kernel_matrix(X, X, params, gamma)
     Kd = np.diag(K).copy()
 
-    alpha = np.zeros(n)
-    alpha_star = np.zeros(n)
+    lo, hi = _box(n, C)
+    z = np.zeros(2 * n)
     beta = np.zeros(n)
     f = np.zeros(n)  # K @ beta
     history: list[float] = []
@@ -150,55 +151,40 @@ def fit_svr(X, y, params: SvrParams, tol: float = 1e-3, max_passes: int = 10_000
     converged = False
     passes = 0
     updates_per_pass = max(2 * n, 10)
-    while passes < max_passes:
+    while passes < MAX_PASSES:
         passes += 1
         progressed = False
         for _ in range(updates_per_pass):
-            low_vals, up_vals = _bias_bounds(y - f, alpha, alpha_star, C, eps)
+            low_vals, up_vals = _bias_bounds(y - f, z, lo, hi, eps)
             i = int(np.argmax(low_vals))
             j = int(np.argmin(up_vals))
             viol = low_vals[i] - up_vals[j]
             if viol <= tol:
                 converged = True
                 break
-            si, pi = (i, 1.0) if i < n else (i - n, -1.0)
-            sj, pj = (j, 1.0) if j < n else (j - n, -1.0)
+            si, sj = i % n, j % n
             eta = max(Kd[si] + Kd[sj] - 2.0 * K[si, sj], 1e-12)
-            t = viol / eta
-            # box limits: a_i moves by +t along p_i (raisable side),
-            # a_j moves by -t along p_j (lowerable side)
-            if pi > 0:
-                t = min(t, C - alpha[si])
-            else:
-                t = min(t, alpha_star[si])
-            if pj > 0:
-                t = min(t, alpha[sj])
-            else:
-                t = min(t, C - alpha_star[sj])
+            t = min(viol / eta, hi[i] - z[i], z[j] - lo[j])
             if t <= 0:
                 break
-            if pi > 0:
-                alpha[si] += t
-            else:
-                alpha_star[si] -= t
-            if pj > 0:
-                alpha[sj] -= t
-            else:
-                alpha_star[sj] += t
+            z[i] += t
+            z[j] -= t
             beta[si] += t
             beta[sj] -= t
             f += t * (K[si] - K[sj])
             progressed = True
         # prune alpha/alpha* overlap: keeps beta and feasibility, raises the
         # objective by 2*eps*min(alpha, alpha*)
-        overlap = np.minimum(alpha, alpha_star)
+        overlap = np.minimum(z[:n], -z[n:])
         if np.any(overlap > 0):
-            alpha -= overlap
-            alpha_star -= overlap
-        history.append(float(-0.5 * beta @ f + beta @ y - eps * (alpha + alpha_star).sum()))
+            z[:n] -= overlap
+            z[n:] += overlap
+        history.append(float(-0.5 * beta @ f + beta @ y - eps * (z[:n] - z[n:]).sum()))
         if converged or not progressed:
             break
 
+    # 0.0 - z, not -z: an alpha* variable still at +0.0 reads as alpha* = +0.0
+    alpha, alpha_star = z[:n], 0.0 - z[n:]
     # bias from KKT-interior points, fallback: midpoint of the bound interval
     interior = ((alpha > 1e-9) & (alpha < C - 1e-9)) | (
         (alpha_star > 1e-9) & (alpha_star < C - 1e-9)
@@ -208,7 +194,7 @@ def fit_svr(X, y, params: SvrParams, tol: float = 1e-3, max_passes: int = 10_000
         vals = np.where(alpha > alpha_star, r - eps, r + eps)
         bias = float(vals[interior].mean())
     else:
-        low_vals, up_vals = _bias_bounds(r, alpha, alpha_star, C, eps)
+        low_vals, up_vals = _bias_bounds(r, z, lo, hi, eps)
         bias = float((low_vals.max() + up_vals.min()) / 2.0)
 
     return SvrModel(
@@ -246,6 +232,7 @@ def predict_svr(model: SvrModel, X) -> np.ndarray | float:
 def kkt_violation(model: SvrModel) -> float:
     """Maximal violation of the optimality conditions at the fitted point."""
     f = kernel_matrix(model.X, model.X, model.params, model.gamma) @ model.beta
-    low, up = _bias_bounds(model.y - f, model.alpha, model.alpha_star, model.params.C,
+    z = np.concatenate((model.alpha, -model.alpha_star))
+    low, up = _bias_bounds(model.y - f, z, *_box(len(f), model.params.C),
                            model.params.epsilon)
     return float(low.max() - up.min())

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from vollab.svr import SvrParams, kernel_matrix, resolve_gamma
+from vollab.svr import MAX_PASSES, SvrModel, SvrParams, kernel_matrix, resolve_gamma
 
 
 # ---------------------------------------------------------------- features
@@ -106,6 +106,98 @@ def qp_oracle_predict(X_train, alpha, alpha_star, bias, params, X_new):
     Kx = kernel_matrix(np.atleast_2d(np.asarray(X_new, dtype=float)), X_train,
                        params, gamma)
     return Kx @ beta + bias
+
+
+def two_array_fit_svr(X, y, params: SvrParams, tol: float = 1e-3) -> SvrModel:
+    """The SMO loop of `fit_svr` over separate alpha and alpha* arrays.
+
+    Same working-set rule, step and pruning as the library, written with
+    an explicit sign per variable (index u < n is alpha_u, u >= n is
+    alpha*_{u-n}), so every iterate and output must agree bit for bit.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    C, eps = params.C, params.epsilon
+    gamma = resolve_gamma(params, X)
+    K = kernel_matrix(X, X, params, gamma)
+    Kd = np.diag(K).copy()
+
+    def bounds(r, alpha, alpha_star):
+        low = np.concatenate([
+            np.where(alpha < C, r - eps, -np.inf),
+            np.where(alpha_star > 0, r + eps, -np.inf),
+        ])
+        up = np.concatenate([
+            np.where(alpha > 0, r - eps, np.inf),
+            np.where(alpha_star < C, r + eps, np.inf),
+        ])
+        return low, up
+
+    alpha = np.zeros(n)
+    alpha_star = np.zeros(n)
+    beta = np.zeros(n)
+    f = np.zeros(n)
+    history = []
+    converged = False
+    passes = 0
+    while passes < MAX_PASSES:
+        passes += 1
+        progressed = False
+        for _ in range(max(2 * n, 10)):
+            low_vals, up_vals = bounds(y - f, alpha, alpha_star)
+            i = int(np.argmax(low_vals))
+            j = int(np.argmin(up_vals))
+            viol = low_vals[i] - up_vals[j]
+            if viol <= tol:
+                converged = True
+                break
+            si, pi = (i, 1.0) if i < n else (i - n, -1.0)
+            sj, pj = (j, 1.0) if j < n else (j - n, -1.0)
+            eta = max(Kd[si] + Kd[sj] - 2.0 * K[si, sj], 1e-12)
+            t = viol / eta
+            if pi > 0:
+                t = min(t, C - alpha[si])
+            else:
+                t = min(t, alpha_star[si])
+            if pj > 0:
+                t = min(t, alpha[sj])
+            else:
+                t = min(t, C - alpha_star[sj])
+            if t <= 0:
+                break
+            if pi > 0:
+                alpha[si] += t
+            else:
+                alpha_star[si] -= t
+            if pj > 0:
+                alpha[sj] -= t
+            else:
+                alpha_star[sj] += t
+            beta[si] += t
+            beta[sj] -= t
+            f += t * (K[si] - K[sj])
+            progressed = True
+        overlap = np.minimum(alpha, alpha_star)
+        if np.any(overlap > 0):
+            alpha -= overlap
+            alpha_star -= overlap
+        history.append(float(-0.5 * beta @ f + beta @ y - eps * (alpha + alpha_star).sum()))
+        if converged or not progressed:
+            break
+
+    interior = ((alpha > 1e-9) & (alpha < C - 1e-9)) | (
+        (alpha_star > 1e-9) & (alpha_star < C - 1e-9)
+    )
+    r = y - f
+    if np.any(interior):
+        bias = float(np.where(alpha > alpha_star, r - eps, r + eps)[interior].mean())
+    else:
+        low_vals, up_vals = bounds(r, alpha, alpha_star)
+        bias = float((low_vals.max() + up_vals.min()) / 2.0)
+    return SvrModel(params=params, gamma=gamma, X=X.copy(), y=y.copy(), beta=beta,
+                    bias=bias, alpha=alpha, alpha_star=alpha_star, converged=converged,
+                    n_passes=passes, objective_history=history)
 
 
 # -------------------------------------------------------------------- tree

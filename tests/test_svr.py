@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import qp_oracle_predict, qp_svr_oracle
+from oracles import qp_oracle_predict, qp_svr_oracle, two_array_fit_svr
 from vollab import svr
 from vollab.errors import VollabError
 from vollab.svr import (
@@ -91,7 +91,9 @@ class TestFitSvr:
         m = fit_svr(X, y, SvrParams(kernel="rbf", gamma=1.0, epsilon=0.05))
         assert m.n_passes > 1 and len(calls) == 1
         monkeypatch.undo()
-        assert m.objective_history[-1] == pytest.approx(m.dual_objective(), rel=1e-12)
+        assert m.objective_history[-1] == pytest.approx(
+            dual_objective(X, y, m.beta, m.alpha, m.alpha_star, m.params, m.gamma), rel=1e-12
+        )
 
     def test_kkt_residual_below_tolerance(self, rng):
         for _ in range(5):
@@ -150,7 +152,9 @@ class TestFitSvr:
         y = rng.normal(size=10)
         m = fit_svr(X, y, p, tol=1e-6)
         a, s, obj, bias = qp_svr_oracle(X, y, p)
-        assert m.dual_objective() == pytest.approx(obj, abs=1e-6)
+        assert dual_objective(X, y, m.beta, m.alpha, m.alpha_star, p, m.gamma) == pytest.approx(
+            obj, abs=1e-6
+        )
         q = rng.normal(size=(6, 2))
         np.testing.assert_allclose(
             predict_svr(m, q), qp_oracle_predict(X, a, s, bias, p, q), atol=1e-4
@@ -162,6 +166,41 @@ class TestFitSvr:
             fit_svr(np.ones((3, 1)), np.ones(2), p)
         with pytest.raises(VollabError):
             fit_svr(np.array([[np.inf]] * 3), np.ones(3), p)
+
+
+def _svr_fixtures(rng):
+    """(X, y) pairs from n=2 up: plain, rounded with duplicated rows, flat."""
+    out = []
+    for n in (2, 3, 7, 16):
+        X, y = rng.normal(size=(n, 2)), rng.normal(size=n)
+        out.append((X, y))
+        Xr, yr = np.round(X, 1), np.round(0.5 * y, 1)
+        k = n // 2
+        Xr[k:2 * k], yr[k:2 * k] = Xr[:k], yr[:k]
+        out.append((Xr, yr))
+        out.append((X, np.full(n, 0.25)))
+    return out
+
+
+@pytest.mark.parametrize("kernel", ["rbf", "poly", "sigmoid"])
+@pytest.mark.parametrize("C", [0.1, 1.0, 3.0])
+@pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.15])
+def test_signed_dual_matches_two_array_loop(kernel, C, epsilon):
+    """The signed-vector solver returns exactly what the two-array loop
+    returns, down to the objective after each pass and the sign of zero in
+    alpha and alpha*."""
+    rng = np.random.default_rng(int(1000 * C + 100 * epsilon) + len(kernel))
+    p = SvrParams(kernel=kernel, C=C, epsilon=epsilon, gamma=0.8)
+    for X, y in _svr_fixtures(rng):
+        for tol in (1e-3, 1e-6):
+            got, want = fit_svr(X, y, p, tol=tol), two_array_fit_svr(X, y, p, tol=tol)
+            for name in ("beta", "alpha", "alpha_star"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.array_equal(a, b), name
+                assert np.array_equal(np.signbit(a), np.signbit(b)), name
+            assert repr(got.bias) == repr(want.bias)
+            assert (got.n_passes, got.converged) == (want.n_passes, want.converged)
+            assert got.objective_history == want.objective_history
 
 
 class TestPredict:
