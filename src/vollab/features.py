@@ -13,6 +13,7 @@ import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily on first use; load it at import time
 
 from .errors import DataError, DomainError, FitError, VollabError
 from .frames import TimeSeriesFrame, _freeze

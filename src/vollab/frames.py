@@ -12,6 +12,7 @@ import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # numpy loads it lazily on first use; load it at import time
 
 from .errors import (
     AlignmentError,

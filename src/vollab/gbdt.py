@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.ma  # np.median loads it lazily on its first call; load it at import time
+import numpy.random  # numpy loads it lazily on first use; load it at import time
 
 from .errors import VollabError
 from .tree import RegressionTree, TreeLimits, fit_regression_tree, predict_tree

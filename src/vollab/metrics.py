@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import DegenerateTestError, DomainError, VollabError
 
@@ -57,6 +56,8 @@ def dm_test(e1, e2, h: int = 1, loss: str = "squared") -> DmResult:
     up to lag h-1, multiplied by the Harvey small-sample factor; the
     two-sided p-value uses a t distribution with n-1 degrees of freedom.
     """
+    from scipy import stats  # imported here: it costs more than all of vollab
+
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
     if e1.shape != e2.shape or e1.ndim != 1:

@@ -16,6 +16,7 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily on first use; load it at import time
 
 from .autodiff import Tensor, concat, softmax, stack
 from .errors import NumericError, VollabError
@@ -53,6 +54,9 @@ class NetConfig:
             raise VollabError(f"{', '.join(small)} must be >= 1")
         if not 0 <= self.dropout < 1:
             raise VollabError("dropout must be in [0, 1)")
+        rates = [name for name in ("learning_rate", "clip_norm") if not getattr(self, name) > 0]
+        if rates:
+            raise VollabError(f"{', '.join(rates)} must be > 0")
 
 
 TINY_CONFIG = NetConfig(

@@ -5,15 +5,16 @@ take the W sequenced observations whose targets end just before the test
 date, score every grid state by expanding-window validation inside that
 batch, refit on the whole batch with the winner, predict one step, and
 discard all state.  Tasks share nothing, so they may run in any order
-(or concurrently) with identical results.
+(or concurrently, in worker processes) with identical results.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,12 +206,42 @@ def run_experiment(
     model_options: dict | None = None,
     threads: int = 1,
 ) -> list[ForecastRecord]:
-    """One independent BatchTask per test date, records in date order."""
+    """One independent BatchTask per test date, records in date order.
+
+    With threads > 1 the tasks run on that many forked worker processes, at
+    most one per CPU and one per task.  Where the platform cannot fork, they
+    run serially.
+    """
     tasks = build_tasks(data, kind, window, horizon, s, root_seed, grid, model_options)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_batch, tasks))
-    return [run_batch(t) for t in tasks]
+    workers = min(threads, os.cpu_count() or 1, len(tasks))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [run_batch(t) for t in tasks]
+    # The workers inherit the tasks through the fork, so only indexes and
+    # records are pickled.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt_tasks, initargs=(tasks,)) as pool:
+        records = list(pool.map(_run_task, range(len(tasks))))
+    # A task that failed in a worker runs again here, first in date order.
+    # Tasks are deterministic, so it raises what the serial loop would have
+    # raised, with the exception's class and task note intact.
+    return [r if r is not None else run_batch(t) for r, t in zip(records, tasks)]
+
+
+_worker_tasks: list[BatchTask] = []  # set once in each worker process
+
+
+def _adopt_tasks(tasks: list[BatchTask]) -> None:
+    global _worker_tasks
+    _worker_tasks = tasks
+
+
+def _run_task(i: int) -> ForecastRecord | None:
+    """Worker side: run task i, or return None if it fails; the parent
+    reruns a failed task rather than unpickling its exception."""
+    try:
+        return run_batch(_worker_tasks[i])
+    except Exception:
+        return None
 
 
 def write_records_csv(records: list[ForecastRecord], path) -> None:

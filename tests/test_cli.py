@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,12 +218,14 @@ class TestRun:
         assert (alt / "records_naive_63.csv").exists()
 
     def test_reruns_byte_identical(self, tmp_path):
-        cfg = self.run_config(tmp_path, models=["naive", "svr"],
-                              grids={"svr": [0]}, threads=2)
+        """A rerun, here on two worker processes, writes the serial run's bytes."""
+        cfg = self.run_config(tmp_path, models=["naive", "svr", "gbdt"], horizon=3,
+                              grids={"svr": [0, 16], "gbdt": [0]},
+                              model_options={"gbdt": {"rounds": 3}}, threads=2)
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", cfg, "--out", str(a)]) == 0
+        assert main(["run", "--config", cfg, "--out", str(a), "--threads", "1"]) == 0
         assert main(["run", "--config", cfg, "--out", str(b)]) == 0
-        for name in ("records_naive_63.csv", "records_svr_63.csv"):
+        for name in ("records_naive_63.csv", "records_svr_63.csv", "records_gbdt_63.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_insufficient_history_leaves_incomplete_marker(self, tmp_path, capsys):
@@ -260,6 +265,8 @@ class TestRun:
         {"models": ["naive", "attn_gru"], "model_options": {"net": {"conv_kernel": 0}}},
         {"models": ["naive", "attn_gru"], "model_options": {"net": {"dropout": 1.0}}},
         {"models": ["naive", "attn_gru"], "model_options": {"net": {"epochs": 0}}},
+        {"models": ["naive", "attn_gru"], "model_options": {"net": {"learning_rate": -0.07}}},
+        {"models": ["naive", "attn_gru"], "model_options": {"net": {"clip_norm": -1.0}}},
         {"models": ["naive", "gbdt"], "grids": {"gbdt": [0]},
          "model_options": {"gbdt": {"rounds": -5}}},
     ])
@@ -398,3 +405,43 @@ class TestVix:
 def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
     assert "cannot read config" in capsys.readouterr().err
+
+
+# Run in a fresh interpreter: prints the modules first imported inside each
+# run_experiment call of a `vollab run`.
+NEW_MODULES_SCRIPT = """
+import sys
+import vollab.cli as cli
+print("scipy.stats" in sys.modules)
+inner = cli.run_experiment
+def watched(*args, **kwargs):
+    before = set(sys.modules)
+    records = inner(*args, **kwargs)
+    print(args[1], sorted(set(sys.modules) - before))
+    return records
+cli.run_experiment = watched
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_forecasts_import_no_module_and_cli_skips_scipy_stats(tmp_path):
+    """Imports left to first use would be timed as forecasting; scipy.stats
+    is only needed by dm_test and costs more than the rest of vollab."""
+    csv = tmp_path / "data.csv"
+    generate_synthetic(3, 160, 2).to_csv(str(csv))
+    net = {"conv_channels": 4, "heads": 2, "head_size": 2, "fcl1_units": 4,
+           "gru1_units": 4, "gru2_units": 2, "epochs": 1}
+    cfg = write_config(tmp_path / "c.json", data={"csv": [str(csv)]},
+                       models=["naive", "svr", "gbdt", "attn_gru"], windows=[63], horizon=1,
+                       grids={"svr": [0, 16], "gbdt": [0, 40]},
+                       model_options={"gbdt": {"rounds": 2}, "net": net},
+                       out=str(tmp_path / "out"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", NEW_MODULES_SCRIPT, "run", "--config", cfg],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[1:5] == [f"{kind} []" for kind in ("naive", "svr", "gbdt", "attn_gru")]

@@ -35,6 +35,8 @@ class TestConfig:
         {"epochs": 0}, {"batch_size": 0}, {"conv_kernel": 0}, {"conv_dilation": 0},
         {"heads": -4, "head_size": -16}, {"gru1_units": 0}, {"gru2_units": -1},
         {"dropout": 1.0}, {"dropout": -0.1},
+        {"learning_rate": 0.0}, {"learning_rate": -0.07}, {"clip_norm": 0.0},
+        {"clip_norm": -1.0},
     ])
     def test_out_of_range_values_rejected(self, values):
         with pytest.raises(VollabError, match=next(iter(values))):

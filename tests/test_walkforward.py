@@ -8,7 +8,7 @@ import pytest
 from conftest import planted_signal_data
 from vollab.errors import VollabError
 from vollab.features import SEQ_LEN, log_diff, sequence
-from vollab import grids
+from vollab import grids, walkforward
 from vollab.grids import enumerate_grid, fit_model
 from vollab.walkforward import (
     MIN_VALIDATION_SEED,
@@ -237,6 +237,95 @@ class TestRunExperiment:
         a = run_experiment(data, "svr", 63, horizon=2, root_seed=1, grid=g)
         b = run_experiment(data, "svr", 63, horizon=2, root_seed=2, grid=g)
         assert [r.pred_logdiff for r in a] != [r.pred_logdiff for r in b]
+
+
+class TwoArgError(Exception):
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let threads=2 start two workers even on a one-CPU machine."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+class TestWorkerPool:
+    def test_error_keeps_its_class_and_gains_a_note(self, monkeypatch, two_cpus):
+        class LocalError(Exception):  # a local class cannot be pickled
+            def __init__(self, code, detail):
+                super().__init__(f"{code}: {detail}")
+
+        def broken(*args, **kwargs):
+            raise LocalError(7, "solver broke")
+
+        monkeypatch.setattr(grids, "fit_svr", broken)
+        data = planted_signal_data(n=120)
+        with pytest.raises(LocalError) as info:
+            run_experiment(data, "svr", 63, horizon=3, grid=enumerate_grid("svr")[:1],
+                           threads=2)
+        assert str(info.value) == "7: solver broke"
+        assert any("kind=svr" in note for note in info.value.__notes__)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_error_names_the_first_failing_date(self, monkeypatch, two_cpus, threads):
+        data = planted_signal_data(n=120)
+        failing = set(data.dates[-4:][1::2])  # the second and fourth test dates
+        original = walkforward.fit_model
+
+        def broken(kind, batch, *args):
+            if data.dates[data.dates.index(batch.target_dates[-1]) + 1] in failing:
+                raise TwoArgError(3, "bad date")
+            return original(kind, batch, *args)
+
+        monkeypatch.setattr(walkforward, "fit_model", broken)
+        with pytest.raises(TwoArgError) as info:
+            run_experiment(data, "naive", 63, horizon=4, threads=threads)
+        assert info.value.__notes__ == [
+            f"[task kind=naive window=63 date={data.dates[-3]}]"]
+
+    def test_rebound_run_batch_runs_in_the_workers(self, monkeypatch, two_cpus):
+        data = planted_signal_data(n=120)
+        g = enumerate_grid("svr")[:2]
+        serial = run_experiment(data, "svr", 63, horizon=3, root_seed=5, grid=g)
+        original = walkforward.run_batch
+
+        def traced(task):  # a local closure, as a tracer installs
+            return original(task)
+
+        monkeypatch.setattr(walkforward, "run_batch", traced)
+        assert run_experiment(data, "svr", 63, horizon=3, root_seed=5, grid=g,
+                              threads=2) == serial
+
+    @pytest.mark.parametrize("cpus, threads, horizon, workers", [
+        (2, 64, 5, 2), (8, 4, 3, 3), (8, 3, 5, 3), (1, 8, 5, None), (None, 8, 5, None),
+        (8, 8, 1, None), (8, 1, 5, None),
+    ])
+    def test_worker_count(self, monkeypatch, cpus, threads, horizon, workers):
+        started = []
+
+        def no_pool(max_workers, **kwargs):
+            started.append(max_workers)
+            raise TwoArgError(0, "no process started")
+
+        monkeypatch.setattr(walkforward, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        data = planted_signal_data(n=120)
+        if workers is None:  # the serial loop
+            assert len(run_experiment(data, "naive", 63, horizon=horizon,
+                                      threads=threads)) == horizon
+            assert started == []
+        else:
+            with pytest.raises(TwoArgError):
+                run_experiment(data, "naive", 63, horizon=horizon, threads=threads)
+            assert started == [workers]
+
+    def test_serial_where_fork_is_unavailable(self, monkeypatch, two_cpus):
+        monkeypatch.setattr(walkforward.multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        monkeypatch.setattr(walkforward, "ProcessPoolExecutor", None)  # must not be called
+        data = planted_signal_data(n=120)
+        assert len(run_experiment(data, "naive", 63, horizon=3, threads=2)) == 3
 
 
 class TestRecordsCsv:
