@@ -45,17 +45,20 @@ class Tensor:
         self.grad += g
 
     def backward(self):
-        topo, seen = [], set()
-
-        def visit(t):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._prev:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        # depth-first post-order over _prev, in order; an explicit stack, as
+        # a recurrent graph is deeper than Python's recursion limit
+        topo, seen = [], {id(self)}
+        stack = [(self, iter(self._prev))]
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._prev)))
+                    break
+            else:
+                stack.pop()
+                topo.append(t)
         self.grad = np.ones_like(self.data)
         for t in reversed(topo):
             if t._backward is not None and t.grad is not None:
@@ -126,20 +129,25 @@ class Tensor:
         return out
 
     # -- nonlinearities ----------------------------------------------------
+    # Each backward closes over the output array, not the output tensor: a
+    # tensor whose closure refers to itself is a reference cycle, and a
+    # graph in cycles outlives its step until the cyclic collector runs.
     def exp(self):
         out = Tensor(np.exp(self.data), (self,))
-        out._backward = lambda g: self._accum(g * out.data)
+        y = out.data
+        out._backward = lambda g: self._accum(g * y)
         return out
 
     def tanh(self):
         out = Tensor(np.tanh(self.data), (self,))
-        out._backward = lambda g: self._accum(g * (1.0 - out.data ** 2))
+        y = out.data
+        out._backward = lambda g: self._accum(g * (1.0 - y ** 2))
         return out
 
     def sigmoid(self):
-        s = 1.0 / (1.0 + np.exp(-self.data))
-        out = Tensor(s, (self,))
-        out._backward = lambda g: self._accum(g * out.data * (1.0 - out.data))
+        out = Tensor(1.0 / (1.0 + np.exp(-self.data)), (self,))
+        y = out.data
+        out._backward = lambda g: self._accum(g * y * (1.0 - y))
         return out
 
     def abs(self):

@@ -125,6 +125,10 @@ def cmd_run(args) -> int:
     try:
         for window in cfg.windows:
             check_history(len(data.dates), window, cfg.horizon, cfg.sequence_length)
+        fitted = [kind for kind in cfg.models if MODELS[kind].fit is not None]
+        if fitted and data.features.zero_variance:
+            raise DataError(f"constant feature(s) cannot be scaled for {', '.join(fitted)}: "
+                            f"{', '.join(data.features.zero_variance)}")
         for kind in cfg.models:
             grid = resolve_grid(kind, cfg.grids[kind]) if kind in cfg.grids else None
             for window in cfg.windows:

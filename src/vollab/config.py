@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import __version__
 from .errors import UsageError
 from .frames import PartitionSpec
 from .grids import MODELS, check_model_options, resolve_grid
@@ -105,11 +106,17 @@ def parse_config(raw: dict) -> RunConfig:
             f"volume_columns must be null or a list of strings, got {cfg.volume_columns!r}")
     if not (_is_strings(cfg.models) and cfg.models):
         raise UsageError(f"models must be a non-empty list of strings, got {cfg.models!r}")
+    if not (isinstance(cfg.out, str) and cfg.out):
+        raise UsageError(f"out must be a non-empty string, got {cfg.out!r}")
     for key in ("horizon", "sequence_length", "seed", "threads"):
         if not _is_int(getattr(cfg, key)):
             raise UsageError(f"{key} must be int, got {getattr(cfg, key)!r}")
     if not (isinstance(cfg.windows, list) and cfg.windows and all(map(_is_int, cfg.windows))):
         raise UsageError(f"windows must be a non-empty list of ints, got {cfg.windows!r}")
+    for key in ("models", "windows"):
+        entries = getattr(cfg, key)
+        if len(set(entries)) != len(entries):
+            raise UsageError(f"{key} must not repeat an entry, got {entries!r}")
     if cfg.top_k is not None and not (_is_int(cfg.top_k) and cfg.top_k >= 1):
         raise UsageError(f"top_k must be null or an int >= 1, got {cfg.top_k!r}")
     if not isinstance(cfg.partitions, dict) or set(cfg.partitions) - {"span", "selection"}:
@@ -117,6 +124,8 @@ def parse_config(raw: dict) -> RunConfig:
     for name, rng in cfg.partitions.items():
         if not (isinstance(rng, list) and len(rng) == 2 and all(map(_is_date, rng))):
             raise UsageError(f"partitions.{name} must be two ISO dates, got {rng!r}")
+        if dt.date.fromisoformat(rng[0]) > dt.date.fromisoformat(rng[1]):
+            raise UsageError(f"partitions.{name} starts after it ends: {rng!r}")
     if not isinstance(cfg.grids, dict) or not isinstance(cfg.model_options, dict):
         raise UsageError("'grids' and 'model_options' must be objects")
     for kind in [*cfg.models, *cfg.grids]:
@@ -139,7 +148,7 @@ def load_config(path, **overrides) -> RunConfig:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON ({exc})") from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config: {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError(f"{path}: config must be a JSON object")
@@ -147,12 +156,10 @@ def load_config(path, **overrides) -> RunConfig:
 
 
 def manifest(cfg: RunConfig, extra: dict) -> str:
-    import vollab
-
     doc = {
         "config": asdict(cfg),
         "versions": {
-            "vollab": getattr(vollab, "__version__", "0"),
+            "vollab": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },

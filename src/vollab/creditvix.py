@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ParseError, VollabError
-from .frames import _freeze
+from .errors import DomainError, EmptyInputError, NumericError, ParseError, VollabError
+from .frames import _freeze, read_text
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ def load_option_chain(path) -> CreditVixInputs:
     then a `K,P,dK` header and one strike per row."""
     meta: dict[str, float] = {}
     rows: list[tuple[float, float, float]] = []
-    with open(path, newline="") as fh:
-        lines = [L for L in fh.read().splitlines() if L.strip()]
+    lines = [L for L in read_text(path).splitlines() if L.strip()]
     body_start = 0
     for i, line in enumerate(lines):
         if line.startswith("#"):
@@ -97,6 +96,8 @@ def load_option_chain(path) -> CreditVixInputs:
             rows.append(tuple(float(c) for c in cells))
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-numeric cell") from None
+    if not rows:
+        raise EmptyInputError(f"{path}: no strike rows after the 'K,P,dK' header")
     arr = np.array(rows)
     return CreditVixInputs(
         strikes=arr[:, 0],

@@ -17,6 +17,10 @@ class DataError(VollabError):
     """Problems with input data (parsing, integrity, alignment)."""
 
 
+class ReadError(DataError):
+    """An input file that cannot be opened or decoded."""
+
+
 class ParseError(DataError):
     """Malformed cell or row in an input file."""
 

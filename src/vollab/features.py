@@ -13,7 +13,6 @@ import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # numpy loads it lazily on first use; load it at import time
 
 from .errors import DataError, DomainError, FitError, VollabError
 from .frames import TimeSeriesFrame, _freeze
@@ -153,10 +152,6 @@ class SequencedDataset:
     def __len__(self) -> int:
         return self.blocks.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.blocks.shape[2]
-
     def flat(self) -> np.ndarray:
         """k x (s*m) view, time-major: features of the last time step come last."""
         k, s, m = self.blocks.shape
@@ -194,20 +189,13 @@ def sequence(matrix: FeatureMatrix, target, s: int = SEQ_LEN) -> SequencedDatase
     return SequencedDataset(blocks, targets, dates, matrix.names)
 
 
-def add_uniform_noise(
-    dataset: SequencedDataset,
-    lo: float = NOISE_LO,
-    hi: float = NOISE_HI,
-    seed: int = 0,
-) -> SequencedDataset:
-    """Perturb every feature entry by an independent U[lo, hi) draw.
+def add_uniform_noise(dataset: SequencedDataset, seed: int) -> SequencedDataset:
+    """Perturb every feature entry by an independent U[NOISE_LO, NOISE_HI) draw.
 
     Targets are untouched; the result is deterministic given the seed.
     """
-    if lo >= hi:
-        raise VollabError(f"noise bounds must satisfy lo < hi, got [{lo}, {hi})")
     rng = np.random.default_rng(np.random.PCG64(seed))
-    noise = rng.uniform(lo, hi, size=dataset.blocks.shape)
+    noise = rng.uniform(NOISE_LO, NOISE_HI, size=dataset.blocks.shape)
     return dataset.with_blocks(dataset.blocks + noise)
 
 
@@ -217,7 +205,6 @@ class ScalerState:
 
     mean: np.ndarray
     std: np.ndarray
-    feature_names: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "mean", _freeze(self.mean))
@@ -234,7 +221,7 @@ def fit_scaler(train: SequencedDataset) -> ScalerState:
     if bad.size:
         names = ", ".join(train.feature_names[i] for i in bad)
         raise FitError(f"zero-variance feature(s) rejected by scaler: {names}")
-    return ScalerState(mean, std, train.feature_names)
+    return ScalerState(mean, std)
 
 
 def apply_scaler(state: ScalerState, dataset: SequencedDataset) -> SequencedDataset:

@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-from dataclasses import dataclass, field
+import io
+from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # numpy loads it lazily on first use; load it at import time
 
 from .errors import (
     AlignmentError,
     EmptyInputError,
     IntegrityError,
     ParseError,
+    ReadError,
     VollabError,
 )
 
@@ -81,32 +82,40 @@ class PartitionSpec:
             raise IntegrityError(f"partition {self.name!r}: start after end")
 
 
+def read_text(path) -> str:
+    """The text of an input file, line endings untranslated."""
+    try:
+        with open(path, newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ReadError(f"{path}: cannot read ({getattr(exc, 'strerror', None) or exc})") from None
+
+
 def load_csv(path) -> TimeSeriesFrame:
     """Read a ``date,<col>,...`` CSV into a frame, sorting rows by date."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyInputError(f"{path}: file is empty") from None
+    if len(header) < 2 or header[0].strip().lower() != "date":
+        raise ParseError(f"{path}: header must be 'date,<name>,...', got {header}")
+    names = [h.strip() for h in header[1:]]
+    rows: list[tuple[dt.date, list[float]]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(names) + 1:
+            raise ParseError(f"{path}:{lineno}: expected {len(names) + 1} cells, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInputError(f"{path}: file is empty") from None
-        if len(header) < 2 or header[0].strip().lower() != "date":
-            raise ParseError(f"{path}: header must be 'date,<name>,...', got {header}")
-        names = [h.strip() for h in header[1:]]
-        rows: list[tuple[dt.date, list[float]]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names) + 1:
-                raise ParseError(f"{path}:{lineno}: expected {len(names) + 1} cells, got {len(row)}")
-            try:
-                d = dt.date.fromisoformat(row[0].strip())
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad date {row[0]!r}") from None
-            try:
-                vals = [float(c) for c in row[1:]]
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric cell in {row[1:]!r}") from None
-            rows.append((d, vals))
+            d = dt.date.fromisoformat(row[0].strip())
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad date {row[0]!r}") from None
+        try:
+            vals = [float(c) for c in row[1:]]
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric cell in {row[1:]!r}") from None
+        rows.append((d, vals))
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
     rows.sort(key=lambda r: r[0])

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.ma  # np.median loads it lazily on its first call; load it at import time
-import numpy.random  # numpy loads it lazily on first use; load it at import time
 
 from .errors import VollabError
 from .tree import RegressionTree, TreeLimits, fit_regression_tree, predict_tree
@@ -47,10 +45,6 @@ class GbdtModel:
     params: GbdtParams
     base_score: float  # median of training targets
     trees: list[RegressionTree] = field(default_factory=list)
-
-    @property
-    def n_features(self) -> int:
-        return self.trees[0].n_features if self.trees else -1
 
     def output_bound(self) -> float:
         """Provable half-width of the prediction range around base_score."""
@@ -102,8 +96,6 @@ def predict_gbdt(model: GbdtModel, X) -> np.ndarray | float:
     x = np.asarray(X, dtype=float)
     single = x.ndim == 1
     x2 = np.atleast_2d(x)
-    if model.trees and x2.shape[1] != model.n_features:
-        raise VollabError(f"expected {model.n_features} features, got {x2.shape[1]}")
     out = np.full(len(x2), model.base_score)
     for tree in model.trees:
         out += model.params.learning_rate * predict_tree(tree, x2)

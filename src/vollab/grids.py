@@ -33,12 +33,6 @@ class ParamState:
     kind: str
     values: tuple[tuple[str, object], ...]  # ordered (name, value) pairs
 
-    def get(self, name):
-        for k, v in self.values:
-            if k == name:
-                return v
-        raise KeyError(name)
-
     def to_text(self) -> str:
         return ";".join(f"{k}={v}" for k, v in self.values) or "default"
 

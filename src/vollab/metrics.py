@@ -17,7 +17,6 @@ class MetricTable:
     rmse: float  # log-diff scale
     mape: float  # percent, level scale
     log_loss: float  # squared log level ratio, scaled by 100
-    cov_actual_levels: float  # std / mean of the actual levels
 
 
 def compute_metrics(records) -> MetricTable:
@@ -35,17 +34,13 @@ def compute_metrics(records) -> MetricTable:
     rmse = float(np.sqrt((err ** 2).mean()))
     mape = float(100.0 * (np.abs(pred_l - act_l) / act_l).mean())
     log_loss = float(100.0 * ((np.log(pred_l) - np.log(act_l)) ** 2).mean())
-    cov = float(act_l.std() / act_l.mean())
-    return MetricTable(mae, rmse, mape, log_loss, cov)
+    return MetricTable(mae, rmse, mape, log_loss)
 
 
 @dataclass(frozen=True)
 class DmResult:
     statistic: float
     p_value: float
-    horizon: int
-    loss: str
-    n: int
 
 
 def dm_test(e1, e2, h: int = 1, loss: str = "squared") -> DmResult:
@@ -83,4 +78,4 @@ def dm_test(e1, e2, h: int = 1, loss: str = "squared") -> DmResult:
     stat = dbar / np.sqrt(lrv / n)
     stat *= np.sqrt((n + 1 - 2 * h + h * (h - 1) / n) / n)
     p = float(2.0 * stats.t.sf(abs(stat), df=n - 1))
-    return DmResult(float(stat), p, h, loss, n)
+    return DmResult(float(stat), p)

@@ -16,7 +16,6 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # numpy loads it lazily on first use; load it at import time
 
 from .autodiff import Tensor, concat, softmax, stack
 from .errors import NumericError, VollabError
@@ -112,10 +111,6 @@ class ForwardTrace:
     """Cached intermediates of one forward pass (numpy views)."""
 
     H1: np.ndarray
-    A: np.ndarray
-    H2: np.ndarray
-    Z1: np.ndarray
-    O: np.ndarray
     attn_weights: np.ndarray  # batch x heads x T x T
     gru1_out: np.ndarray
     gru2_out: np.ndarray
@@ -218,8 +213,7 @@ def build_graph(params: dict, x: np.ndarray, config: NetConfig,
     pred = (g2[:, -1, :] @ p["fcl2_w"] + p["fcl2_b"]).reshape(x.shape[0])
     _check_finite("head", pred)
     trace = ForwardTrace(
-        H1=h1.data, A=a.data, H2=h2.data, Z1=z1.data, O=o.data,
-        attn_weights=attn_w.data, gru1_out=g1.data, gru2_out=g2.data,
+        H1=h1.data, attn_weights=attn_w.data, gru1_out=g1.data, gru2_out=g2.data,
         predictions=pred.data,
     )
     return pred, p, trace

@@ -13,7 +13,6 @@ import os
 
 import numpy as np
 
-from .errors import ReportError
 from .report import collect_records
 
 WIDTH, HEIGHT, MARGIN = 640, 360, 45

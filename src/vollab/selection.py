@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # numpy loads it lazily on first use; load it at import time
 
 from .errors import VollabError
 from .features import FeatureMatrix

@@ -19,6 +19,9 @@ import numpy as np
 from .errors import VollabError
 
 MAX_PASSES = 10_000
+# poly is (gamma * <a, b> + COEF0) ** DEGREE and sigmoid tanh(gamma * <a, b> + COEF0);
+# adding COEF0 = 0.0 also turns a -0.0 Gram entry into +0.0
+DEGREE, COEF0 = 3, 0.0
 
 
 @dataclass(frozen=True)
@@ -27,8 +30,6 @@ class SvrParams:
     C: float = 1.0
     gamma: object = "scale"  # "scale", "auto" or a positive float
     epsilon: float = 0.1
-    degree: int = 3
-    coef0: float = 0.0
 
     def __post_init__(self):
         if self.kernel not in ("poly", "rbf", "sigmoid"):
@@ -64,8 +65,8 @@ def kernel_eval(a, b, params: SvrParams, gamma: float | None = None) -> float:
         d = a - b
         return float(np.exp(-gamma * d.dot(d)))
     if params.kernel == "poly":
-        return float((gamma * a.dot(b) + params.coef0) ** params.degree)
-    return float(np.tanh(gamma * a.dot(b) + params.coef0))
+        return float((gamma * a.dot(b) + COEF0) ** DEGREE)
+    return float(np.tanh(gamma * a.dot(b) + COEF0))
 
 
 def kernel_matrix(A, B, params: SvrParams, gamma: float) -> np.ndarray:
@@ -76,8 +77,8 @@ def kernel_matrix(A, B, params: SvrParams, gamma: float) -> np.ndarray:
         sq = (A * A).sum(1)[:, None] + (B * B).sum(1)[None, :] - 2 * G
         return np.exp(-gamma * np.maximum(sq, 0.0))
     if params.kernel == "poly":
-        return (gamma * G + params.coef0) ** params.degree
-    return np.tanh(gamma * G + params.coef0)
+        return (gamma * G + COEF0) ** DEGREE
+    return np.tanh(gamma * G + COEF0)
 
 
 @dataclass

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.random  # numpy loads it lazily on first use; load it at import time
 
 from .errors import VollabError
 

@@ -24,7 +24,6 @@ from .features import FeatureMatrix, SequencedDataset, log_diff, sequence
 from .grids import ParamState, derive_seed, enumerate_grid, fit_model, slice_fitter
 
 MIN_VALIDATION_SEED = 10  # sequenced observations in the initial training slice
-WINDOWS = (63, 126, 252)
 
 
 def task_seed(root_seed: int, kind: str, window: int, test_date: dt.date) -> int:

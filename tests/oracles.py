@@ -350,6 +350,28 @@ def metrics_oracle(pred_d, act_d, pred_l, act_l):
     return mae, rmse, mape, ll
 
 
+# ---------------------------------------------------------------- autodiff
+
+def recursive_backward(root):
+    """Tensor.backward with the topological order from a recursive
+    depth-first visit of each tensor's _prev, in order."""
+    topo, seen = [], set()
+
+    def visit(t):
+        if id(t) in seen:
+            return
+        seen.add(id(t))
+        for p in t._prev:
+            visit(p)
+        topo.append(t)
+
+    visit(root)
+    root.grad = np.ones_like(root.data)
+    for t in reversed(topo):
+        if t._backward is not None and t.grad is not None:
+            t._backward(t.grad)
+
+
 # -------------------------------------------------------------- credit vix
 
 def credit_vix_oracle(strikes, prices, intervals, k0, cdsi, horizon, rpv01):

@@ -10,7 +10,7 @@ import pytest
 from vollab.cli import main
 from vollab.config import DEFAULTS, load_config, parse_config
 from vollab.errors import UsageError
-from vollab.frames import generate_synthetic, load_csv
+from vollab.frames import TimeSeriesFrame, generate_synthetic, load_csv
 from vollab.grids import enumerate_grid
 from vollab.walkforward import build_tasks, read_records_csv
 
@@ -269,6 +269,12 @@ class TestRun:
         {"models": ["naive", "attn_gru"], "model_options": {"net": {"clip_norm": -1.0}}},
         {"models": ["naive", "gbdt"], "grids": {"gbdt": [0]},
          "model_options": {"gbdt": {"rounds": -5}}},
+        {"out": 5},
+        {"out": None},
+        {"out": ""},
+        {"models": ["naive", "naive"]},
+        {"windows": [63, 63]},
+        {"partitions": {"span": ["2018-06-29", "2018-01-01"]}},
     ])
     def test_config_errors_exit_before_any_record(self, tmp_path, capsys, overrides):
         cfg = self.run_config(tmp_path, **overrides)
@@ -313,6 +319,26 @@ class TestRun:
             "records_naive_70.csv"]
         report = (out / "report.csv").read_text().splitlines()
         assert [line.split(",")[:2] for line in report[1:]] == [["naive", "70"]]
+
+    def flat_column_config(self, tmp_path, **overrides):
+        base = generate_synthetic(3, 160, 2)
+        frame = TimeSeriesFrame(base.dates, {**base.columns, "flat": np.full(160, 5.0)})
+        frame.to_csv(str(tmp_path / "flat.csv"))
+        return self.run_config(tmp_path, data={"csv": [str(tmp_path / "flat.csv")]},
+                               grids={"svr": [0]}, **overrides)
+
+    def test_constant_feature_fails_before_the_first_fit(self, tmp_path, capsys):
+        cfg = self.flat_column_config(tmp_path, models=["naive", "svr"])
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "error (data): constant feature(s) cannot be scaled for svr: " in err
+        assert "flat.lvl, flat.lnd, flat.rv21" in err
+        assert sorted(os.listdir(tmp_path / "out")) == ["INCOMPLETE"]
+
+    @pytest.mark.parametrize("overrides", [{"models": ["naive"]},
+                                           {"models": ["naive", "svr"], "top_k": 3}])
+    def test_constant_feature_that_no_fit_sees_is_allowed(self, tmp_path, overrides):
+        assert main(["run", "--config", self.flat_column_config(tmp_path, **overrides)]) == 0
 
     def test_task_error_names_the_task(self, tmp_path, capsys, monkeypatch):
         from vollab import grids
@@ -402,8 +428,40 @@ class TestVix:
         assert "missing metadata keys" in capsys.readouterr().err
 
 
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("command", ["run", "features", "select"])
+    @pytest.mark.parametrize("name", ["nope.csv", "a_directory"])
+    def test_unreadable_csv_is_data_error(self, tmp_path, capsys, command, name):
+        (tmp_path / "a_directory").mkdir()
+        path = str(tmp_path / name)
+        cfg = write_config(tmp_path / "c.json", data={"csv": [path]}, models=["naive"],
+                           windows=[63], horizon=5, out=str(tmp_path / "out"))
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert f"error (data): {path}: cannot read" in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("nope.csv", None, "cannot read"),
+        ("a_directory", None, "cannot read"),
+        ("header_only.csv", CHAIN.split("100,")[0], "no strike rows"),
+    ], ids=["missing", "directory", "header_only"])
+    def test_unreadable_chain_is_data_error(self, tmp_path, capsys, name, text, message):
+        (tmp_path / "a_directory").mkdir()
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert main(["vix", "--chain", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"error (data): {path}: {message}" in captured.err
+        assert captured.out == ""
+
+
 def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
+    assert "cannot read config" in capsys.readouterr().err
+    (tmp_path / "latin1.json").write_bytes(b'{"out": "\xe9"}')
+    assert main(["run", "--config", str(tmp_path / "latin1.json")]) == 1
     assert "cannot read config" in capsys.readouterr().err
 
 

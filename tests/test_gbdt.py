@@ -116,5 +116,7 @@ class TestPredict:
     def test_feature_width_checked(self, rng):
         X = rng.normal(size=(30, 2))
         m = fit_gbdt(X, rng.normal(size=30), SMALL)
-        with pytest.raises(VollabError):
+        with pytest.raises(VollabError, match="expected 2 features, got 5"):
             predict_gbdt(m, np.ones((2, 5)))
+        with pytest.raises(VollabError, match="expected 2 features, got 3"):
+            predict_gbdt(m, np.ones(3))

@@ -70,10 +70,6 @@ class TestParamState:
         state = ParamState.from_text("svr", "epsilon=0.1;kernel=rbf;gamma=scale")
         assert state.to_text() == "kernel=rbf;gamma=scale;epsilon=0.1"
 
-    def test_get(self):
-        s = enumerate_grid("svr")[0]
-        assert s.get("kernel") in ("rbf", "poly", "sigmoid")
-
 
 class TestConfigChecks:
     def test_resolve_grid(self):

@@ -1,10 +1,15 @@
+import gc
+
 import numpy as np
 import pytest
 
+from oracles import recursive_backward
+from vollab.autodiff import Tensor
 from vollab.errors import VollabError
 from vollab.net import (
     TINY_CONFIG,
     NetConfig,
+    build_graph,
     clip_global_norm,
     forward,
     init_params,
@@ -124,6 +129,33 @@ class TestBackward:
         for k, g in grads.items():
             assert g.shape == p[k].shape, k
             assert np.all(np.isfinite(g)), k
+
+    def test_gradients_match_the_recursive_sort_bit_for_bit(self, rng):
+        x, y = tiny_batch(rng)
+        p = init_params(TINY_CONFIG, 3, seed=3)
+        _, grads = mae_and_grads(p, x, y, TINY_CONFIG, train_mode=True, seed=11)
+        pred, nodes, _ = build_graph(p, x, TINY_CONFIG, train_mode=True, seed=11)
+        recursive_backward((pred - Tensor(y, requires_grad=False)).abs().mean())
+        for k, t in nodes.items():
+            assert grads[k].tobytes() == t.grad.tobytes(), k
+
+    def test_long_sequence_does_not_hit_the_recursion_limit(self, rng):
+        x, y = tiny_batch(rng, batch=2, s=300)
+        p = init_params(TINY_CONFIG, 3, seed=3)
+        loss, grads = mae_and_grads(p, x, y, TINY_CONFIG)
+        assert np.isfinite(loss)
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+    def test_graph_is_freed_without_the_cyclic_collector(self, rng):
+        x, y = tiny_batch(rng)
+        p = init_params(TINY_CONFIG, 3, seed=3)
+        gc.collect()
+        gc.disable()
+        try:
+            mae_and_grads(p, x, y, TINY_CONFIG)
+            assert gc.collect() == 0  # nothing was left for the collector
+        finally:
+            gc.enable()
 
     def test_clip_global_norm(self):
         g = {"a": np.array([3.0]), "b": np.array([4.0])}

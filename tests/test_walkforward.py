@@ -1,4 +1,3 @@
-import datetime as dt
 import math
 import os
 
@@ -7,14 +6,12 @@ import pytest
 
 from conftest import planted_signal_data
 from vollab.errors import VollabError
-from vollab.features import SEQ_LEN, log_diff, sequence
+from vollab.features import SEQ_LEN, log_diff
 from vollab import grids, walkforward
 from vollab.grids import enumerate_grid, fit_model
 from vollab.walkforward import (
     MIN_VALIDATION_SEED,
-    WINDOWS,
     BatchTask,
-    ExperimentData,
     ForecastRecord,
     build_tasks,
     derive_seed,
@@ -42,9 +39,6 @@ class TestDeriveSeed:
     def test_fits_in_63_bits(self):
         for i in range(50):
             assert 0 <= derive_seed(i, "x") < 2 ** 63
-
-    def test_standard_windows(self):
-        assert WINDOWS == (63, 126, 252)
 
 
 class TestBuildTasks:
