@@ -7,16 +7,19 @@ u acts on training row u % n, and beta = alpha - alpha* is the sum of its
 two variables.  Every update moves a pair along the equality constraint,
 so dual feasibility sum(beta) = 0 holds exactly at all times and the dual
 objective never decreases.  Convergence: max KKT violation <= tol or
-MAX_PASSES passes.
+MAX_PASSES passes.  The update loop runs over buffers allocated once per
+fit and refreshes only the two entries an update touches (see fit_svr);
+its iterates are bit for bit those of the plain formulas.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import VollabError
+from .errors import FitError, VollabError
 
 MAX_PASSES = 10_000
 # poly is (gamma * <a, b> + COEF0) ** DEGREE and sigmoid tanh(gamma * <a, b> + COEF0);
@@ -34,21 +37,26 @@ class SvrParams:
     def __post_init__(self):
         if self.kernel not in ("poly", "rbf", "sigmoid"):
             raise VollabError(f"unknown kernel {self.kernel!r}")
-        if self.C <= 0 or self.epsilon < 0:
-            raise VollabError("require C > 0 and epsilon >= 0")
-        if not isinstance(self.gamma, str) and self.gamma <= 0:
-            raise VollabError("numeric gamma must be positive")
+        # `not x > 0` also rejects nan
+        if not (_real(self.C) and self.C > 0 and _real(self.epsilon) and self.epsilon >= 0):
+            raise VollabError(f"require C > 0 and epsilon >= 0, got C={self.C!r}, "
+                              f"epsilon={self.epsilon!r}")
+        if self.gamma not in ("scale", "auto") and not (_real(self.gamma) and self.gamma > 0):
+            raise VollabError(f"gamma must be 'scale', 'auto' or a positive number, "
+                              f"got {self.gamma!r}")
+
+
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def resolve_gamma(params: SvrParams, X: np.ndarray) -> float:
-    if isinstance(params.gamma, str):
-        m = X.shape[1]
-        if params.gamma == "auto":
-            return 1.0 / m
-        if params.gamma == "scale":
-            v = X.var()
-            return 1.0 / (m * v) if v > 0 else 1.0 / m
-        raise VollabError(f"unknown gamma {params.gamma!r}")
+    m = X.shape[1]
+    if params.gamma == "auto":
+        return 1.0 / m
+    if params.gamma == "scale":
+        v = X.var()
+        return 1.0 / (m * v) if v > 0 else 1.0 / m
     return float(params.gamma)
 
 
@@ -130,6 +138,17 @@ def fit_svr(X, y, params: SvrParams, tol: float = 1e-3) -> SvrModel:
     Each update raises the variable i with the largest lower bound on b by
     t and lowers the variable j with the smallest upper bound by t, where t
     is the Newton step on the violation, cut to keep both in their box.
+
+    The loop works in place: r = y - f and q = (r - eps, r + eps) are
+    written into buffers allocated once, and low and up are filled from q
+    with np.copyto under the boolean rise (z < hi) and fall (z > lo) masks,
+    which keep -inf and +inf elsewhere.  An update changes only z_i and z_j,
+    so only those mask entries are refreshed; an overlap prune refreshes
+    all of them.  Copying q under a mask keeps every q value as it is, the
+    sign of a zero included, so low, up and every iterate are what
+    _bias_bounds would give; adding 0 or -inf instead would turn -0.0 into
+    +0.0.  Scalar state (z, beta, the diagonal of K and the box) is read
+    and written as Python floats, which round exactly as float64 does.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -141,45 +160,76 @@ def fit_svr(X, y, params: SvrParams, tol: float = 1e-3) -> SvrModel:
     C, eps = params.C, params.epsilon
     gamma = resolve_gamma(params, X)
     K = kernel_matrix(X, X, params, gamma)
-    Kd = np.diag(K).copy()
+    if not np.all(np.isfinite(K)):
+        raise FitError(f"{params.kernel} kernel matrix has non-finite entries "
+                       f"(gamma={gamma!r}); rescale the inputs")
+    Kd = K.diagonal().tolist()
 
     lo, hi = _box(n, C)
+    lo_s, hi_s = lo.tolist(), hi.tolist()
     z = np.zeros(2 * n)
+    z_s = z.tolist()
     beta = np.zeros(n)
+    beta_s = beta.tolist()
     f = np.zeros(n)  # K @ beta
+    r, df = np.empty(n), np.empty(n)
+    eps_n = np.full(n, eps, dtype=float)  # an array operand converts faster than a scalar
+    q = np.empty(2 * n)
+    q_alpha, q_star = q[:n], q[n:]
+    low, up = np.full(2 * n, -np.inf), np.full(2 * n, np.inf)
+    rise, fall = z < hi, z > lo
     history: list[float] = []
 
     converged = False
     passes = 0
     updates_per_pass = max(2 * n, 10)
+    rows = list(K)  # row views made once
     while passes < MAX_PASSES:
         passes += 1
         progressed = False
         for _ in range(updates_per_pass):
-            low_vals, up_vals = _bias_bounds(y - f, z, lo, hi, eps)
-            i = int(np.argmax(low_vals))
-            j = int(np.argmin(up_vals))
-            viol = low_vals[i] - up_vals[j]
+            np.subtract(y, f, out=r)
+            np.subtract(r, eps_n, out=q_alpha)
+            np.add(r, eps_n, out=q_star)
+            np.copyto(low, q, where=rise)
+            np.copyto(up, q, where=fall)
+            i = int(low.argmax())
+            j = int(up.argmin())
+            viol = low.item(i) - up.item(j)
             if viol <= tol:
                 converged = True
                 break
             si, sj = i % n, j % n
-            eta = max(Kd[si] + Kd[sj] - 2.0 * K[si, sj], 1e-12)
-            t = min(viol / eta, hi[i] - z[i], z[j] - lo[j])
+            eta = max(Kd[si] + Kd[sj] - 2.0 * K.item(si, sj), 1e-12)
+            zi, zj = z_s[i], z_s[j]
+            t = min(viol / eta, hi_s[i] - zi, zj - lo_s[j])
             if t <= 0:
                 break
-            z[i] += t
-            z[j] -= t
-            beta[si] += t
-            beta[sj] -= t
-            f += t * (K[si] - K[sj])
+            z_s[i] = zi = zi + t
+            z_s[j] = zj = zj - t
+            beta_s[si] += t
+            beta_s[sj] -= t
+            np.subtract(rows[si], rows[sj], out=df)
+            df *= t
+            f += df
+            rise[i], fall[i] = zi < hi_s[i], zi > lo_s[i]
+            rise[j], fall[j] = zj < hi_s[j], zj > lo_s[j]
+            low[i] = low[j] = -np.inf
+            up[i] = up[j] = np.inf
             progressed = True
+        z[:] = z_s
+        beta[:] = beta_s
         # prune alpha/alpha* overlap: keeps beta and feasibility, raises the
         # objective by 2*eps*min(alpha, alpha*)
         overlap = np.minimum(z[:n], -z[n:])
         if np.any(overlap > 0):
             z[:n] -= overlap
             z[n:] += overlap
+            z_s = z.tolist()
+            np.less(z, hi, out=rise)
+            np.greater(z, lo, out=fall)
+            low.fill(-np.inf)
+            up.fill(np.inf)
         history.append(float(-0.5 * beta @ f + beta @ y - eps * (z[:n] - z[n:]).sum()))
         if converged or not progressed:
             break

@@ -108,12 +108,14 @@ def qp_oracle_predict(X_train, alpha, alpha_star, bias, params, X_new):
     return Kx @ beta + bias
 
 
-def two_array_fit_svr(X, y, params: SvrParams, tol: float = 1e-3) -> SvrModel:
+def two_array_fit_svr(X, y, params: SvrParams, tol: float = 1e-3,
+                      prunes: list | None = None) -> SvrModel:
     """The SMO loop of `fit_svr` over separate alpha and alpha* arrays.
 
     Same working-set rule, step and pruning as the library, written with
     an explicit sign per variable (index u < n is alpha_u, u >= n is
     alpha*_{u-n}), so every iterate and output must agree bit for bit.
+    Each pass that prunes an alpha/alpha* overlap is appended to `prunes`.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -182,6 +184,8 @@ def two_array_fit_svr(X, y, params: SvrParams, tol: float = 1e-3) -> SvrModel:
         if np.any(overlap > 0):
             alpha -= overlap
             alpha_star -= overlap
+            if prunes is not None:
+                prunes.append(passes)
         history.append(float(-0.5 * beta @ f + beta @ y - eps * (alpha + alpha_star).sum()))
         if converged or not progressed:
             break

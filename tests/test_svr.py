@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import oracles
 from oracles import qp_oracle_predict, qp_svr_oracle, two_array_fit_svr
-from vollab import svr
-from vollab.errors import VollabError
+from vollab import grids, svr
+from vollab.errors import FitError, VollabError
+from vollab.features import engineer, log_diff, sequence
+from vollab.frames import TimeSeriesFrame, generate_synthetic
 from vollab.svr import (
     SvrParams,
     dual_objective,
@@ -59,6 +64,16 @@ class TestKernels:
     def test_invalid_kernel_rejected(self):
         with pytest.raises(VollabError):
             SvrParams(kernel="wavelet")
+
+    @pytest.mark.parametrize("bad", [
+        {"C": float("nan")}, {"epsilon": float("nan")}, {"gamma": float("nan")},
+        {"gamma": True}, {"C": True}, {"gamma": "wide"},
+    ])
+    def test_nan_bool_and_unknown_values_rejected(self, bad):
+        # nan fails every comparison, so it used to pass `C <= 0` unseen and
+        # give a fit with a nan bias; True used to count as 1
+        with pytest.raises(VollabError):
+            SvrParams(**{"kernel": "rbf", **bad})
 
 
 class TestFitSvr:
@@ -167,6 +182,15 @@ class TestFitSvr:
         with pytest.raises(VollabError):
             fit_svr(np.array([[np.inf]] * 3), np.ones(3), p)
 
+    @pytest.mark.parametrize("kernel, scale", [("poly", 1e60), ("rbf", 1e160)])
+    def test_non_finite_kernel_matrix_is_fit_error(self, rng, kernel, scale):
+        # finite rows whose Gram matrix overflows: poly cubes ~1e120, rbf
+        # subtracts inf from inf; the loop would report convergence with a
+        # nan bias
+        X = scale * rng.normal(size=(8, 2))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FitError):
+            fit_svr(X, rng.normal(size=8), SvrParams(kernel=kernel, gamma=0.1))
+
 
 def _svr_fixtures(rng):
     """(X, y) pairs from n=2 up: plain, rounded with duplicated rows, flat."""
@@ -193,14 +217,80 @@ def test_signed_dual_matches_two_array_loop(kernel, C, epsilon):
     p = SvrParams(kernel=kernel, C=C, epsilon=epsilon, gamma=0.8)
     for X, y in _svr_fixtures(rng):
         for tol in (1e-3, 1e-6):
-            got, want = fit_svr(X, y, p, tol=tol), two_array_fit_svr(X, y, p, tol=tol)
-            for name in ("beta", "alpha", "alpha_star"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert np.array_equal(a, b), name
-                assert np.array_equal(np.signbit(a), np.signbit(b)), name
-            assert repr(got.bias) == repr(want.bias)
-            assert (got.n_passes, got.converged) == (want.n_passes, want.converged)
-            assert got.objective_history == want.objective_history
+            assert_same_fit(fit_svr(X, y, p, tol=tol), two_array_fit_svr(X, y, p, tol=tol))
+
+
+def assert_same_fit(got, want):
+    for name in ("beta", "alpha", "alpha_star"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b), name
+        assert np.array_equal(np.signbit(a), np.signbit(b)), name
+    assert repr(got.bias) == repr(want.bias)
+    assert (got.n_passes, got.converged) == (want.n_passes, want.converged)
+    assert got.objective_history == want.objective_history
+
+
+def test_epsilon_zero_fixtures_prune_before_their_last_pass():
+    """With epsilon = 0 a row's alpha and alpha* share one bias bound, so
+    fits build overlaps.  The epsilon = 0 fixtures above must reach the
+    prune branch before a fit's last pass, so that later updates read the
+    rise/fall masks rebuilt after the prune."""
+    epsilon, mid_fit = 0.0, 0
+    for kernel, C in itertools.product(("rbf", "poly", "sigmoid"), (0.1, 1.0, 3.0)):
+        rng = np.random.default_rng(int(1000 * C + 100 * epsilon) + len(kernel))
+        p = SvrParams(kernel=kernel, C=C, epsilon=epsilon, gamma=0.8)
+        for X, y in _svr_fixtures(rng):
+            for tol in (1e-3, 1e-6):
+                prunes = []
+                want = two_array_fit_svr(X, y, p, tol=tol, prunes=prunes)
+                assert_same_fit(fit_svr(X, y, p, tol=tol), want)
+                mid_fit += any(k < want.n_passes for k in prunes)
+    assert mid_fit >= 10
+
+
+@pytest.mark.parametrize("kernel", ["rbf", "poly", "sigmoid"])
+def test_truncated_fit_matches_two_array_loop(kernel, monkeypatch):
+    """One pass and out: the state at the cut, not only at convergence,
+    matches the two-array loop."""
+    monkeypatch.setattr(svr, "MAX_PASSES", 1)
+    monkeypatch.setattr(oracles, "MAX_PASSES", 1)
+    rng = np.random.default_rng(len(kernel))
+    cut = 0
+    for C, epsilon in ((0.1, 0.0), (1.0, 0.05), (3.0, 0.0)):
+        p = SvrParams(kernel=kernel, C=C, epsilon=epsilon, gamma=0.8)
+        for X, y in _svr_fixtures(rng):
+            got = fit_svr(X, y, p, tol=1e-6)
+            assert_same_fit(got, two_array_fit_svr(X, y, p, tol=1e-6))
+            assert got.n_passes == 1
+            cut += not got.converged
+    assert cut > 0
+
+
+def test_pipeline_slices_match_two_array_loop(monkeypatch):
+    """Scaled and noised expanding slices of a synthetic batch, n = 10..126,
+    under the nine grid states of perfbench's svr_sweep."""
+    frame = generate_synthetic(7, 200, 3)
+    features = TimeSeriesFrame(
+        frame.dates, {k: c for k, c in frame.columns.items() if k != "vol_index"})
+    feats = engineer(features, {k for k in frame.names if k.startswith("volume")})
+    ds = sequence(feats, log_diff(frame.column("vol_index")[len(frame) - len(feats):]))
+    grid = grids.enumerate_grid("svr")
+    states = [grid[k] for k in (0, 4, 8, 17, 24, 28, 33, 37, 41)]
+    fits = []
+
+    def both(X, y, params):
+        fits.append((fit_svr(X, y, params), two_array_fit_svr(X, y, params)))
+        return fits[-1][0]
+
+    monkeypatch.setattr(grids, "fit_svr", both)
+    sizes = (*range(10, 126, 8), 126)
+    for n in sizes:
+        fit = grids.slice_fitter("svr", ds.slice(0, n), grids.derive_seed(3, "val", n), None)
+        for state in states:
+            fit(state)
+    assert len(fits) == len(sizes) * len(states)
+    for got, want in fits:
+        assert_same_fit(got, want)
 
 
 class TestPredict:
