@@ -25,12 +25,7 @@ from .walkforward import (ExperimentData, check_history, run_experiment, task_se
 
 def _load_frame(cfg: RunConfig) -> TimeSeriesFrame:
     if "synthetic" in cfg.data:
-        spec = cfg.data["synthetic"]
-        return generate_synthetic(
-            seed=spec.get("seed", cfg.seed),
-            n_days=spec.get("n_days", 600),
-            n_series=spec.get("n_series", 3),
-        )
+        return generate_synthetic(**cfg.data["synthetic"])
     frames = [load_csv(p) for p in cfg.data["csv"]]
     return frames[0] if len(frames) == 1 else align(frames)
 

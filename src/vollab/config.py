@@ -9,7 +9,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import platform
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -18,40 +18,26 @@ from .errors import UsageError
 from .frames import PartitionSpec
 from .grids import MODELS, check_model_options, resolve_grid
 
-DEFAULTS = {
-    "target_column": "vol_index",
-    "volume_columns": None,  # None = infer columns whose name starts with "volume"
-    "models": list(MODELS),
-    "windows": [63, 126, 252],
-    "horizon": 63,
-    "sequence_length": 5,
-    "seed": 0,
-    "out": "out",
-    "top_k": None,
-    "partitions": {},
-    "grids": {},
-    "model_options": {},
-    "threads": 1,
-}
-_TOP_KEYS = {"data", *DEFAULTS}
-
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The run config's schema: its fields are the accepted top-level keys,
+    with their defaults."""
+
     data: dict
-    target_column: str
-    volume_columns: list | None
-    models: list
-    windows: list
-    horizon: int
-    sequence_length: int
-    seed: int
-    out: str
-    top_k: int | None
-    partitions: dict
-    grids: dict
-    model_options: dict
-    threads: int
+    target_column: str = "vol_index"
+    volume_columns: list | None = None  # None = infer columns whose name starts with "volume"
+    models: list = field(default_factory=lambda: list(MODELS))
+    windows: list = field(default_factory=lambda: [63, 126, 252])
+    horizon: int = 63
+    sequence_length: int = 5
+    seed: int = 0
+    out: str = "out"
+    top_k: int | None = None
+    partitions: dict = field(default_factory=dict)
+    grids: dict = field(default_factory=dict)
+    model_options: dict = field(default_factory=dict)
+    threads: int = 1
 
     def partition_spec(self, name: str) -> PartitionSpec | None:
         rng = self.partitions.get(name)
@@ -78,7 +64,7 @@ def _is_date(v) -> bool:
 
 
 def parse_config(raw: dict) -> RunConfig:
-    unknown = set(raw) - _TOP_KEYS
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     if "data" not in raw:
@@ -88,17 +74,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise UsageError("'data' must be exactly one of {'csv': [...]} or {'synthetic': {...}}")
     if "csv" in data and not (_is_strings(data["csv"]) and data["csv"]):
         raise UsageError(f"data.csv must be a non-empty list of paths, got {data['csv']!r}")
-    if "synthetic" in data:
-        if not isinstance(data["synthetic"], dict):
-            raise UsageError(f"data.synthetic must be an object, got {data['synthetic']!r}")
-        extra = set(data["synthetic"]) - {"seed", "n_days", "n_series"}
-        if extra:
-            raise UsageError(f"unknown synthetic keys: {sorted(extra)}")
-        for key, value in data["synthetic"].items():
-            if not _is_int(value):
-                raise UsageError(f"synthetic.{key} must be int, got {value!r}")
-    merged = {**DEFAULTS, **{k: v for k, v in raw.items() if k != "data"}}
-    cfg = RunConfig(data=data, **merged)
+    cfg = RunConfig(**raw)
     if not isinstance(cfg.target_column, str):
         raise UsageError(f"target_column must be a string, got {cfg.target_column!r}")
     if not (cfg.volume_columns is None or _is_strings(cfg.volume_columns)):
@@ -138,7 +114,24 @@ def parse_config(raw: dict) -> RunConfig:
         raise UsageError("horizon, sequence_length and threads must be >= 1")
     if any(w < 12 for w in cfg.windows):
         raise UsageError("windows must be >= 12 sequenced observations")
+    if "synthetic" in data:
+        cfg = replace(cfg, data={"synthetic": _synthetic_spec(data["synthetic"], cfg.seed)})
     return cfg
+
+
+def _synthetic_spec(spec, seed: int) -> dict:
+    """data.synthetic with its defaults filled in: the run seed, 600 days, 3 series."""
+    if not isinstance(spec, dict):
+        raise UsageError(f"data.synthetic must be an object, got {spec!r}")
+    full = {"seed": seed, "n_days": 600, "n_series": 3}
+    extra = set(spec) - set(full)
+    if extra:
+        raise UsageError(f"unknown synthetic keys: {sorted(extra)}")
+    full.update(spec)
+    for key, value in full.items():
+        if not (_is_int(value) and value >= 0):
+            raise UsageError(f"synthetic.{key} must be int >= 0, got {value!r}")
+    return full
 
 
 def load_config(path, **overrides) -> RunConfig:

@@ -209,6 +209,8 @@ def generate_synthetic(seed: int, n_days: int, n_series: int = 3) -> TimeSeriesF
     """
     if n_days < 2:
         raise VollabError(f"n_days must be >= 2, got {n_days}")
+    if seed < 0:
+        raise VollabError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     dates = business_days(dt.date(2018, 1, 2), n_days)
 

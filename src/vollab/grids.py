@@ -211,8 +211,3 @@ def slice_fitter(kind: str, train, seed: int, options: dict | None):
         return (lambda block: predict((block - scaler.mean) / scaler.std)), val_mae
 
     return fit
-
-
-def fit_model(kind: str, train, state: ParamState, seed: int, options: dict | None):
-    """Fit one state on a training slice; see slice_fitter."""
-    return slice_fitter(kind, train, seed, options)(state)

@@ -36,12 +36,17 @@ def collect_records(records_dir) -> dict[tuple[str, int], list[ForecastRecord]]:
     )
     if not files:
         raise ReportError(f"no record files (records_*.csv) in {records_dir}")
-    out = {}
+    out, source = {}, {}
     for f in files:
         recs = read_records_csv(os.path.join(records_dir, f))
         if not recs:
             raise ReportError(f"{f}: empty record file")
-        out[(recs[0].model, recs[0].window)] = recs
+        key = (recs[0].model, recs[0].window)
+        if key in source:
+            raise ReportError(f"{source[key]} and {f} both hold the {key[0]} records "
+                              f"of window {key[1]}")
+        source[key] = f
+        out[key] = recs
     return out
 
 

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, VollabError
+from .errors import DataError, ReportError, VollabError
 from .features import FeatureMatrix, SequencedDataset, log_diff, sequence
-from .grids import ParamState, derive_seed, enumerate_grid, fit_model, slice_fitter
+from .frames import read_text
+from .grids import ParamState, derive_seed, enumerate_grid, slice_fitter
 
 MIN_VALIDATION_SEED = 10  # sequenced observations in the initial training slice
 
@@ -40,6 +41,22 @@ def check_history(n: int, window: int, horizon: int, s: int) -> None:
         )
 
 
+# The record file's columns in file order, each with the parser of its
+# cells; the header, csv_row and read_records_csv all follow this table.
+# Floats are written with repr, which round-trips them exactly.
+RECORD_COLUMNS = (
+    ("date", dt.date.fromisoformat),
+    ("actual_logdiff", float),
+    ("pred_logdiff", float),
+    ("actual_level", float),
+    ("pred_level", float),
+    ("model", str),
+    ("window", int),
+    ("params", str),
+    ("val_mae", float),
+)
+
+
 @dataclass(frozen=True)
 class ForecastRecord:
     date: dt.date
@@ -52,20 +69,11 @@ class ForecastRecord:
     params: str
     val_mae: float
 
-    CSV_HEADER = "date,actual_logdiff,pred_logdiff,actual_level,pred_level,model,window,params,val_mae"
+    CSV_HEADER = ",".join(name for name, _ in RECORD_COLUMNS)
 
     def csv_row(self) -> str:
-        return ",".join([
-            self.date.isoformat(),
-            repr(self.actual_logdiff),
-            repr(self.pred_logdiff),
-            repr(self.actual_level),
-            repr(self.pred_level),
-            self.model,
-            str(self.window),
-            self.params,
-            repr(self.val_mae),
-        ])
+        return ",".join((repr if parse is float else str)(getattr(self, name))
+                        for name, parse in RECORD_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -119,9 +127,9 @@ def run_batch(task: BatchTask) -> ForecastRecord:
                                    task.model_options)
             best = int(np.nanargmin(maes))  # ties go to the first state
             best_mae = maes[best]
-        predict, internal_mae = fit_model(task.kind, task.batch, task.grid[best],
-                                          derive_seed(task.seed, "refit"),
-                                          task.model_options)
+        fit = slice_fitter(task.kind, task.batch, derive_seed(task.seed, "refit"),
+                           task.model_options)
+        predict, internal_mae = fit(task.grid[best])
         pred = predict(task.predict_block)
     except Exception as exc:
         exc.add_note(f"[task kind={task.kind} window={task.window} date={task.test_date}]")
@@ -254,23 +262,18 @@ def write_records_csv(records: list[ForecastRecord], path) -> None:
 
 
 def read_records_csv(path) -> list[ForecastRecord]:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != ForecastRecord.CSV_HEADER:
-        raise VollabError(f"{path}: not a forecast record file")
+        raise ReportError(f"{path}: not a forecast record file")
     out = []
-    for line in lines[1:]:
-        (date, actual_ld, pred_ld, actual_lv, pred_lv, model, window, params,
-         val_mae) = line.split(",")
-        out.append(ForecastRecord(
-            date=dt.date.fromisoformat(date),
-            pred_logdiff=float(pred_ld),
-            actual_logdiff=float(actual_ld),
-            pred_level=float(pred_lv),
-            actual_level=float(actual_lv),
-            model=model,
-            window=int(window),
-            params=params,
-            val_mae=float(val_mae),
-        ))
+    for number, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(RECORD_COLUMNS):
+            raise ReportError(f"{path}:{number}: expected {len(RECORD_COLUMNS)} cells, "
+                              f"got {len(cells)}")
+        try:
+            out.append(ForecastRecord(**{name: parse(cell)
+                                         for (name, parse), cell in zip(RECORD_COLUMNS, cells)}))
+        except ValueError as exc:
+            raise ReportError(f"{path}:{number}: {exc}") from None
     return out

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from vollab.cli import main
-from vollab.config import DEFAULTS, load_config, parse_config
+from vollab.config import load_config, manifest, parse_config
 from vollab.errors import UsageError
 from vollab.frames import TimeSeriesFrame, generate_synthetic, load_csv
-from vollab.grids import enumerate_grid
+from vollab.grids import MODELS, enumerate_grid
 from vollab.walkforward import build_tasks, read_records_csv
 
 CHAIN = """\
@@ -34,9 +34,37 @@ def write_config(path, **overrides):
 class TestConfig:
     def test_defaults_applied(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.json"))
-        assert cfg.models == DEFAULTS["models"]
+        assert cfg.models == list(MODELS)
         assert cfg.windows == [63, 126, 252]
         assert cfg.seed == 0 and cfg.threads == 1
+
+    def test_manifest_echoes_every_default(self):
+        doc = json.loads(manifest(parse_config({"data": {"synthetic": {"n_days": 160}}}), {}))
+        assert doc["config"] == {
+            "data": {"synthetic": {"seed": 0, "n_days": 160, "n_series": 3}},
+            "target_column": "vol_index",
+            "volume_columns": None,
+            "models": ["naive", "svr", "gbdt", "attn_gru"],
+            "windows": [63, 126, 252],
+            "horizon": 63,
+            "sequence_length": 5,
+            "seed": 0,
+            "out": "out",
+            "top_k": None,
+            "partitions": {},
+            "grids": {},
+            "model_options": {},
+            "threads": 1,
+        }
+
+    @pytest.mark.parametrize("raw, seed", [
+        ({"data": {"synthetic": {}}}, 0),
+        ({"data": {"synthetic": {}}, "seed": 7}, 7),
+        ({"data": {"synthetic": {"seed": 2}}, "seed": 7}, 2),
+    ])
+    def test_synthetic_seed_defaults_to_the_run_seed(self, raw, seed):
+        assert parse_config(raw).data == {"synthetic": {"seed": seed, "n_days": 600,
+                                                        "n_series": 3}}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(UsageError, match="unknown config keys"):
@@ -81,6 +109,10 @@ class TestConfig:
         ({"top_k": 0}, "top_k must be"),
         ({"top_k": "10"}, "top_k must be"),
         ({"data": {"synthetic": {"seed": 1.5}}}, "synthetic.seed must be int"),
+        ({"data": {"synthetic": {"seed": -1}}}, "synthetic.seed must be int >= 0, got -1"),
+        ({"seed": -3}, "synthetic.seed must be int >= 0, got -3"),
+        ({"data": {"synthetic": {"n_days": -5}}}, "synthetic.n_days must be int >= 0"),
+        ({"data": {"synthetic": {"n_series": -1}}}, "synthetic.n_series must be int >= 0"),
         ({"partitions": []}, "only 'span' and 'selection'"),
         ({"partitions": {"selection": ["2018-01-01", "2018-13-01"]}}, "two ISO dates"),
         ({"volume_columns": "volume_a"}, "volume_columns must be null or a list of strings"),
@@ -133,6 +165,12 @@ class TestGenerate:
         main(["generate", "--seed", "7", "--days", "50", "--series", "2", "--out", str(a)])
         main(["generate", "--seed", "7", "--days", "50", "--series", "2", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_seed_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert main(["generate", "--seed", "-1", "--out", str(out)]) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFeaturesAndSelect:
@@ -275,6 +313,8 @@ class TestRun:
         {"models": ["naive", "naive"]},
         {"windows": [63, 63]},
         {"partitions": {"span": ["2018-06-29", "2018-01-01"]}},
+        {"data": {"synthetic": {"seed": -1, "n_days": 160, "n_series": 2}}},
+        {"data": {"synthetic": {"n_days": 160, "n_series": 2}}, "seed": -1},
     ])
     def test_config_errors_exit_before_any_record(self, tmp_path, capsys, overrides):
         cfg = self.run_config(tmp_path, **overrides)
@@ -402,6 +442,22 @@ class TestReportAndPlot:
     def test_report_missing_dir_fails(self, tmp_path, capsys):
         assert main(["report", "--records", str(tmp_path / "nope")]) == 1
         assert "cannot read records directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["report", "plot"])
+    def test_bad_record_row_names_its_line(self, tmp_path, capsys, command):
+        out = self._records_dir(tmp_path)
+        with open(out / "records_naive_63.csv", "a") as fh:
+            fh.write("2020-01-02,0.1,0.2\n")
+        assert main([command, "--records", str(out), "--out", str(tmp_path / "rep")]) == 1
+        assert "records_naive_63.csv:12: expected 9 cells, got 3" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("command", ["report", "plot"])
+    def test_unreadable_record_file_is_data_error(self, tmp_path, capsys, command):
+        out = self._records_dir(tmp_path)
+        (out / "records_x.csv").mkdir()
+        assert main([command, "--records", str(out), "--out", str(tmp_path / "rep")]) == 2
+        assert "records_x.csv: cannot read" in capsys.readouterr().err
 
     def test_plot_writes_figures(self, tmp_path, capsys):
         out = self._records_dir(tmp_path)

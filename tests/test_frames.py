@@ -10,6 +10,7 @@ from vollab.errors import (
     EmptyInputError,
     IntegrityError,
     ParseError,
+    VollabError,
 )
 from vollab.frames import (
     PartitionSpec,
@@ -170,6 +171,10 @@ class TestGenerateSynthetic:
         a = generate_synthetic(seed=7, n_days=50)
         b = generate_synthetic(seed=8, n_days=50)
         assert not np.array_equal(a.column("vol_index"), b.column("vol_index"))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(VollabError, match="seed must be >= 0, got -1"):
+            generate_synthetic(seed=-1, n_days=50)
 
     def test_columns_positive(self):
         f = generate_synthetic(seed=3, n_days=300)

@@ -10,8 +10,8 @@ from vollab.grids import (
     ParamState,
     check_model_options,
     enumerate_grid,
-    fit_model,
     resolve_grid,
+    slice_fitter,
 )
 from vollab.walkforward import build_tasks
 
@@ -109,13 +109,13 @@ class TestFitModel:
                 "net": {"conv_channels": 8, "heads": 2, "head_size": 4, "fcl1_units": 8,
                         "gru1_units": 8, "gru2_units": 4, "epochs": 1}}
         for kind in MODELS:
-            predict, val_mae = fit_model(kind, batch.slice(0, 30), enumerate_grid(kind)[0],
-                                         seed=1, options=opts)
+            fit = slice_fitter(kind, batch.slice(0, 30), seed=1, options=opts)
+            predict, val_mae = fit(enumerate_grid(kind)[0])
             assert np.isfinite(predict(batch.blocks[30]))
             assert math.isnan(val_mae) == (kind != "attn_gru")
 
     def test_naive_predicts_zero_logdiff(self):
         data = planted_signal_data(n=120)
         batch = build_tasks(data, "naive", window=63, horizon=1)[0].batch
-        predict, _ = fit_model("naive", batch, enumerate_grid("naive")[0], 0, None)
+        predict, _ = slice_fitter("naive", batch, 0, None)(enumerate_grid("naive")[0])
         assert predict(batch.blocks[0]) == 0.0

@@ -47,6 +47,13 @@ class TestCollectRecords:
         with pytest.raises(ReportError, match="no record files"):
             collect_records(str(tmp_path))
 
+    def test_second_file_of_a_group_is_an_error(self, tmp_path, rng):
+        _write_groups(tmp_path, rng, [("svr", 63)])
+        recs = _group(rng, "svr", 63)
+        write_records_csv(recs, str(tmp_path / "records_svr_63_old.csv"))
+        with pytest.raises(ReportError, match="records_svr_63.csv and records_svr_63_old.csv"):
+            collect_records(str(tmp_path))
+
     def test_empty_record_file(self, tmp_path):
         path = tmp_path / "records_naive_63.csv"
         path.write_text(ForecastRecord.CSV_HEADER + "\n")

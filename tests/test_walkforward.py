@@ -1,3 +1,4 @@
+import datetime as dt
 import math
 import os
 
@@ -5,10 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import planted_signal_data
-from vollab.errors import VollabError
+from vollab.errors import ReadError, ReportError, VollabError
 from vollab.features import SEQ_LEN, log_diff
 from vollab import grids, walkforward
-from vollab.grids import enumerate_grid, fit_model
+from vollab.grids import enumerate_grid, slice_fitter
 from vollab.walkforward import (
     MIN_VALIDATION_SEED,
     BatchTask,
@@ -78,13 +79,13 @@ class TestBuildTasks:
 
 
 def state_major_validation(batch, kind, grid, seed, options=None):
-    """The validation sweep as one fit_model call per state and step."""
+    """The validation sweep as one slice_fitter call per state and step."""
     maes = []
     for state in grid:
         errors = []
         for v in range(MIN_VALIDATION_SEED, len(batch)):
-            predict, _ = fit_model(kind, batch.slice(0, v), state,
-                                   derive_seed(seed, "val", v), options)
+            fit = slice_fitter(kind, batch.slice(0, v), derive_seed(seed, "val", v), options)
+            predict, _ = fit(state)
             errors.append(abs(predict(batch.blocks[v]) - batch.targets[v]))
         maes.append(float(np.mean(errors)))
     return maes
@@ -265,14 +266,14 @@ class TestWorkerPool:
     def test_error_names_the_first_failing_date(self, monkeypatch, two_cpus, threads):
         data = planted_signal_data(n=120)
         failing = set(data.dates[-4:][1::2])  # the second and fourth test dates
-        original = walkforward.fit_model
+        original = walkforward.slice_fitter
 
         def broken(kind, batch, *args):
             if data.dates[data.dates.index(batch.target_dates[-1]) + 1] in failing:
                 raise TwoArgError(3, "bad date")
             return original(kind, batch, *args)
 
-        monkeypatch.setattr(walkforward, "fit_model", broken)
+        monkeypatch.setattr(walkforward, "slice_fitter", broken)
         with pytest.raises(TwoArgError) as info:
             run_experiment(data, "naive", 63, horizon=4, threads=threads)
         assert info.value.__notes__ == [
@@ -332,6 +333,20 @@ class TestRecordsCsv:
         back = read_records_csv(p)
         assert back == recs  # bit-exact floats via repr round-trip
 
+    def test_file_layout(self, tmp_path):
+        """The column order and cell text of a record file; csv_row, the
+        header and the reader all take them from one table."""
+        rec = ForecastRecord(date=dt.date(2020, 1, 2), pred_logdiff=0.25, actual_logdiff=-0.5,
+                             pred_level=31.0, actual_level=30.5, model="svr", window=63,
+                             params="kernel=rbf;gamma=scale;epsilon=0.1", val_mae=0.1)
+        p = tmp_path / "records_svr_63.csv"
+        write_records_csv([rec], p)
+        assert p.read_text() == (
+            "date,actual_logdiff,pred_logdiff,actual_level,pred_level,model,window,params,"
+            "val_mae\n2020-01-02,-0.5,0.25,30.5,31.0,svr,63,kernel=rbf;gamma=scale;epsilon=0.1,"
+            "0.1\n")
+        assert read_records_csv(p) == [rec]
+
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         data = planted_signal_data(n=120)
         recs = run_experiment(data, "naive", 63, horizon=3)
@@ -350,5 +365,31 @@ class TestRecordsCsv:
     def test_rejects_foreign_file(self, tmp_path):
         p = tmp_path / "records_x.csv"
         p.write_text("nope\n")
-        with pytest.raises(VollabError):
+        with pytest.raises(ReportError, match="not a forecast record file"):
+            read_records_csv(p)
+
+    @pytest.mark.parametrize("row, message", [
+        ("2020-01-02,0.1,0.2", "expected 9 cells, got 3"),
+        ("", "expected 9 cells, got 1"),
+        ("2020-01-02,0.1,0.2,30.0,31.0,naive,63,default,nan,extra", "got 10"),
+        ("2020-13-02,0.1,0.2,30.0,31.0,naive,63,default,nan", "month must be in"),
+        ("2020-1-2,0.1,0.2,30.0,31.0,naive,63,default,nan", "2020-1-2"),
+        ("2020-01-02,0.1,abc,30.0,31.0,naive,63,default,nan", "abc"),
+        ("2020-01-02,0.1,0.2,30.0,31.0,naive,abc,default,nan", "abc"),
+        ("2020-01-02,0.1,0.2,30.0,31.0,naive,63.0,default,nan", "63.0"),
+    ], ids=["three_cells", "blank", "ten_cells", "month_13", "short_date", "float_abc",
+            "window_abc", "window_float"])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, message):
+        data = planted_signal_data(n=120)
+        p = tmp_path / "records_x.csv"
+        write_records_csv(run_experiment(data, "naive", 63, horizon=2), p)
+        with open(p, "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(ReportError, match=f"records_x.csv:4: .*{message}"):
+            read_records_csv(p)
+
+    def test_directory_is_read_error(self, tmp_path):
+        p = tmp_path / "records_x.csv"
+        p.mkdir()
+        with pytest.raises(ReadError, match="records_x.csv: cannot read"):
             read_records_csv(p)
