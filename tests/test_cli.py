@@ -109,10 +109,6 @@ class TestConfig:
         ({"top_k": 0}, "top_k must be"),
         ({"top_k": "10"}, "top_k must be"),
         ({"data": {"synthetic": {"seed": 1.5}}}, "synthetic.seed must be int"),
-        ({"data": {"synthetic": {"seed": -1}}}, "synthetic.seed must be int >= 0, got -1"),
-        ({"seed": -3}, "synthetic.seed must be int >= 0, got -3"),
-        ({"data": {"synthetic": {"n_days": -5}}}, "synthetic.n_days must be int >= 0"),
-        ({"data": {"synthetic": {"n_series": -1}}}, "synthetic.n_series must be int >= 0"),
         ({"partitions": []}, "only 'span' and 'selection'"),
         ({"partitions": {"selection": ["2018-01-01", "2018-13-01"]}}, "two ISO dates"),
         ({"volume_columns": "volume_a"}, "volume_columns must be null or a list of strings"),
@@ -124,6 +120,10 @@ class TestConfig:
         ({"models": "svr"}, "models must be a non-empty list of strings"),
         ({"models": []}, "models must be a non-empty list"),
         ({"target_column": 5}, "target_column must be a string"),
+        ({"data": {"synthetic": {"seed": -1}}}, "synthetic.seed must be int >= 0, got -1"),
+        ({"seed": -3}, "synthetic.seed must be int >= 0, got -3"),
+        ({"data": {"synthetic": {"n_days": -5}}}, "synthetic.n_days must be int >= 0"),
+        ({"data": {"synthetic": {"n_series": -1}}}, "synthetic.n_series must be int >= 0"),
     ])
     def test_value_types_checked(self, overrides, message):
         with pytest.raises(UsageError, match=message):
