@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Subcommands: generate, features, select, run, report, plot, vix.
-Exit codes: 0 success, 1 usage, 2 data error, 3 numeric error.
+Exit codes: 0 success, 1 usage (an unwritable output path included),
+2 data error, 3 numeric error.
 """
 
 from __future__ import annotations
@@ -116,35 +117,30 @@ def cmd_run(args) -> int:
         if stale in ("INCOMPLETE", "manifest.json", "report.txt", "report.csv") or (
                 stale.startswith("records_") and stale.endswith(".csv")):
             os.remove(os.path.join(cfg.out, stale))
-    written = []
-    try:
+    marker = os.path.join(cfg.out, "INCOMPLETE")
+    with open(marker, "w") as fh:  # removed only once the manifest is written
+        fh.write("run not finished\n")
+    for window in cfg.windows:
+        check_history(len(data.dates), window, cfg.horizon, cfg.sequence_length)
+    fitted = [kind for kind in cfg.models if MODELS[kind].fit is not None]
+    if fitted and data.features.zero_variance:
+        raise DataError(f"constant feature(s) cannot be scaled for {', '.join(fitted)}: "
+                        f"{', '.join(data.features.zero_variance)}")
+    for kind in cfg.models:
+        grid = resolve_grid(kind, cfg.grids[kind]) if kind in cfg.grids else None
         for window in cfg.windows:
-            check_history(len(data.dates), window, cfg.horizon, cfg.sequence_length)
-        fitted = [kind for kind in cfg.models if MODELS[kind].fit is not None]
-        if fitted and data.features.zero_variance:
-            raise DataError(f"constant feature(s) cannot be scaled for {', '.join(fitted)}: "
-                            f"{', '.join(data.features.zero_variance)}")
-        for kind in cfg.models:
-            grid = resolve_grid(kind, cfg.grids[kind]) if kind in cfg.grids else None
-            for window in cfg.windows:
-                records = run_experiment(
-                    data,
-                    kind,
-                    window,
-                    horizon=cfg.horizon,
-                    s=cfg.sequence_length,
-                    root_seed=cfg.seed,
-                    grid=grid,
-                    model_options=cfg.model_options or None,
-                    threads=cfg.threads,
-                )
-                path = os.path.join(cfg.out, f"records_{kind}_{window}.csv")
-                write_records_csv(records, path)
-                written.append(path)
-    except Exception:
-        with open(os.path.join(cfg.out, "INCOMPLETE"), "w") as fh:
-            fh.write("run aborted; partial outputs:\n" + "\n".join(written) + "\n")
-        raise
+            records = run_experiment(
+                data,
+                kind,
+                window,
+                horizon=cfg.horizon,
+                s=cfg.sequence_length,
+                root_seed=cfg.seed,
+                grid=grid,
+                model_options=cfg.model_options or None,
+                threads=cfg.threads,
+            )
+            write_records_csv(records, os.path.join(cfg.out, f"records_{kind}_{window}.csv"))
     write_report(cfg.out, cfg.out)
     test_dates = data.dates[-cfg.horizon:]
     seeds = {
@@ -155,7 +151,8 @@ def cmd_run(args) -> int:
     grid_sizes = {k: len(enumerate_grid(k)) for k, m in MODELS.items() if m.axes}
     with open(os.path.join(cfg.out, "manifest.json"), "w") as fh:
         fh.write(manifest(cfg, {"derived_seeds": seeds, "grid_sizes": grid_sizes}))
-    print(f"wrote {len(written)} record files and report to {cfg.out}")
+    os.remove(marker)
+    print(f"wrote {len(cfg.models) * len(cfg.windows)} record files and report to {cfg.out}")
     return 0
 
 
@@ -244,6 +241,9 @@ def main(argv=None) -> int:
         return 3
     except VollabError as exc:
         print(f"error: {_message(exc)}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error (usage): {_message(exc)}", file=sys.stderr)
         return 1
 
 

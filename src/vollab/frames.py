@@ -211,6 +211,8 @@ def generate_synthetic(seed: int, n_days: int, n_series: int = 3) -> TimeSeriesF
         raise VollabError(f"n_days must be >= 2, got {n_days}")
     if seed < 0:
         raise VollabError(f"seed must be >= 0, got {seed}")
+    if n_series < 0:
+        raise VollabError(f"n_series must be >= 0, got {n_series}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     dates = business_days(dt.date(2018, 1, 2), n_days)
 

@@ -30,7 +30,6 @@ def derive_seed(root_seed: int, *parts) -> int:
 class ParamState:
     """One point in a model's hyperparameter grid."""
 
-    kind: str
     values: tuple[tuple[str, object], ...]  # ordered (name, value) pairs
 
     def to_text(self) -> str:
@@ -51,33 +50,33 @@ class ParamState:
             given[k] = match
         if len(given) != len(axes):
             raise VollabError(f"a {kind} state must set each of {list(axes)}: {text!r}")
-        return cls(kind, tuple((k, given[k]) for k in axes))
+        return cls(tuple((k, given[k]) for k in axes))
 
 
-# A fit takes the scaled, noised training slice, the state, the fit's seed
-# and its kind's model_options section, and returns (predict(scaled block)
-# -> float, internal validation MAE or nan).  The solvers are looked up as
-# module globals when a fit runs, so a tracer that rebinds them sees the calls.
+# A fit takes the scaled, noised training slice, the state, the fit's seed,
+# its kind's model_options section and the scaled block to forecast, and
+# returns (forecast, internal validation MAE or nan).  The solvers are
+# looked up as module globals when a fit runs, so a tracer that rebinds
+# them sees the calls.
 
 
-def _fit_svr(train, state, seed, options):
+def _fit_svr(train, state, seed, options, block):
     model = fit_svr(train.flat(), train.targets, SvrParams(**dict(state.values)))
-    return (lambda block: float(predict_svr(model, block.ravel()))), float("nan")
+    return float(predict_svr(model, block.ravel())), float("nan")
 
 
-def _fit_gbdt(train, state, seed, options):
+def _fit_gbdt(train, state, seed, options, block):
     values = dict(state.values)
     values["min_data"] = min(values["min_data"], max(1, len(train) // 3))
     params = GbdtParams(**values, **options, seed=derive_seed(seed, "gbdt"))
     model = fit_gbdt(train.flat(), train.targets, params)
-    return (lambda block: float(predict_gbdt(model, block.ravel()))), float("nan")
+    return float(predict_gbdt(model, block.ravel())), float("nan")
 
 
-def _fit_net(train, state, seed, options):
+def _fit_net(train, state, seed, options, block):
     config = NetConfig(**{**options, "seed": derive_seed(seed, "net") % (2**31)})
     result = net_train(config, (train.blocks, train.targets))
-    return (lambda block: float(net_predict(result.params, block[None, :, :], config)[0]),
-            result.best_val_mae)
+    return float(net_predict(result.params, block[None, :, :], config)[0]), result.best_val_mae
 
 
 @dataclass(frozen=True)
@@ -132,10 +131,10 @@ def model_kind(kind: str) -> ModelKind:
 
 def enumerate_grid(kind: str) -> list[ParamState]:
     """Every ParamState of a kind, in deterministic cartesian order."""
-    states = [ParamState(kind, ())]
+    states = [ParamState(())]
     for name, vals in model_kind(kind).axes.items():
         states = [
-            ParamState(kind, s.values + ((name, v),)) for s in states for v in vals
+            ParamState(s.values + ((name, v),)) for s in states for v in vals
         ]
     return states
 
@@ -191,23 +190,20 @@ def check_model_options(options: dict) -> None:
             raise UsageError(f"model_options.{section}: {exc}") from None
 
 
-def slice_fitter(kind: str, train, seed: int, options: dict | None):
-    """Scale a training slice, then noise it, once; returns fit(state).
+def forecast(kind: str, train, seed: int, options: dict | None, states,
+             block) -> list[tuple[float, float]]:
+    """Fit a training slice under each state and forecast one block.
 
-    fit(state) runs the kind's fit on that shared noised slice, which fits
-    must not modify, and returns (predict(block) -> float, internal
-    validation MAE or nan).
+    The slice is scaled, then noised, and the block scaled, once; every
+    state's fit shares them and must not modify them.  Returns one
+    (forecast, internal validation MAE or nan) per state, in state order.
     """
     m = model_kind(kind)
     if m.fit is None:
-        return lambda state: ((lambda block: 0.0), float("nan"))
+        return [(0.0, float("nan"))] * len(states)
     scaler = fit_scaler(train)
     noised = add_uniform_noise(apply_scaler(scaler, train),
                                seed=derive_seed(seed, "noise", len(train)))
+    scaled = (block - scaler.mean) / scaler.std
     section = (options or {}).get(m.section, {})
-
-    def fit(state):
-        predict, val_mae = m.fit(noised, state, seed, section)
-        return (lambda block: predict((block - scaler.mean) / scaler.std)), val_mae
-
-    return fit
+    return [m.fit(noised, state, seed, section, scaled) for state in states]

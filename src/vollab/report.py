@@ -42,6 +42,10 @@ def collect_records(records_dir) -> dict[tuple[str, int], list[ForecastRecord]]:
         if not recs:
             raise ReportError(f"{f}: empty record file")
         key = (recs[0].model, recs[0].window)
+        for line, r in enumerate(recs, start=2):  # line 1 is the header
+            if (r.model, r.window) != key:
+                raise ReportError(f"{f}:{line}: a {r.model} row of window {r.window} in the "
+                                  f"{key[0]} records of window {key[1]}")
         if key in source:
             raise ReportError(f"{source[key]} and {f} both hold the {key[0]} records "
                               f"of window {key[1]}")

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DataError, ReportError, VollabError
 from .features import FeatureMatrix, SequencedDataset, log_diff, sequence
 from .frames import read_text
-from .grids import ParamState, derive_seed, enumerate_grid, slice_fitter
+from .grids import ParamState, derive_seed, enumerate_grid, forecast
 
 MIN_VALIDATION_SEED = 10  # sequenced observations in the initial training slice
 
@@ -96,9 +96,8 @@ def validate_params(batch: SequencedDataset, kind: str, grid, seed: int,
     """Expanding-window validation MAE of every grid state inside a batch.
 
     Starts from the first MIN_VALIDATION_SEED sequenced observations, then
-    repeatedly fits, predicts the next observation, and grows the window by
-    one until the batch is exhausted.  Each step's slice is scaled and
-    noised once and shared by every state.
+    repeatedly fits every state, forecasts the next observation, and grows
+    the window by one until the batch is exhausted.
     """
     n = len(batch)
     if n <= MIN_VALIDATION_SEED:
@@ -108,10 +107,10 @@ def validate_params(batch: SequencedDataset, kind: str, grid, seed: int,
         )
     errors = [[] for _ in grid]
     for v in range(MIN_VALIDATION_SEED, n):
-        fit = slice_fitter(kind, batch.slice(0, v), derive_seed(seed, "val", v), options)
-        for state, state_errors in zip(grid, errors):
-            predict, _ = fit(state)
-            state_errors.append(abs(predict(batch.blocks[v]) - batch.targets[v]))
+        results = forecast(kind, batch.slice(0, v), derive_seed(seed, "val", v), options,
+                           grid, batch.blocks[v])
+        for (pred, _), state_errors in zip(results, errors):
+            state_errors.append(abs(pred - batch.targets[v]))
     return [float(np.mean(e)) for e in errors]
 
 
@@ -127,10 +126,9 @@ def run_batch(task: BatchTask) -> ForecastRecord:
                                    task.model_options)
             best = int(np.nanargmin(maes))  # ties go to the first state
             best_mae = maes[best]
-        fit = slice_fitter(task.kind, task.batch, derive_seed(task.seed, "refit"),
-                           task.model_options)
-        predict, internal_mae = fit(task.grid[best])
-        pred = predict(task.predict_block)
+        [(pred, internal_mae)] = forecast(
+            task.kind, task.batch, derive_seed(task.seed, "refit"), task.model_options,
+            [task.grid[best]], task.predict_block)
     except Exception as exc:
         exc.add_note(f"[task kind={task.kind} window={task.window} date={task.test_date}]")
         raise
@@ -166,9 +164,9 @@ def build_tasks(
     data: ExperimentData,
     kind: str,
     window: int,
-    horizon: int = 63,
-    s: int = 5,
-    root_seed: int = 0,
+    horizon: int,
+    s: int,
+    root_seed: int,
     grid=None,
     model_options: dict | None = None,
 ) -> list[BatchTask]:
@@ -206,9 +204,9 @@ def run_experiment(
     data: ExperimentData,
     kind: str,
     window: int,
-    horizon: int = 63,
-    s: int = 5,
-    root_seed: int = 0,
+    horizon: int,
+    s: int,
+    root_seed: int,
     grid=None,
     model_options: dict | None = None,
     threads: int = 1,

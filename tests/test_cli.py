@@ -172,6 +172,18 @@ class TestGenerate:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_series_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert main(["generate", "--series", "-2", "--out", str(out)]) == 1
+        assert "n_series must be >= 0, got -2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_out_directory_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["generate", "--days", "50", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (usage): ") and str(out) in err
+
 
 class TestFeaturesAndSelect:
     def test_features_writes_matrix(self, tmp_path, capsys):
@@ -217,6 +229,14 @@ class TestFeaturesAndSelect:
         assert main([command, "--config", cfg]) == 2
         assert "error (data): no series to engineer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_features_out_under_a_file_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", out=str(tmp_path / "out"))
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "f.csv"
+        assert main(["features", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (usage): ") and str(tmp_path / "file") in err
 
     def test_select_missing_target_is_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", out=str(tmp_path / "out"),
@@ -275,7 +295,7 @@ class TestRun:
         )
         assert main(["run", "--config", cfg]) == 2
         marker = tmp_path / "out" / "INCOMPLETE"
-        assert marker.exists() and "run aborted" in marker.read_text()
+        assert marker.read_text() == "run not finished\n"
         assert "error (data):" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides", [
@@ -334,7 +354,45 @@ class TestRun:
         assert "window=390" in capsys.readouterr().err
         out = tmp_path / "out"
         assert sorted(os.listdir(out)) == ["INCOMPLETE"]
-        assert (out / "INCOMPLETE").read_text() == "run aborted; partial outputs:\n\n"
+        assert (out / "INCOMPLETE").read_text() == "run not finished\n"
+
+    def test_interrupt_leaves_incomplete_marker(self, tmp_path, monkeypatch):
+        from vollab import cli
+
+        original, calls = cli.run_experiment, []
+
+        def interrupted(*args, **kwargs):
+            calls.append(args[1:3])
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", self.run_config(tmp_path, windows=[63, 70])])
+        out = tmp_path / "out"
+        assert calls == [("naive", 63), ("naive", 70)]
+        assert sorted(os.listdir(out)) == ["INCOMPLETE", "records_naive_63.csv"]
+        assert len(read_records_csv(str(out / "records_naive_63.csv"))) == 5
+
+    def test_failed_report_leaves_incomplete_marker(self, tmp_path, capsys, monkeypatch):
+        from vollab import cli
+
+        def broken(records_dir, out_dir):
+            raise OSError(28, "No space left on device", str(tmp_path / "out" / "report.txt"))
+
+        monkeypatch.setattr(cli, "write_report", broken)
+        assert main(["run", "--config", self.run_config(tmp_path)]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert sorted(os.listdir(out)) == ["INCOMPLETE", "records_naive_63.csv"]
+
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "out").write_text("not a directory")
+        assert main(["run", "--config", self.run_config(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (usage): ") and str(tmp_path / "out") in err
+        assert (tmp_path / "out").read_text() == "not a directory"
 
     def test_rerun_clears_stale_incomplete_marker(self, tmp_path):
         bad = self.run_config(tmp_path, windows=[390])
@@ -399,7 +457,7 @@ class TestRun:
         path = self.run_config(tmp_path, seed=4)
         assert main(["run", "--config", path]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        tasks = build_tasks(_prepare(load_config(path)), "naive", 63, horizon=5,
+        tasks = build_tasks(_prepare(load_config(path)), "naive", 63, horizon=5, s=5,
                             root_seed=4)
         assert manifest["derived_seeds"] == {
             "naive_63": {t.test_date.isoformat(): t.seed for t in tasks}
@@ -450,6 +508,24 @@ class TestReportAndPlot:
             fh.write("2020-01-02,0.1,0.2\n")
         assert main([command, "--records", str(out), "--out", str(tmp_path / "rep")]) == 1
         assert "records_naive_63.csv:12: expected 9 cells, got 3" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_report_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        out = self._records_dir(tmp_path)
+        (tmp_path / "rep").write_text("")
+        assert main(["report", "--records", str(out), "--out", str(tmp_path / "rep")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (usage): ") and str(tmp_path / "rep") in err
+
+    @pytest.mark.parametrize("command", ["report", "plot"])
+    def test_rows_of_another_model_name_their_line(self, tmp_path, capsys, command):
+        out = self._records_dir(tmp_path)
+        lines = (out / "records_naive_63.csv").read_text().splitlines()
+        foreign = [line.replace(",naive,", ",svr,") for line in lines[-2:]]
+        (out / "records_naive_63.csv").write_text("\n".join(lines[:-2] + foreign) + "\n")
+        assert main([command, "--records", str(out), "--out", str(tmp_path / "rep")]) == 1
+        assert ("records_naive_63.csv:10: a svr row of window 63 in the naive records "
+                "of window 63") in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("command", ["report", "plot"])

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import planted_signal_data
+from vollab import grids
 from vollab.errors import UsageError, VollabError
 from vollab.grids import (
     MODELS,
     ParamState,
     check_model_options,
     enumerate_grid,
+    forecast,
     resolve_grid,
-    slice_fitter,
 )
+from vollab.svr import SvrParams
 from vollab.walkforward import build_tasks
 
 
@@ -104,18 +106,49 @@ class TestConfigChecks:
 class TestFitModel:
     def test_every_kind_fits_and_predicts(self):
         data = planted_signal_data(n=120)
-        batch = build_tasks(data, "naive", window=63, horizon=1)[0].batch
+        batch = build_tasks(data, "naive", window=63, horizon=1, s=5, root_seed=0)[0].batch
         opts = {"gbdt": {"rounds": 3},
                 "net": {"conv_channels": 8, "heads": 2, "head_size": 4, "fcl1_units": 8,
                         "gru1_units": 8, "gru2_units": 4, "epochs": 1}}
         for kind in MODELS:
-            fit = slice_fitter(kind, batch.slice(0, 30), seed=1, options=opts)
-            predict, val_mae = fit(enumerate_grid(kind)[0])
-            assert np.isfinite(predict(batch.blocks[30]))
+            [(pred, val_mae)] = forecast(kind, batch.slice(0, 30), 1, opts,
+                                         enumerate_grid(kind)[:1], batch.blocks[30])
+            assert np.isfinite(pred)
             assert math.isnan(val_mae) == (kind != "attn_gru")
 
-    def test_naive_predicts_zero_logdiff(self):
+    def test_naive_predicts_zero_logdiff(self, monkeypatch):
         data = planted_signal_data(n=120)
-        batch = build_tasks(data, "naive", window=63, horizon=1)[0].batch
-        predict, _ = slice_fitter("naive", batch, 0, None)(enumerate_grid("naive")[0])
-        assert predict(batch.blocks[0]) == 0.0
+        batch = build_tasks(data, "naive", window=63, horizon=1, s=5, root_seed=0)[0].batch
+
+        def unscaled(*args, **kwargs):
+            raise AssertionError("the random walk scales nothing")
+
+        for name in ("fit_scaler", "apply_scaler", "add_uniform_noise"):
+            monkeypatch.setattr(grids, name, unscaled)
+        results = forecast("naive", batch, 0, None, enumerate_grid("naive") * 3,
+                           batch.blocks[0])
+        assert len(results) == 3
+        for pred, val_mae in results:
+            assert pred == 0.0 and math.isnan(val_mae)
+
+    @pytest.mark.parametrize("n_states", [1, 3, 9])
+    def test_one_scaling_per_slice_and_one_fit_per_state(self, monkeypatch, n_states):
+        data = planted_signal_data(n=120)
+        batch = build_tasks(data, "svr", window=63, horizon=1, s=5, root_seed=0)[0].batch
+        states = enumerate_grid("svr")[::5][:n_states]
+        calls = []
+
+        def counted(name):
+            original = getattr(grids, name)
+
+            def call(*args, **kwargs):
+                calls.append(args[2] if name == "fit_svr" else name)  # fit_svr(X, y, params)
+                return original(*args, **kwargs)
+            return call
+
+        for name in ("fit_scaler", "apply_scaler", "add_uniform_noise", "fit_svr"):
+            monkeypatch.setattr(grids, name, counted(name))
+        results = forecast("svr", batch, 4, None, states, batch.blocks[-1])
+        assert calls == ["fit_scaler", "apply_scaler", "add_uniform_noise",
+                         *(SvrParams(**dict(s.values)) for s in states)]
+        assert len(results) == n_states

@@ -285,9 +285,8 @@ def test_pipeline_slices_match_two_array_loop(monkeypatch):
     monkeypatch.setattr(grids, "fit_svr", both)
     sizes = (*range(10, 126, 8), 126)
     for n in sizes:
-        fit = grids.slice_fitter("svr", ds.slice(0, n), grids.derive_seed(3, "val", n), None)
-        for state in states:
-            fit(state)
+        grids.forecast("svr", ds.slice(0, n), grids.derive_seed(3, "val", n), None, states,
+                       ds.blocks[n])
     assert len(fits) == len(sizes) * len(states)
     for got, want in fits:
         assert_same_fit(got, want)

@@ -9,7 +9,7 @@ from conftest import planted_signal_data
 from vollab.errors import ReadError, ReportError, VollabError
 from vollab.features import SEQ_LEN, log_diff
 from vollab import grids, walkforward
-from vollab.grids import enumerate_grid, slice_fitter
+from vollab.grids import enumerate_grid, forecast
 from vollab.walkforward import (
     MIN_VALIDATION_SEED,
     BatchTask,
@@ -45,7 +45,7 @@ class TestDeriveSeed:
 class TestBuildTasks:
     def test_batch_geometry(self):
         data = planted_signal_data(n=120)
-        tasks = build_tasks(data, "naive", window=63, horizon=5)
+        tasks = build_tasks(data, "naive", window=63, horizon=5, s=5, root_seed=0)
         assert len(tasks) == 5
         diffs = log_diff(data.levels)
         for task in tasks:
@@ -64,29 +64,29 @@ class TestBuildTasks:
 
     def test_consecutive_dates_covered(self):
         data = planted_signal_data(n=120)
-        tasks = build_tasks(data, "naive", window=63, horizon=4)
+        tasks = build_tasks(data, "naive", window=63, horizon=4, s=5, root_seed=0)
         assert [t.test_date for t in tasks] == list(data.dates[-4:])
 
     def test_too_little_history_rejected(self):
         data = planted_signal_data(n=80)
         with pytest.raises(VollabError, match="at least"):
-            build_tasks(data, "naive", window=80, horizon=5)
+            build_tasks(data, "naive", window=80, horizon=5, s=5, root_seed=0)
 
     def test_distinct_task_seeds(self):
         data = planted_signal_data(n=120)
-        tasks = build_tasks(data, "svr", window=63, horizon=5, root_seed=3)
+        tasks = build_tasks(data, "svr", window=63, horizon=5, s=5, root_seed=3)
         assert len({t.seed for t in tasks}) == 5
 
 
 def state_major_validation(batch, kind, grid, seed, options=None):
-    """The validation sweep as one slice_fitter call per state and step."""
+    """The validation sweep as one forecast call per state and step."""
     maes = []
     for state in grid:
         errors = []
         for v in range(MIN_VALIDATION_SEED, len(batch)):
-            fit = slice_fitter(kind, batch.slice(0, v), derive_seed(seed, "val", v), options)
-            predict, _ = fit(state)
-            errors.append(abs(predict(batch.blocks[v]) - batch.targets[v]))
+            [(pred, _)] = forecast(kind, batch.slice(0, v), derive_seed(seed, "val", v),
+                                   options, [state], batch.blocks[v])
+            errors.append(abs(pred - batch.targets[v]))
         maes.append(float(np.mean(errors)))
     return maes
 
@@ -94,7 +94,7 @@ def state_major_validation(batch, kind, grid, seed, options=None):
 class TestValidateParams:
     def test_expanding_schedule_error_count(self):
         data = planted_signal_data(n=120)
-        tasks = build_tasks(data, "svr", window=63, horizon=1)
+        tasks = build_tasks(data, "svr", window=63, horizon=1, s=5, root_seed=0)
         batch = tasks[0].batch
         grid = enumerate_grid("svr")[:1]
         # one error per step from MIN_VALIDATION_SEED to len(batch)-1
@@ -104,14 +104,14 @@ class TestValidateParams:
 
     def test_naive_validation_is_mean_abs_target(self):
         data = planted_signal_data(n=120)
-        batch = build_tasks(data, "naive", window=63, horizon=1)[0].batch
+        batch = build_tasks(data, "naive", window=63, horizon=1, s=5, root_seed=0)[0].batch
         [mae] = validate_params(batch, "naive", enumerate_grid("naive"), seed=1)
         want = np.abs(batch.targets[MIN_VALIDATION_SEED:]).mean()
         assert mae == pytest.approx(want, rel=1e-12)
 
     def test_tiny_batch_rejected(self):
         data = planted_signal_data(n=120)
-        batch = build_tasks(data, "naive", window=63, horizon=1)[0].batch
+        batch = build_tasks(data, "naive", window=63, horizon=1, s=5, root_seed=0)[0].batch
         with pytest.raises(VollabError):
             validate_params(batch.slice(0, MIN_VALIDATION_SEED), "naive",
                             enumerate_grid("naive"), seed=1)
@@ -123,14 +123,14 @@ class TestValidateParams:
     ])
     def test_equals_state_major_sweep(self, kind, states, options):
         data = planted_signal_data(n=120)
-        batch = build_tasks(data, kind, window=63, horizon=1)[0].batch
+        batch = build_tasks(data, kind, window=63, horizon=1, s=5, root_seed=0)[0].batch
         grid = [enumerate_grid(kind)[i] for i in states]
         want = state_major_validation(batch, kind, grid, 7, options)
         assert validate_params(batch, kind, grid, 7, options) == want
 
     def test_each_slice_scaled_and_noised_once(self, monkeypatch):
         data = planted_signal_data(n=120)
-        batch = build_tasks(data, "svr", window=63, horizon=1)[0].batch
+        batch = build_tasks(data, "svr", window=63, horizon=1, s=5, root_seed=0)[0].batch
         calls = []
         original = grids.add_uniform_noise
         monkeypatch.setattr(grids, "add_uniform_noise",
@@ -142,7 +142,7 @@ class TestValidateParams:
 class TestRunBatch:
     def test_naive_record(self):
         data = planted_signal_data(n=120)
-        task = build_tasks(data, "naive", window=63, horizon=1)[0]
+        task = build_tasks(data, "naive", window=63, horizon=1, s=5, root_seed=0)[0]
         rec = run_batch(task)
         assert rec.pred_logdiff == 0.0
         assert rec.pred_level == task.prev_level  # random walk carries the level
@@ -154,7 +154,7 @@ class TestRunBatch:
         opts = {"net": {"conv_channels": 8, "heads": 2, "head_size": 4,
                         "fcl1_units": 8, "gru1_units": 8, "gru2_units": 4,
                         "epochs": 2, "patience": 2}}
-        task = build_tasks(data, "attn_gru", window=63, horizon=1,
+        task = build_tasks(data, "attn_gru", window=63, horizon=1, s=5, root_seed=0,
                            model_options=opts)[0]
         rec = run_batch(task)
         assert math.isfinite(rec.val_mae)  # best epoch validation MAE
@@ -163,7 +163,7 @@ class TestRunBatch:
         data = planted_signal_data(n=120)
         g = enumerate_grid("svr")
         grid = [g[0], g[9]]
-        task = build_tasks(data, "svr", window=63, horizon=1, grid=grid)[0]
+        task = build_tasks(data, "svr", window=63, horizon=1, s=5, root_seed=0, grid=grid)[0]
         rec = run_batch(task)
         maes = validate_params(task.batch, "svr", grid, task.seed)
         assert rec.params == grid[int(np.argmin(maes))].to_text()
@@ -173,14 +173,15 @@ class TestRunBatch:
         data = planted_signal_data(n=120)
         state = enumerate_grid("svr")[2]
         # identical state twice: identical MAEs, the first must win
-        task = build_tasks(data, "svr", window=63, horizon=1, grid=[state, state])[0]
+        task = build_tasks(data, "svr", window=63, horizon=1, s=5, root_seed=0,
+                           grid=[state, state])[0]
         rec = run_batch(task)
         assert rec.params == state.to_text()
 
     def test_error_context_names_the_task(self):
         data = planted_signal_data(n=120)
         opts = {"net": {"conv_channels": 5}}  # violates heads*head_size == channels
-        task = build_tasks(data, "attn_gru", window=63, horizon=1,
+        task = build_tasks(data, "attn_gru", window=63, horizon=1, s=5, root_seed=0,
                            model_options=opts)[0]
         with pytest.raises(VollabError, match="kind=attn_gru"):
             run_batch(task)
@@ -195,7 +196,7 @@ class TestRunBatch:
 
         monkeypatch.setattr(grids, "fit_svr", broken)
         data = planted_signal_data(n=120)
-        task = build_tasks(data, "svr", window=63, horizon=1,
+        task = build_tasks(data, "svr", window=63, horizon=1, s=5, root_seed=0,
                            grid=enumerate_grid("svr")[:1])[0]
         with pytest.raises(TwoArgError) as info:
             run_batch(task)
@@ -204,7 +205,7 @@ class TestRunBatch:
 
     def test_empty_grid_rejected(self):
         data = planted_signal_data(n=120)
-        task = build_tasks(data, "naive", window=63, horizon=1)[0]
+        task = build_tasks(data, "naive", window=63, horizon=1, s=5, root_seed=0)[0]
         bad = BatchTask(**{**task.__dict__, "grid": ()})
         with pytest.raises(VollabError):
             run_batch(bad)
@@ -214,13 +215,13 @@ class TestRunExperiment:
     def test_serial_equals_concurrent(self):
         data = planted_signal_data(n=120)
         g = enumerate_grid("svr")[:2]
-        a = run_experiment(data, "svr", 63, horizon=3, root_seed=5, grid=g, threads=1)
-        b = run_experiment(data, "svr", 63, horizon=3, root_seed=5, grid=g, threads=4)
+        a = run_experiment(data, "svr", 63, horizon=3, s=5, root_seed=5, grid=g, threads=1)
+        b = run_experiment(data, "svr", 63, horizon=3, s=5, root_seed=5, grid=g, threads=4)
         assert a == b
 
     def test_pred_level_consistent_with_logdiff(self):
         data = planted_signal_data(n=120)
-        recs = run_experiment(data, "svr", 63, horizon=2, root_seed=5,
+        recs = run_experiment(data, "svr", 63, horizon=2, s=5, root_seed=5,
                               grid=enumerate_grid("svr")[:1])
         for r in recs:
             prev = data.levels[data.dates.index(r.date) - 1]
@@ -229,8 +230,8 @@ class TestRunExperiment:
     def test_root_seed_changes_predictions(self):
         data = planted_signal_data(n=120)
         g = enumerate_grid("svr")[:1]
-        a = run_experiment(data, "svr", 63, horizon=2, root_seed=1, grid=g)
-        b = run_experiment(data, "svr", 63, horizon=2, root_seed=2, grid=g)
+        a = run_experiment(data, "svr", 63, horizon=2, s=5, root_seed=1, grid=g)
+        b = run_experiment(data, "svr", 63, horizon=2, s=5, root_seed=2, grid=g)
         assert [r.pred_logdiff for r in a] != [r.pred_logdiff for r in b]
 
 
@@ -257,8 +258,8 @@ class TestWorkerPool:
         monkeypatch.setattr(grids, "fit_svr", broken)
         data = planted_signal_data(n=120)
         with pytest.raises(LocalError) as info:
-            run_experiment(data, "svr", 63, horizon=3, grid=enumerate_grid("svr")[:1],
-                           threads=2)
+            run_experiment(data, "svr", 63, horizon=3, s=5, root_seed=0,
+                           grid=enumerate_grid("svr")[:1], threads=2)
         assert str(info.value) == "7: solver broke"
         assert any("kind=svr" in note for note in info.value.__notes__)
 
@@ -266,30 +267,30 @@ class TestWorkerPool:
     def test_error_names_the_first_failing_date(self, monkeypatch, two_cpus, threads):
         data = planted_signal_data(n=120)
         failing = set(data.dates[-4:][1::2])  # the second and fourth test dates
-        original = walkforward.slice_fitter
+        original = walkforward.forecast
 
         def broken(kind, batch, *args):
             if data.dates[data.dates.index(batch.target_dates[-1]) + 1] in failing:
                 raise TwoArgError(3, "bad date")
             return original(kind, batch, *args)
 
-        monkeypatch.setattr(walkforward, "slice_fitter", broken)
+        monkeypatch.setattr(walkforward, "forecast", broken)
         with pytest.raises(TwoArgError) as info:
-            run_experiment(data, "naive", 63, horizon=4, threads=threads)
+            run_experiment(data, "naive", 63, horizon=4, s=5, root_seed=0, threads=threads)
         assert info.value.__notes__ == [
             f"[task kind=naive window=63 date={data.dates[-3]}]"]
 
     def test_rebound_run_batch_runs_in_the_workers(self, monkeypatch, two_cpus):
         data = planted_signal_data(n=120)
         g = enumerate_grid("svr")[:2]
-        serial = run_experiment(data, "svr", 63, horizon=3, root_seed=5, grid=g)
+        serial = run_experiment(data, "svr", 63, horizon=3, s=5, root_seed=5, grid=g)
         original = walkforward.run_batch
 
         def traced(task):  # a local closure, as a tracer installs
             return original(task)
 
         monkeypatch.setattr(walkforward, "run_batch", traced)
-        assert run_experiment(data, "svr", 63, horizon=3, root_seed=5, grid=g,
+        assert run_experiment(data, "svr", 63, horizon=3, s=5, root_seed=5, grid=g,
                               threads=2) == serial
 
     @pytest.mark.parametrize("cpus, threads, horizon, workers", [
@@ -307,12 +308,13 @@ class TestWorkerPool:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         data = planted_signal_data(n=120)
         if workers is None:  # the serial loop
-            assert len(run_experiment(data, "naive", 63, horizon=horizon,
+            assert len(run_experiment(data, "naive", 63, horizon=horizon, s=5, root_seed=0,
                                       threads=threads)) == horizon
             assert started == []
         else:
             with pytest.raises(TwoArgError):
-                run_experiment(data, "naive", 63, horizon=horizon, threads=threads)
+                run_experiment(data, "naive", 63, horizon=horizon, s=5, root_seed=0,
+                               threads=threads)
             assert started == [workers]
 
     def test_serial_where_fork_is_unavailable(self, monkeypatch, two_cpus):
@@ -320,13 +322,14 @@ class TestWorkerPool:
                             lambda: ["spawn"])
         monkeypatch.setattr(walkforward, "ProcessPoolExecutor", None)  # must not be called
         data = planted_signal_data(n=120)
-        assert len(run_experiment(data, "naive", 63, horizon=3, threads=2)) == 3
+        assert len(run_experiment(data, "naive", 63, horizon=3, s=5, root_seed=0,
+                                  threads=2)) == 3
 
 
 class TestRecordsCsv:
     def test_round_trip_is_exact(self, tmp_path):
         data = planted_signal_data(n=120)
-        recs = run_experiment(data, "svr", 63, horizon=3, root_seed=5,
+        recs = run_experiment(data, "svr", 63, horizon=3, s=5, root_seed=5,
                               grid=enumerate_grid("svr")[:2])
         p = tmp_path / "records_svr_63.csv"
         write_records_csv(recs, p)
@@ -349,7 +352,7 @@ class TestRecordsCsv:
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         data = planted_signal_data(n=120)
-        recs = run_experiment(data, "naive", 63, horizon=3)
+        recs = run_experiment(data, "naive", 63, horizon=3, s=5, root_seed=0)
         original = ForecastRecord.csv_row
 
         def second_row_fails(record):
@@ -382,7 +385,7 @@ class TestRecordsCsv:
     def test_bad_row_names_file_and_line(self, tmp_path, row, message):
         data = planted_signal_data(n=120)
         p = tmp_path / "records_x.csv"
-        write_records_csv(run_experiment(data, "naive", 63, horizon=2), p)
+        write_records_csv(run_experiment(data, "naive", 63, horizon=2, s=5, root_seed=0), p)
         with open(p, "a") as fh:
             fh.write(row + "\n")
         with pytest.raises(ReportError, match=f"records_x.csv:4: .*{message}"):
