@@ -9,6 +9,7 @@ row/column subsampling follow the ensemble parameters.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +35,14 @@ class GbdtParams:
             raise VollabError("learning_rate must be in (0, 1]")
         if not (0 < self.feature_fraction <= 1 and 0 < self.bagging_fraction <= 1):
             raise VollabError("fractions must be in (0, 1]")
-        if self.leaves < 2:
-            raise VollabError("leaves must be >= 2")
-        if self.rounds < 1:
-            raise VollabError("rounds must be >= 1")
+        for name, low in (("leaves", 2), ("min_data", 1), ("max_depth", -1), ("rounds", 1)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+                raise VollabError(f"{name} must be an integer >= {low}, got {v!r}")
+        # `not x >= 0` also rejects nan, which would switch the gain floor off
+        g = self.min_gain
+        if isinstance(g, bool) or not (isinstance(g, numbers.Real) and g >= 0):
+            raise VollabError(f"min_gain must be >= 0, got {g!r}")
 
 
 @dataclass
@@ -82,11 +87,20 @@ def fit_gbdt(X, y, params: GbdtParams) -> GbdtModel:
         grad = np.sign(resid)
         tree_seed = int(rng.integers(0, 2**63 - 1))
         tree = fit_regression_tree(X[sub], grad, limits, params.feature_fraction, tree_seed)
-        # MAE-exact leaf values: median of the in-bag residuals per leaf
+        # MAE-exact leaf values: the median of each leaf's in-bag residuals,
+        # read off one sort of the residuals by (leaf, residual)
         leaf = tree.apply(X)
         in_bag = leaf[sub]
-        for j in np.unique(in_bag):
-            tree.value[j] = np.median(resid[in_bag == j])
+        ranked = resid[np.lexsort((resid, in_bag))]
+        counts = np.bincount(in_bag)
+        j = counts.nonzero()[0]
+        c = counts[j]
+        half, odd = np.divmod(c, 2)
+        upper = c.cumsum() - half - odd  # each leaf's start + half
+        # np.median averages the middle pair, or the middle element alone, by
+        # summing from +0.0: hence the + 0.0, which turns a -0.0 sum into +0.0
+        pair = ranked[upper - 1 + odd] + np.where(odd, 0.0, ranked[upper]) + 0.0
+        tree.value[j] = pair / (2 - odd)
         model.trees.append(tree)
         F += params.learning_rate * tree.value[leaf]
     return model

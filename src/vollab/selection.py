@@ -59,6 +59,8 @@ def rf_importance(
     y = np.asarray(y, dtype=float)
     if n_splits < 2:
         raise VollabError("n_splits must be >= 2")
+    if n_trees < 1:  # no tree would leave every fold's score uniform
+        raise VollabError(f"n_trees must be >= 1, got {n_trees}")
     n, m = X.values.shape
     if y.shape != (n,):
         raise VollabError("X and y must be aligned")

@@ -11,7 +11,7 @@ larger gain wins, then the lower leaf id.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,12 +42,20 @@ class RegressionTree:
     n_samples: np.ndarray
     gain: np.ndarray
     n_features: int
-    expansion_order: list[tuple[int, int, float, float]] = field(default_factory=list)
-    # (node id, feature, threshold, gain) in the order leaves were expanded
 
     @property
     def n_leaves(self) -> int:
         return int((self.feature < 0).sum())
+
+    @property
+    def expansion_order(self) -> list[tuple[int, int, float, float]]:
+        """(node id, feature, threshold, gain) of each split in the order the
+        leaves were expanded: a split's children take the next two node ids,
+        so that is the order of the left child ids."""
+        split = np.flatnonzero(self.feature >= 0)
+        split = split[np.argsort(self.left[split])]
+        return list(zip(split.tolist(), self.feature[split].tolist(),
+                        self.threshold[split].tolist(), self.gain[split].tolist()))
 
     def leaf_values(self) -> np.ndarray:
         return self.value[self.feature < 0]
@@ -102,7 +110,8 @@ def predict_tree(tree: RegressionTree, X) -> np.ndarray:
 
 
 def _sse(y: np.ndarray) -> float:
-    return float(((y - y.mean()) ** 2).sum())
+    d = y - y.sum() / len(y)  # the bits of y.mean(), without its Python wrapper
+    return float((d * d).sum())
 
 
 def best_split(X, y, features, min_samples_leaf: int):
@@ -127,26 +136,28 @@ def best_split(X, y, features, min_samples_leaf: int):
     # order eps * parent, so ties are judged at a tolerance on that scale
     tie_tol = 1e-10 * max(1.0, parent)
     fs = sorted(features)
+    k = len(fs)
     cols = X.T[fs]  # one row per feature, scanned in this order
-    order = np.argsort(cols, axis=1, kind="stable")
-    xs = cols[np.arange(len(fs))[:, None], order]
+    order = cols.argsort(axis=1, kind="stable")
+    xs = cols[np.arange(k)[:, None], order]
     ys = y[order]
-    csum = np.cumsum(ys, axis=1)
-    csq = np.cumsum(ys * ys, axis=1)
+    # running sums of y (the first k rows), then of y * y (the last k)
+    run = np.concatenate((ys, ys * ys)).cumsum(axis=1)
     # split after position i (left = first i+1 rows) for i in [lo, hi)
     lo, hi = min_samples_leaf - 1, n - min_samples_leaf
     nl = np.arange(lo + 1, hi + 1)
     nr = n - nl
-    sl, ql = csum[:, lo:hi], csq[:, lo:hi]
-    sr, qr = csum[:, -1:] - sl, csq[:, -1:] - ql
+    left = run[:, lo:hi]
+    right = run[:, -1:] - left
+    sl, ql, sr, qr = left[:k], left[k:], right[:k], right[k:]
     gains = parent - ((ql - sl * sl / nl) + (qr - sr * sr / nr))
     # flat positions, feature-major, where the sorted value changes
-    cand = np.flatnonzero(xs[:, lo:hi] != xs[:, lo + 1:hi + 1])
+    cand = (xs[:, lo:hi] != xs[:, lo + 1:hi + 1]).ravel().nonzero()[0]
     if cand.size == 0:
         return None
     g = gains.ravel()[cand]
     b = 0
-    for p in (np.flatnonzero(g[1:] > np.maximum.accumulate(g)[:-1]) + 1).tolist():
+    for p in ((g[1:] > np.maximum.accumulate(g)[:-1]).nonzero()[0] + 1).tolist():
         if g[p] > g[b] + tie_tol:
             b = p
     r, i = divmod(int(cand[b]), hi - lo)
@@ -167,12 +178,12 @@ def fit_regression_tree(
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
         raise VollabError("fit_regression_tree needs matching, non-empty X and y")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise VollabError("targets must be finite")
     limits = limits or TreeLimits()
     m = X.shape[1]
     if feature_subset < 1.0:
-        rng = np.random.default_rng(np.random.PCG64(seed))
+        rng = np.random.Generator(np.random.PCG64(seed))
         k = max(1, int(np.ceil(feature_subset * m)))
         perm = rng.permutation(m)
         features = sorted(perm[:k].tolist())
@@ -184,10 +195,9 @@ def fit_regression_tree(
     feature, left, right = np.full((3, size), -1)
     threshold, value, gain = np.zeros((3, size))
     n_samples, depth = np.zeros((2, size), dtype=int)
-    value[0], n_samples[0] = y.mean(), n
+    value[0], n_samples[0] = y.sum() / n, n
     rows = {0: np.arange(n)}
     count = 1  # nodes so far; a tree with c nodes has (c + 1) // 2 leaves
-    expansion_order = []
 
     def candidate(j):
         if limits.max_depth >= 0 and depth[j] >= limits.max_depth:
@@ -211,12 +221,11 @@ def fit_regression_tree(
         children = (count, count + 1)
         left[j], right[j] = children
         for cid, child_rows in zip(children, (idx[mask], idx[~mask])):
-            value[cid] = y[child_rows].mean()
+            value[cid] = y[child_rows].sum() / len(child_rows)
             n_samples[cid] = len(child_rows)
             depth[cid] = depth[j] + 1
             rows[cid] = child_rows
         count += 2
-        expansion_order.append((j, f, thr, g))
         if (count + 1) // 2 >= limits.max_leaves:
             break
         for cid in children:
@@ -224,4 +233,4 @@ def fit_regression_tree(
             if c is not None:
                 frontier[cid] = c
     arrays = (feature, threshold, left, right, value, n_samples, gain)
-    return RegressionTree(*(a[:count].copy() for a in arrays), m, expansion_order)
+    return RegressionTree(*(a[:count].copy() for a in arrays), m)

@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 
+from vollab.gbdt import GbdtModel
 from vollab.svr import MAX_PASSES, SvrModel, SvrParams, kernel_matrix, resolve_gamma
+from vollab.tree import TreeLimits, fit_regression_tree
 
 
 # ---------------------------------------------------------------- features
@@ -317,6 +319,38 @@ def exhaustive_leafwise_order(X, y, max_leaves, min_samples_leaf, min_gain):
         leaves[next_id + 1] = rows[~mask]
         next_id += 2
     return order
+
+
+# -------------------------------------------------------------------- gbdt
+
+def median_loop_fit_gbdt(X, y, params):
+    """fit_gbdt with each leaf's value taken by its own np.median call over
+    the leaf's in-bag residuals, one leaf at a time."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    rng = np.random.default_rng(np.random.PCG64(params.seed))
+    model = GbdtModel(params, float(np.median(y)))
+    F = np.full(n, model.base_score)
+    limits = TreeLimits(max_leaves=params.leaves, max_depth=params.max_depth,
+                        min_samples_leaf=params.min_data, min_gain=params.min_gain)
+    for _ in range(params.rounds):
+        if params.bagging_fraction < 1.0:
+            k = min(n, max(2 * params.min_data, int(params.bagging_fraction * n)))
+            sub = np.sort(rng.permutation(n)[:k])
+        else:
+            sub = np.arange(n)
+        resid = y[sub] - F[sub]
+        tree_seed = int(rng.integers(0, 2**63 - 1))
+        tree = fit_regression_tree(X[sub], np.sign(resid), limits,
+                                   params.feature_fraction, tree_seed)
+        leaf = tree.apply(X)
+        in_bag = leaf[sub]
+        for j in np.unique(in_bag):
+            tree.value[j] = np.median(resid[in_bag == j])
+        model.trees.append(tree)
+        F += params.learning_rate * tree.value[leaf]
+    return model
 
 
 # ---------------------------------------------------------------- metrics

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import median_loop_fit_gbdt
 from vollab.errors import VollabError
 from vollab.gbdt import GbdtModel, GbdtParams, fit_gbdt, predict_gbdt
 from vollab.tree import predict_tree
@@ -79,6 +80,87 @@ class TestFitGbdt:
         for rounds in (0, -5):
             with pytest.raises(VollabError, match="rounds"):
                 GbdtParams(rounds=rounds)
+
+    @pytest.mark.parametrize("bad", [
+        {"min_data": 0}, {"min_data": -3}, {"min_data": True}, {"rounds": 2.5},
+        {"leaves": 2.5}, {"max_depth": -7}, {"min_gain": float("nan")}, {"min_gain": -0.5},
+    ], ids=lambda bad: "{}={!r}".format(*next(iter(bad.items()))))
+    def test_params_rejected_before_fitting(self, bad):
+        # each of these used to fail mid-fit, or be read as another value
+        with pytest.raises(VollabError, match=next(iter(bad))):
+            GbdtParams(**bad)
+
+
+def same_trees(got, want, X):
+    """Equal base score, node arrays to the bit, trees and predictions."""
+    assert repr(got.base_score) == repr(want.base_score)
+    assert len(got.trees) == len(want.trees)
+    for a, b in zip(got.trees, want.trees):
+        assert a.to_json() == b.to_json()
+        for name in ("feature", "threshold", "left", "right", "value", "n_samples", "gain"):
+            x, w = getattr(a, name), getattr(b, name)
+            assert x.dtype == w.dtype and x.tobytes() == w.tobytes(), name
+        assert np.signbit(a.value).tolist() == np.signbit(b.value).tolist()
+    assert repr(predict_gbdt(got, X).tolist()) == repr(predict_gbdt(want, X).tolist())
+
+
+def leaf_counts(model):
+    """In-bag rows of every leaf of every tree."""
+    return np.concatenate([t.n_samples[t.feature < 0] for t in model.trees])
+
+
+class TestLeafValues:
+    """fit_gbdt's leaf values equal a per-leaf np.median loop to the bit."""
+
+    def test_random_and_tied_residuals(self, rng):
+        parities = set()
+        for trial in range(24):
+            n, m = int(rng.integers(8, 90)), int(rng.integers(1, 6))
+            X = rng.normal(size=(n, m))
+            y = rng.normal(size=n)
+            if trial % 2:  # rounded, duplicated targets: residuals tie
+                y = np.round(y, 1)[rng.integers(0, n, size=n)]
+            p = GbdtParams(leaves=int(rng.integers(2, 12)),
+                           min_data=int(rng.integers(1, max(2, n // 4))),
+                           max_depth=int(rng.integers(-1, 4)), min_gain=0.0,
+                           feature_fraction=float(rng.choice([0.5, 1.0])),
+                           bagging_fraction=float(rng.choice([0.7, 1.0])),
+                           learning_rate=0.3, rounds=int(rng.integers(1, 8)), seed=trial)
+            model = fit_gbdt(X, y, p)
+            same_trees(model, median_loop_fit_gbdt(X, y, p), X)
+            parities.update((leaf_counts(model) % 2).tolist())
+        assert parities == {0, 1}
+
+    def test_single_row_leaves(self, rng):
+        X = rng.normal(size=(30, 2))
+        y = np.round(rng.normal(size=30), 1)
+        p = GbdtParams(leaves=30, min_data=1, min_gain=0.0, feature_fraction=1.0,
+                       learning_rate=0.5, rounds=6, seed=3)
+        model = fit_gbdt(X, y, p)
+        assert 1 in leaf_counts(model)
+        same_trees(model, median_loop_fit_gbdt(X, y, p), X)
+
+    def test_signed_zero_targets(self, rng):
+        # the -0.0 rows leave -0.0 residuals, and np.median of -0.0 values is +0.0
+        X = rng.normal(size=(40, 2))
+        y = np.where(X[:, 0] < 0, -0.0, np.where(X[:, 1] < 0, 0.0, 1.0))
+        p = GbdtParams(leaves=6, min_data=1, min_gain=0.0, feature_fraction=1.0,
+                       bagging_fraction=1.0, learning_rate=0.5, rounds=4)
+        model = fit_gbdt(X, y, p)
+        assert set((leaf_counts(model) % 2).tolist()) == {0, 1}
+        same_trees(model, median_loop_fit_gbdt(X, y, p), X)
+
+    def test_odd_leaves_near_the_largest_float(self):
+        # 7 rows at about +1.2e308 and 7 at about -1.2e308: each leaf's
+        # middle residual would overflow if added to itself
+        y = np.concatenate([np.linspace(1.1, 1.3, 7), -np.linspace(1.1, 1.4, 7)]) * 1e308
+        X = np.sign(y)[:, None]
+        p = GbdtParams(leaves=2, min_data=1, min_gain=0.0, feature_fraction=1.0,
+                       bagging_fraction=1.0, learning_rate=0.1, rounds=3)
+        model = fit_gbdt(X, y, p)
+        assert leaf_counts(model).tolist() == [7] * 6
+        assert np.isfinite(model.trees[0].value).all()
+        same_trees(model, median_loop_fit_gbdt(X, y, p), X)
 
 
 class TestNonExtrapolation:

@@ -50,6 +50,13 @@ class TestRfImportance:
         with pytest.raises(VollabError):
             rf_importance(X, rng.normal(size=20), n_splits=5)
 
+    def test_no_trees_rejected(self, rng):
+        # with no tree every feature scores alike, and selection falls back to names
+        X = matrix(rng)
+        for n_trees in (0, -2):
+            with pytest.raises(VollabError, match="n_trees must be >= 1"):
+                rf_importance(X, rng.normal(size=len(X)), n_trees=n_trees)
+
     def test_misaligned_target_rejected(self, rng):
         X = matrix(rng)
         with pytest.raises(VollabError):

@@ -168,6 +168,15 @@ class TestFitRegressionTree:
             want = [(f, thr) for (f, thr, _) in exhaustive_leafwise_order(X, y, 8, 2, 0.0)]
             assert got == want
 
+    def test_expansion_order_is_read_from_the_node_arrays(self, rng):
+        X, y = rng.normal(size=(40, 3)), rng.normal(size=40)
+        tree = fit_regression_tree(X, y, TreeLimits(max_leaves=6, min_samples_leaf=2))
+        order = tree.expansion_order
+        assert [type(v) for e in order for v in e] == [int, int, float, float] * len(order)
+        assert [tree.left[j] for j, _, _, _ in order] == list(range(1, 2 * len(order), 2))
+        with pytest.raises(AttributeError):
+            tree.expansion_order = []
+
     def test_leaf_count_limit(self, rng):
         X = rng.normal(size=(60, 3))
         y = rng.normal(size=60)
