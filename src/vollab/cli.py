@@ -15,7 +15,8 @@ from .config import RunConfig, load_config, manifest
 from .creditvix import implied_variance, implied_vol, load_option_chain
 from .errors import DataError, NumericError, UsageError, VollabError
 from .features import engineer, log_diff
-from .frames import TimeSeriesFrame, align, generate_synthetic, load_csv, partition
+from .frames import (SYNTHETIC_DAYS, SYNTHETIC_SERIES, TimeSeriesFrame, align,
+                     generate_synthetic, load_csv, partition)
 from .grids import MODELS, derive_seed, enumerate_grid, resolve_grid
 from .report import write_report
 from .plots import write_plots
@@ -182,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a synthetic daily dataset as CSV")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--days", type=int, default=600)
-    g.add_argument("--series", type=int, default=3)
+    g.add_argument("--days", type=int, default=SYNTHETIC_DAYS)
+    g.add_argument("--series", type=int, default=SYNTHETIC_SERIES)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 

@@ -14,8 +14,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .errors import UsageError
-from .frames import PartitionSpec
+from .errors import UsageError, is_int
+from .features import SEQ_LEN
+from .frames import SYNTHETIC_DAYS, SYNTHETIC_SERIES, PartitionSpec
 from .grids import MODELS, check_model_options, resolve_grid
 
 
@@ -30,7 +31,7 @@ class RunConfig:
     models: list = field(default_factory=lambda: list(MODELS))
     windows: list = field(default_factory=lambda: [63, 126, 252])
     horizon: int = 63
-    sequence_length: int = 5
+    sequence_length: int = SEQ_LEN
     seed: int = 0
     out: str = "out"
     top_k: int | None = None
@@ -45,10 +46,6 @@ class RunConfig:
             return None
         return PartitionSpec(name, dt.date.fromisoformat(rng[0]),
                              dt.date.fromisoformat(rng[1]))
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_strings(v) -> bool:
@@ -85,15 +82,15 @@ def parse_config(raw: dict) -> RunConfig:
     if not (isinstance(cfg.out, str) and cfg.out):
         raise UsageError(f"out must be a non-empty string, got {cfg.out!r}")
     for key in ("horizon", "sequence_length", "seed", "threads"):
-        if not _is_int(getattr(cfg, key)):
+        if not is_int(getattr(cfg, key)):
             raise UsageError(f"{key} must be int, got {getattr(cfg, key)!r}")
-    if not (isinstance(cfg.windows, list) and cfg.windows and all(map(_is_int, cfg.windows))):
+    if not (isinstance(cfg.windows, list) and cfg.windows and all(map(is_int, cfg.windows))):
         raise UsageError(f"windows must be a non-empty list of ints, got {cfg.windows!r}")
     for key in ("models", "windows"):
         entries = getattr(cfg, key)
         if len(set(entries)) != len(entries):
             raise UsageError(f"{key} must not repeat an entry, got {entries!r}")
-    if cfg.top_k is not None and not (_is_int(cfg.top_k) and cfg.top_k >= 1):
+    if cfg.top_k is not None and not (is_int(cfg.top_k) and cfg.top_k >= 1):
         raise UsageError(f"top_k must be null or an int >= 1, got {cfg.top_k!r}")
     if not isinstance(cfg.partitions, dict) or set(cfg.partitions) - {"span", "selection"}:
         raise UsageError("'partitions' may hold only 'span' and 'selection'")
@@ -120,16 +117,16 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def _synthetic_spec(spec, seed: int) -> dict:
-    """data.synthetic with its defaults filled in: the run seed, 600 days, 3 series."""
+    """data.synthetic with the run seed and generate_synthetic's defaults filled in."""
     if not isinstance(spec, dict):
         raise UsageError(f"data.synthetic must be an object, got {spec!r}")
-    full = {"seed": seed, "n_days": 600, "n_series": 3}
+    full = {"seed": seed, "n_days": SYNTHETIC_DAYS, "n_series": SYNTHETIC_SERIES}
     extra = set(spec) - set(full)
     if extra:
         raise UsageError(f"unknown synthetic keys: {sorted(extra)}")
     full.update(spec)
     for key, value in full.items():
-        if not (_is_int(value) and value >= 0):
+        if not (is_int(value) and value >= 0):
             raise UsageError(f"synthetic.{key} must be int >= 0, got {value!r}")
     return full
 

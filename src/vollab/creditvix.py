@@ -38,6 +38,10 @@ class CreditVixInputs:
             raise VollabError("strikes, prices and intervals must have equal lengths")
         if len(k) == 0:
             raise VollabError("empty option chain")
+        bad = [name for name in ("strikes", "prices", "intervals", "k0", "cdsi", "horizon",
+                                 "rpv01") if not np.isfinite(getattr(self, name)).all()]
+        if bad:
+            raise NumericError(f"{', '.join(bad)} must be finite")
         if np.any(k <= 0) or np.any(np.diff(k) <= 0):
             raise DomainError("strikes must be positive and strictly increasing")
         if np.any(p < 0) or np.any(dk <= 0):
@@ -70,25 +74,20 @@ def load_option_chain(path) -> CreditVixInputs:
     then a `K,P,dK` header and one strike per row."""
     meta: dict[str, float] = {}
     rows: list[tuple[float, float, float]] = []
-    lines = [L for L in read_text(path).splitlines() if L.strip()]
-    body_start = 0
-    for i, line in enumerate(lines):
-        if line.startswith("#"):
-            key, _, val = line[1:].partition("=")
-            try:
-                meta[key.strip().lower()] = float(val)
-            except ValueError:
-                raise ParseError(f"{path}:{i + 1}: bad metadata line {line!r}") from None
-            body_start = i + 1
-        else:
-            break
+    lines = [(n, L) for n, L in enumerate(read_text(path).splitlines(), start=1) if L.strip()]
+    while lines and lines[0][1].startswith("#"):
+        lineno, line = lines.pop(0)
+        key, _, val = line[1:].partition("=")
+        try:
+            meta[key.strip().lower()] = float(val)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad metadata line {line!r}") from None
     missing = {"k0", "cdsi", "horizon", "rpv01"} - set(meta)
     if missing:
         raise ParseError(f"{path}: missing metadata keys: {sorted(missing)}")
-    body = lines[body_start:]
-    if not body or [c.strip().lower() for c in body[0].split(",")] != ["k", "p", "dk"]:
+    if not lines or [c.strip().lower() for c in lines[0][1].split(",")] != ["k", "p", "dk"]:
         raise ParseError(f"{path}: expected 'K,P,dK' header after metadata")
-    for lineno, line in enumerate(body[1:], start=body_start + 2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != 3:
             raise ParseError(f"{path}:{lineno}: expected 3 cells")

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its int and real checks.
 
 Exit-code mapping used by the CLI: usage/config problems -> 1,
 data problems -> 2, numeric problems -> 3.
 """
+
+import math
+import numbers
 
 
 class VollabError(Exception):
@@ -55,3 +58,22 @@ class DegenerateTestError(NumericError):
 
 class ReportError(VollabError):
     """Missing or partial record files when building a report."""
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Raise VollabError unless value is an int, not a bool, and >= low."""
+    if not (is_int(value) and value >= low):
+        raise VollabError(f"{name} must be int >= {low}, got {value!r}")
+
+
+def check_real(name: str, value, rule: str, ok) -> None:
+    """Raise VollabError unless value is a real number, not a bool or nan, for
+    which ok(value) holds; rule describes ok in the message."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or math.isnan(value) or not ok(value)):
+        raise VollabError(f"{name} must be float {rule}, got {value!r}")

@@ -119,11 +119,11 @@ def engineer(frame: TimeSeriesFrame, volume_columns=()) -> FeatureMatrix:
         rv = rolling_rv(lnd, RV_WINDOW)
         # alignment: lnd[i] is dated dates[i+1]; rv[j] ends at lnd index j+20,
         # i.e. dates[j+21].  Keep rows from dates[RV_WINDOW:].
-        names += [f"{name}.lvl", f"{name}.lnd", f"{name}.rv21"]
-        cols += [raw[RV_WINDOW:], lnd[RV_WINDOW - 1:], rv]
         for suffix, col in (("lvl", raw[RV_WINDOW:]), ("lnd", lnd[RV_WINDOW - 1:]), ("rv21", rv)):
+            names.append(f"{name}.{suffix}")
+            cols.append(col)
             if np.ptp(col) == 0.0:
-                zero_var.append(f"{name}.{suffix}")
+                zero_var.append(names[-1])
     dates = frame.dates[RV_WINDOW:]
     return FeatureMatrix(dates, tuple(names), np.column_stack(cols), tuple(zero_var))
 

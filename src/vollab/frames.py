@@ -198,7 +198,11 @@ def business_days(start: dt.date, n: int) -> tuple[dt.date, ...]:
     return tuple(out)
 
 
-def generate_synthetic(seed: int, n_days: int, n_series: int = 3) -> TimeSeriesFrame:
+SYNTHETIC_DAYS, SYNTHETIC_SERIES = 600, 3  # generate_synthetic's defaults
+
+
+def generate_synthetic(seed: int, n_days: int = SYNTHETIC_DAYS,
+                       n_series: int = SYNTHETIC_SERIES) -> TimeSeriesFrame:
     """Deterministic synthetic daily data with volatility-like stylized facts.
 
     The ``vol_index`` column is an exponentiated AR(1) in logs with occasional

@@ -9,12 +9,11 @@ row/column subsampling follow the ensemble parameters.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import VollabError
+from .errors import VollabError, check_int, check_real
 from .tree import RegressionTree, TreeLimits, fit_regression_tree, predict_tree
 
 
@@ -31,18 +30,11 @@ class GbdtParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.learning_rate <= 1:
-            raise VollabError("learning_rate must be in (0, 1]")
-        if not (0 < self.feature_fraction <= 1 and 0 < self.bagging_fraction <= 1):
-            raise VollabError("fractions must be in (0, 1]")
+        for name in ("learning_rate", "feature_fraction", "bagging_fraction"):
+            check_real(name, getattr(self, name), "in (0, 1]", lambda v: 0 < v <= 1)
+        check_real("min_gain", self.min_gain, ">= 0", lambda v: v >= 0)
         for name, low in (("leaves", 2), ("min_data", 1), ("max_depth", -1), ("rounds", 1)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
-                raise VollabError(f"{name} must be an integer >= {low}, got {v!r}")
-        # `not x >= 0` also rejects nan, which would switch the gain floor off
-        g = self.min_gain
-        if isinstance(g, bool) or not (isinstance(g, numbers.Real) and g >= 0):
-            raise VollabError(f"min_gain must be >= 0, got {g!r}")
+            check_int(name, getattr(self, name), low)
 
 
 @dataclass

@@ -178,12 +178,6 @@ def check_model_options(options: dict) -> None:
                 f"unknown model_options.{section} keys {sorted(unknown)}; "
                 f"allowed: {sorted(m.keys)}"
             )
-        defaults = m.options_type()
-        for key, value in opts.items():  # every option is an int or a float
-            want = type(getattr(defaults, key))
-            if isinstance(value, bool) or not isinstance(value, (int, want)):
-                raise UsageError(f"model_options.{section}.{key} must be "
-                                 f"{want.__name__}, got {value!r}")
         try:
             m.options_type(**opts)
         except VollabError as exc:

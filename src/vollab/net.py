@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, concat, softmax, stack
-from .errors import NumericError, VollabError
+from .errors import NumericError, VollabError, check_int, check_real
 
 LN_EPS = 1e-5
 
@@ -42,20 +42,16 @@ class NetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("conv_channels", "conv_kernel", "conv_dilation", "heads", "head_size",
+                     "gru1_units", "gru2_units", "fcl1_units", "epochs", "batch_size", "patience"):
+            check_int(name, getattr(self, name), 1)
+        check_real("dropout", self.dropout, "in [0, 1)", lambda v: 0 <= v < 1)
+        for name in ("learning_rate", "clip_norm"):
+            check_real(name, getattr(self, name), "> 0", lambda v: v > 0)
         if self.heads * self.head_size != self.conv_channels:
             raise VollabError("heads * head_size must equal conv_channels")
         if self.fcl1_units != self.conv_channels:
             raise VollabError("fcl1_units must match conv_channels (residual add)")
-        counts = ("epochs", "batch_size", "conv_kernel", "conv_dilation", "heads",
-                  "head_size", "gru1_units", "gru2_units")
-        small = [name for name in counts if getattr(self, name) < 1]
-        if small:
-            raise VollabError(f"{', '.join(small)} must be >= 1")
-        if not 0 <= self.dropout < 1:
-            raise VollabError("dropout must be in [0, 1)")
-        rates = [name for name in ("learning_rate", "clip_norm") if not getattr(self, name) > 0]
-        if rates:
-            raise VollabError(f"{', '.join(rates)} must be > 0")
 
 
 TINY_CONFIG = NetConfig(

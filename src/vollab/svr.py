@@ -14,12 +14,11 @@ its iterates are bit for bit those of the plain formulas.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitError, VollabError
+from .errors import FitError, VollabError, check_real
 
 MAX_PASSES = 10_000
 # poly is (gamma * <a, b> + COEF0) ** DEGREE and sigmoid tanh(gamma * <a, b> + COEF0);
@@ -37,17 +36,10 @@ class SvrParams:
     def __post_init__(self):
         if self.kernel not in ("poly", "rbf", "sigmoid"):
             raise VollabError(f"unknown kernel {self.kernel!r}")
-        # `not x > 0` also rejects nan
-        if not (_real(self.C) and self.C > 0 and _real(self.epsilon) and self.epsilon >= 0):
-            raise VollabError(f"require C > 0 and epsilon >= 0, got C={self.C!r}, "
-                              f"epsilon={self.epsilon!r}")
-        if self.gamma not in ("scale", "auto") and not (_real(self.gamma) and self.gamma > 0):
-            raise VollabError(f"gamma must be 'scale', 'auto' or a positive number, "
-                              f"got {self.gamma!r}")
-
-
-def _real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+        check_real("C", self.C, "> 0", lambda v: v > 0)
+        check_real("epsilon", self.epsilon, ">= 0", lambda v: v >= 0)
+        if self.gamma not in ("scale", "auto"):
+            check_real("gamma", self.gamma, "> 0, 'scale' or 'auto'", lambda v: v > 0)
 
 
 def resolve_gamma(params: SvrParams, X: np.ndarray) -> float:

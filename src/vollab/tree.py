@@ -15,15 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VollabError
+from .errors import VollabError, check_int, check_real
+
+_MAX_ABS_SUM = float(np.sqrt(np.finfo(float).max))
 
 
 @dataclass
 class TreeLimits:
     max_leaves: int = 31
     max_depth: int = -1  # -1 = unbounded
-    min_samples_leaf: int = 1
+    min_samples_leaf: int = 1  # checked by best_split
     min_gain: float = 0.0
+
+    def __post_init__(self):
+        check_int("max_leaves", self.max_leaves, 1)
+        check_int("max_depth", self.max_depth, -1)
+        check_real("min_gain", self.min_gain, ">= 0", lambda v: v >= 0)
 
 
 @dataclass(eq=False)
@@ -178,8 +185,10 @@ def fit_regression_tree(
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
         raise VollabError("fit_regression_tree needs matching, non-empty X and y")
-    if not np.isfinite(y).all():
-        raise VollabError("targets must be finite")
+    # (sum of |y|) ** 2 bounds every running sum best_split forms and each
+    # sl * sl, so while it is finite no split gain is inf or nan
+    if not np.abs(y).sum() <= _MAX_ABS_SUM:  # false for nan and inf too
+        raise VollabError("targets and (sum of |y|) ** 2 must be finite")
     limits = limits or TreeLimits()
     m = X.shape[1]
     if feature_subset < 1.0:

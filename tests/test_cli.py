@@ -553,6 +553,16 @@ class TestVix:
         var = float(out.splitlines()[0].split(":")[1])
         assert var == pytest.approx(0.024, rel=1e-6)
 
+    @pytest.mark.parametrize("old, new", [
+        ("horizon=0.0833333333333333", "horizon=nan"), ("100,1.0,10", "100,nan,10"),
+    ], ids=["horizon", "price"])
+    def test_non_finite_input_is_numeric_error(self, tmp_path, capsys, old, new):
+        chain = tmp_path / "chain.csv"
+        chain.write_text(CHAIN.replace(old, new))
+        assert main(["vix", "--chain", str(chain)]) == 3
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err and captured.out == ""
+
     def test_missing_metadata_is_data_error(self, tmp_path, capsys):
         chain = tmp_path / "chain.csv"
         chain.write_text("K,P,dK\n100,1.0,10\n")

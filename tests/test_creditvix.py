@@ -119,6 +119,17 @@ class TestValidation:
         with pytest.raises(VollabError):
             chain([100.0], [1.0], [10.0], 100.0, 100.0, horizon=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["strikes", "prices", "intervals", "k0", "cdsi",
+                                      "horizon", "rpv01"])
+    def test_rejects_non_finite(self, name, value):
+        args = dict(strikes=[100.0, 110.0], prices=[1.0, 2.0], intervals=[10.0, 10.0],
+                    k0=100.0, cdsi=100.0, horizon=1 / 12, rpv01=1.0)
+        args[name] = [args[name][0], value] if name in ("strikes", "prices", "intervals") \
+            else value
+        with pytest.raises(NumericError, match=f"{name} must be finite"):
+            chain(**args)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(VollabError):
             chain([100.0, 110.0], [1.0], [10.0], 100.0, 100.0)
@@ -139,6 +150,19 @@ class TestLoadChain:
         p = tmp_path / "chain.csv"
         p.write_text("# k0=1\nK,P,dK\n1,1,1\n")
         with pytest.raises(ParseError, match="missing metadata"):
+            load_option_chain(p)
+
+    @pytest.mark.parametrize("text, message", [
+        ("\n# horizon=x\n", "chain.csv:2: bad metadata line"),
+        ("# horizon=1\n\n# rpv01=1\n# cdsi=1\n# k0=1\n\nK,P,dK\n1,1,1\n\n\n2,x,1\n",
+         "chain.csv:11: non-numeric cell"),
+        ("# horizon=1\n# rpv01=1\n\n# cdsi=1\n# k0=1\nK,P,dK\n\n1,1\n", "chain.csv:8: expected 3"),
+    ], ids=["metadata", "cell", "cell_count"])
+    def test_errors_name_the_file_line(self, tmp_path, text, message):
+        # blank lines are skipped, but still counted
+        p = tmp_path / "chain.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=message):
             load_option_chain(p)
 
     def test_bad_header(self, tmp_path):

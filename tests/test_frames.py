@@ -110,6 +110,22 @@ class TestAlign:
         j = align([a, b])
         assert j.dates == tuple(D[2:5])
 
+    def test_drops_rows_before_every_column_has_an_in_range_value(self):
+        # a's D[0] lies before the common range, so a has no value on D[1]
+        a = frame([D[0], D[2], D[4]], a=[1, 3, 5])
+        b = frame([D[1], D[3], D[4]], b=[20, 40, 50])
+        j = align([a, b])
+        assert j.dates == (D[2], D[3], D[4])
+        np.testing.assert_array_equal(j.column("a"), [3, 3, 5])
+        np.testing.assert_array_equal(j.column("b"), [20, 40, 50])
+
+    def test_column_without_in_range_observation_raises(self):
+        a = frame([D[0], D[1], D[2], D[3]], a=[1, 2, 3, 4])
+        b = frame([D[0], D[3]], b=[10, 40])
+        c = frame([D[1], D[2]], c=[7, 8])
+        with pytest.raises(AlignmentError, match="'b' has no observations"):
+            align([a, b, c])
+
     def test_disjoint_ranges_raise(self):
         a = frame(D[:3], a=[1, 2, 3])
         b = frame(D[5:8], b=[1, 2, 3])

@@ -90,6 +90,13 @@ class TestFitGbdt:
         with pytest.raises(VollabError, match=next(iter(bad))):
             GbdtParams(**bad)
 
+    @pytest.mark.parametrize("bad", [{"learning_rate": "0.1"}, {"feature_fraction": True}],
+                             ids=lambda bad: "{}={!r}".format(*next(iter(bad.items()))))
+    def test_non_real_fractions_rejected(self, bad):
+        # a string used to raise a bare TypeError, and True was read as 1.0
+        with pytest.raises(VollabError, match=next(iter(bad))):
+            GbdtParams(**bad)
+
 
 def same_trees(got, want, X):
     """Equal base score, node arrays to the bit, trees and predictions."""

@@ -47,6 +47,15 @@ class TestConfig:
         with pytest.raises(VollabError, match=next(iter(values))):
             NetConfig(**values)
 
+    @pytest.mark.parametrize("values", [
+        {"epochs": 2.5}, {"batch_size": True}, {"learning_rate": True}, {"patience": 0},
+        {"epochs": "3"},
+    ], ids=lambda values: "{}={!r}".format(*next(iter(values.items()))))
+    def test_non_int_non_real_and_zero_patience_rejected(self, values):
+        # these used to be accepted, or to raise a bare TypeError
+        with pytest.raises(VollabError, match=next(iter(values))):
+            NetConfig(**values)
+
     def test_defaults_describe_published_architecture(self):
         c = NetConfig()
         assert (c.conv_channels, c.heads, c.head_size) == (64, 4, 16)

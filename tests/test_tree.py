@@ -168,6 +168,25 @@ class TestFitRegressionTree:
             want = [(f, thr) for (f, thr, _) in exhaustive_leafwise_order(X, y, 8, 2, 0.0)]
             assert got == want
 
+    @pytest.mark.parametrize("bad", [
+        {"max_leaves": 0}, {"max_leaves": 2.5}, {"max_depth": -7}, {"min_gain": float("nan")},
+        {"min_gain": -1.0},
+    ], ids=lambda bad: "{}={!r}".format(*next(iter(bad.items()))))
+    def test_limits_rejected(self, bad):
+        # each of these used to be accepted and read as another value
+        with pytest.raises(VollabError, match=next(iter(bad))):
+            TreeLimits(**bad)
+
+    def test_targets_whose_squares_overflow_rejected(self):
+        # the running sums of y * y overflowed, so every gain was nan and the
+        # tree split at 0.5, 1.5 and 2.5 instead of once at 3.5
+        X = np.arange(8.0)[:, None]
+        with pytest.raises(VollabError, match=r"\(sum of \|y\|\) \*\* 2"):
+            fit_regression_tree(X, np.repeat([1e200, -1e200], 4))
+        tree = fit_regression_tree(X, np.repeat([1e150, -1e150], 4))
+        assert tree.expansion_order[0][1:3] == (0, 3.5)
+        assert np.isfinite(tree.gain).all()
+
     def test_expansion_order_is_read_from_the_node_arrays(self, rng):
         X, y = rng.normal(size=(40, 3)), rng.normal(size=40)
         tree = fit_regression_tree(X, y, TreeLimits(max_leaves=6, min_samples_leaf=2))
