@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from bisect import bisect_left, bisect_right
 
 from .config import RunConfig, load_config, manifest
 from .creditvix import implied_variance, implied_vol, load_option_chain
@@ -58,17 +59,16 @@ def _engineer(cfg: RunConfig) -> ExperimentData:
 def _rank_features(cfg: RunConfig, data: ExperimentData):
     """Forest importances over the selection partition, else the early rows."""
     diffs = log_diff(data.levels)
+    dates, last = data.dates, len(data.dates) - 1  # the last date has no next-day target
     sel = cfg.partition_spec("selection")
     if sel is not None:
-        keep = [i for i, d in enumerate(data.dates[:-1]) if sel.start <= d <= sel.end]
+        lo, hi = bisect_left(dates, sel.start), min(bisect_right(dates, sel.end), last)
     else:
         # default: the first half of the pre-test span, well before any test date
-        cut = max(60, (len(data.dates) - cfg.horizon) // 2)
-        keep = list(range(min(cut, len(data.dates) - 1)))
+        lo, hi = 0, min(max(60, (len(dates) - cfg.horizon) // 2), last)
     X = data.features
-    sub = type(X)(tuple(X.dates[i] for i in keep), X.names, X.values[keep],
-                  X.zero_variance)
-    return rf_importance(sub, diffs[keep], seed=derive_seed(cfg.seed, "select"))
+    sub = type(X)(X.dates[lo:hi], X.names, X.values[lo:hi], X.zero_variance)
+    return rf_importance(sub, diffs[lo:hi], seed=derive_seed(cfg.seed, "select"))
 
 
 def _prepare(cfg: RunConfig) -> ExperimentData:

@@ -9,6 +9,7 @@ flat (classical models) or as rank-3 blocks (the network).
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 from dataclasses import dataclass
 
@@ -82,10 +83,11 @@ class FeatureMatrix:
         )
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("date," + ",".join(self.names) + "\n")
-            for i, d in enumerate(self.dates):
-                fh.write(d.isoformat() + "," + ",".join(repr(float(v)) for v in self.values[i]) + "\n")
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["date", *self.names])
+            for d, row in zip(self.dates, self.values):
+                w.writerow([d.isoformat(), *(repr(float(v)) for v in row)])
 
 
 def engineer(frame: TimeSeriesFrame, volume_columns=()) -> FeatureMatrix:

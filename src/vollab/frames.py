@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,11 @@ def load_csv(path) -> TimeSeriesFrame:
     if len(header) < 2 or header[0].strip().lower() != "date":
         raise ParseError(f"{path}: header must be 'date,<name>,...', got {header}")
     names = [h.strip() for h in header[1:]]
+    for j, n in enumerate(names):
+        if not n:
+            raise ParseError(f"{path}:1: empty column name")
+        if n in names[:j]:
+            raise ParseError(f"{path}:1: duplicate column name {n!r}")
     rows: list[tuple[dt.date, list[float]]] = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
@@ -130,8 +136,8 @@ def load_csv(path) -> TimeSeriesFrame:
 def align(frames: list[TimeSeriesFrame]) -> TimeSeriesFrame:
     """Join frames on the union of dates spanning their common range.
 
-    Gaps created by per-series holidays are forward-filled; leading rows
-    where any column is still unfilled are dropped.
+    Gaps created by per-series holidays are forward-filled from observations
+    inside the range; leading rows where some frame has none yet are dropped.
     """
     if not frames:
         raise VollabError("align requires at least one frame")
@@ -145,43 +151,27 @@ def align(frames: list[TimeSeriesFrame]) -> TimeSeriesFrame:
     end = min(f.dates[-1] for f in frames)
     if start > end:
         raise AlignmentError("frames have no overlapping date range")
-    all_dates = sorted({d for f in frames for d in f.dates if start <= d <= end})
-    if not all_dates:
-        raise AlignmentError("no dates inside the common range")
-    cols: dict[str, np.ndarray] = {}
-    filled_from = 0
+    dates = sorted({d for f in frames for d in f.dates if start <= d <= end})
+    first, rows = 0, []
     for f in frames:
-        idx = {d: i for i, d in enumerate(f.dates)}
-        for n in f.names:
-            src = f.columns[n]
-            out = np.empty(len(all_dates))
-            last = None
-            first_valid = None
-            for i, d in enumerate(all_dates):
-                j = idx.get(d)
-                if j is not None:
-                    last = src[j]
-                    if first_valid is None:
-                        first_valid = i
-                out[i] = np.nan if last is None else last
-            if first_valid is None:
-                raise AlignmentError(f"column {n!r} has no observations in the common range")
-            filled_from = max(filled_from, first_valid)
-            cols[n] = out
-    dates = tuple(all_dates[filled_from:])
-    if not dates:
-        raise AlignmentError("all rows dropped during alignment")
-    return TimeSeriesFrame(dates, {n: c[filled_from:] for n, c in cols.items()})
+        latest = [bisect_right(f.dates, d) - 1 for d in dates]  # last row on or before d
+        # latest is nondecreasing: the first joined row it fills from inside the range
+        filled = bisect_left(latest, bisect_left(f.dates, start))
+        if filled == len(dates):
+            raise AlignmentError(f"column {f.names[0]!r} has no observations in the common range")
+        first = max(first, filled)
+        rows.append(latest)
+    return TimeSeriesFrame(tuple(dates[first:]), {
+        n: c[r[first:]] for f, r in zip(frames, rows) for n, c in f.columns.items()})
 
 
 def partition(frame: TimeSeriesFrame, spec: PartitionSpec) -> TimeSeriesFrame:
     """Restrict a frame to [spec.start, spec.end] (inclusive)."""
-    keep = [i for i, d in enumerate(frame.dates) if spec.start <= d <= spec.end]
-    if not keep:
+    lo, hi = bisect_left(frame.dates, spec.start), bisect_right(frame.dates, spec.end)
+    if lo >= hi:
         raise EmptyInputError(
             f"partition {spec.name!r} ({spec.start}..{spec.end}) selects no rows"
         )
-    lo, hi = keep[0], keep[-1] + 1
     return TimeSeriesFrame(
         frame.dates[lo:hi], {n: c[lo:hi] for n, c in frame.columns.items()}
     )

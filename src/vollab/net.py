@@ -102,17 +102,6 @@ def init_params(config: NetConfig, n_features: int, seed: int | None = None) -> 
     return p
 
 
-@dataclass
-class ForwardTrace:
-    """Cached intermediates of one forward pass (numpy views)."""
-
-    H1: np.ndarray
-    attn_weights: np.ndarray  # batch x heads x T x T
-    gru1_out: np.ndarray
-    gru2_out: np.ndarray
-    predictions: np.ndarray
-
-
 def _conv1d(x: Tensor, w: Tensor, b: Tensor, dilation: int) -> Tensor:
     """Same-length dilated 1-D convolution over the time axis of (B,T,C)."""
     K = w.shape[0]
@@ -176,7 +165,7 @@ def _check_finite(name: str, t: Tensor) -> None:
 
 def build_graph(params: dict, x: np.ndarray, config: NetConfig,
                 train_mode: bool, seed: int = 0):
-    """Assemble the forward graph; returns (prediction node, node dict, trace)."""
+    """Assemble the forward graph; returns (prediction node, node dict, attention weights)."""
     x = np.asarray(x)
     if x.ndim != 3:
         raise VollabError(f"expected batch of rank-3 blocks, got shape {x.shape}")
@@ -208,28 +197,24 @@ def build_graph(params: dict, x: np.ndarray, config: NetConfig,
     _check_finite("gru", g2)
     pred = (g2[:, -1, :] @ p["fcl2_w"] + p["fcl2_b"]).reshape(x.shape[0])
     _check_finite("head", pred)
-    trace = ForwardTrace(
-        H1=h1.data, attn_weights=attn_w.data, gru1_out=g1.data, gru2_out=g2.data,
-        predictions=pred.data,
-    )
-    return pred, p, trace
+    return pred, p, attn_w.data
 
 
 def forward(params: dict, x, config: NetConfig, train_mode: bool = False, seed: int = 0):
-    """Run the network; returns (predictions, trace)."""
-    _, _, trace = build_graph(params, x, config, train_mode, seed)
-    return trace.predictions, trace
+    """Run the network; returns (predictions, attention weights)."""
+    pred, _, attn_w = build_graph(params, x, config, train_mode, seed)
+    return pred.data, attn_w
 
 
 def mae_and_grads(params: dict, x, targets, config: NetConfig,
                   train_mode: bool = True, seed: int = 0):
     """Mean absolute error and its exact reverse-mode gradient per parameter."""
-    pred, nodes, trace = build_graph(params, x, config, train_mode, seed)
+    pred, nodes, _ = build_graph(params, x, config, train_mode, seed)
     y = Tensor(np.asarray(targets, dtype=np.asarray(x).dtype), requires_grad=False)
     (pred - y).abs().mean().backward()
     grads = {name: t.grad if t.grad is not None else np.zeros_like(t.data)
              for name, t in nodes.items()}
-    return float(np.mean(np.abs(trace.predictions - np.asarray(targets)))), grads
+    return float(np.mean(np.abs(pred.data - np.asarray(targets)))), grads
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> dict:

@@ -8,6 +8,7 @@ names are selected.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +34,14 @@ class ImportanceReport:
         return [self.feature_names[j] for j in order]
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            cols = ",".join(f"split_{i}" for i in range(self.per_split.shape[0]))
-            fh.write(f"feature,{cols},mean,rank\n")
-            ranking = self.ranking()
-            for name in ranking:
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["feature", *(f"split_{i}" for i in range(self.per_split.shape[0])),
+                        "mean", "rank"])
+            for rank, name in enumerate(self.ranking(), start=1):
                 j = self.feature_names.index(name)
-                scores = ",".join(repr(float(v)) for v in self.per_split[:, j])
-                fh.write(f"{name},{scores},{self.averaged[j]!r},{ranking.index(name) + 1}\n")
+                w.writerow([name, *(repr(float(v)) for v in self.per_split[:, j]),
+                            repr(float(self.averaged[j])), rank])
 
 
 def rf_importance(

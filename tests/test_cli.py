@@ -1,3 +1,5 @@
+import csv
+import datetime as dt
 import json
 import os
 import subprocess
@@ -7,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vollab.cli import main
+from vollab.cli import _engineer, main
 from vollab.config import load_config, manifest, parse_config
 from vollab.errors import UsageError
+from vollab.features import FeatureMatrix, log_diff
 from vollab.frames import TimeSeriesFrame, generate_synthetic, load_csv
-from vollab.grids import MODELS, enumerate_grid
+from vollab.grids import MODELS, derive_seed, enumerate_grid
+from vollab.selection import rf_importance
 from vollab.walkforward import build_tasks, read_records_csv
 
 CHAIN = """\
@@ -243,6 +247,54 @@ class TestFeaturesAndSelect:
                            target_column="nope")
         assert main(["select", "--config", cfg]) == 2
         assert "target column 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("start, end", [("2018-03-03", "2018-06-17"),  # weekend ends
+                                            ("2018-05-01", "last")])
+    def test_select_ranks_the_rows_inside_the_selection(self, tmp_path, start, end):
+        last = generate_synthetic(3, 160, 2).dates[-1]
+        lo = dt.date.fromisoformat(start)
+        hi = last if end == "last" else dt.date.fromisoformat(end)
+        path = write_config(tmp_path / "c.json", out=str(tmp_path / "out"),
+                            partitions={"selection": [start, hi.isoformat()]})
+        assert main(["select", "--config", path]) == 0
+        cfg = load_config(path)
+        data = _engineer(cfg)
+        # the last date has no next-day target, so it is never a selection row
+        rows = [i for i, d in enumerate(data.dates) if lo <= d <= hi and d != last]
+        X = data.features
+        assert X.dates[rows[0]] >= lo and X.dates[rows[-1]] <= hi
+        if end == "last":
+            assert rows[-1] == len(X) - 2
+        sub = FeatureMatrix(tuple(X.dates[i] for i in rows), X.names, X.values[rows],
+                            X.zero_variance)
+        want = rf_importance(sub, log_diff(data.levels)[rows],
+                             seed=derive_seed(cfg.seed, "select"))
+        want.to_csv(tmp_path / "want.csv")
+        got = (tmp_path / "out" / "importance.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+
+    def test_outputs_are_csv_for_names_that_need_quoting(self, tmp_path):
+        name = 'price, "EUR"'
+        data = tmp_path / "data.csv"
+        generate_synthetic(3, 160, 1).to_csv(str(data))
+        lines = data.read_text().splitlines(keepends=True)
+        assert lines[0] == "date,vol_index,price_0,volume_0\n"
+        data.write_text('date,vol_index,"price, ""EUR""",volume_0\n' + "".join(lines[1:]))
+        cfg = write_config(tmp_path / "c.json", data={"csv": [str(data)]},
+                           out=str(tmp_path / "out"))
+        assert main(["features", "--config", cfg]) == 0
+        assert main(["select", "--config", cfg]) == 0
+        with open(tmp_path / "out" / "features.csv", newline="") as fh:
+            features = list(csv.reader(fh))
+        with open(tmp_path / "out" / "importance.csv", newline="") as fh:
+            importance = list(csv.reader(fh))
+        for table in (features, importance):
+            assert {len(row) for row in table} == {len(table[0])}
+        names = features[0][1:]
+        assert names[:3] == [f"{name}.lvl", f"{name}.lnd", f"{name}.rv21"]
+        assert sorted(row[0] for row in importance[1:]) == sorted(names)
+        mean = importance[0].index("mean")
+        assert sum(float(row[mean]) for row in importance[1:]) == pytest.approx(1.0)
 
 
 class TestRun:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import scan_align
 from vollab.errors import (
     AlignmentError,
     EmptyInputError,
@@ -28,6 +29,23 @@ def frame(dates, **cols):
 
 
 D = business_days(dt.date(2021, 1, 4), 30)
+
+POOL = business_days(dt.date(2021, 1, 4), 40)
+VALUES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 3.25e8])
+
+
+@st.composite
+def frame_sets(draw):
+    """1 to 4 frames, each of 1 to 15 dates drawn from a 40-day pool and 1 to
+    3 uniquely named columns whose values include +0.0 and -0.0."""
+    frames = []
+    for k in range(draw(st.integers(1, 4))):
+        dates = sorted(draw(st.sets(st.sampled_from(POOL), min_size=1, max_size=15)))
+        width = draw(st.integers(1, 3))
+        cols = {f"f{k}c{j}": draw(st.lists(VALUES, min_size=len(dates), max_size=len(dates)))
+                for j in range(width)}
+        frames.append(frame(dates, **cols))
+    return frames
 
 
 class TestTimeSeriesFrame:
@@ -75,6 +93,18 @@ class TestLoadCsv:
         p = tmp_path / "x.csv"
         p.write_text("date,a\n2021-01-04,1\nnot-a-date,2\n")
         with pytest.raises(ParseError, match=":3"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("header, message", [
+        ("date,vol_index,a,a", "x.csv:1: duplicate column name 'a'"),
+        ("date, a ,b,a", "x.csv:1: duplicate column name 'a'"),
+        ("date,,a", "x.csv:1: empty column name"),
+        ("date,a, ", "x.csv:1: empty column name"),
+    ])
+    def test_duplicate_or_empty_column_name_is_parse_error(self, tmp_path, header, message):
+        p = tmp_path / "x.csv"
+        p.write_text(header + "\n2021-01-04" + ",1" * header.count(",") + "\n")
+        with pytest.raises(ParseError, match=message):
             load_csv(p)
 
     def test_duplicate_date_is_integrity_error(self, tmp_path):
@@ -144,12 +174,38 @@ class TestAlign:
         assert j.dates == a.dates
         np.testing.assert_array_equal(j.column("a"), a.column("a"))
 
+    @given(frame_sets())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_scan_oracle(self, frames):
+        try:
+            want = scan_align(frames)
+        except VollabError as exc:
+            with pytest.raises(type(exc)) as got:
+                align(frames)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            return
+        got = align(frames)
+        assert got.dates == want.dates
+        assert got.names == want.names
+        for n in want.names:
+            assert got.column(n).tobytes() == want.column(n).tobytes(), n
+
 
 class TestPartition:
     def test_inclusive_bounds(self):
         f = frame(D[:10], a=range(10))
         p = partition(f, PartitionSpec("test", D[2], D[5]))
         assert p.dates == tuple(D[2:6])
+
+    def test_endpoints_on_unobserved_dates(self):
+        f = frame(D[:15], a=range(15))
+        weekend = PartitionSpec("test", dt.date(2021, 1, 9), dt.date(2021, 1, 17))
+        p = partition(f, weekend)  # Saturday to Sunday: the Monday to Friday between
+        assert p.dates == tuple(D[5:10])
+        np.testing.assert_array_equal(p.column("a"), range(5, 10))
+        gap = PartitionSpec("test", dt.date(2021, 1, 9), dt.date(2021, 1, 10))
+        with pytest.raises(EmptyInputError, match="selects no rows"):
+            partition(f, gap)
 
     def test_empty_selection_raises(self):
         f = frame(D[:5], a=range(5))
