@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 
 from .config import RunConfig, load_config, manifest
 from .creditvix import implied_variance, implied_vol, load_option_chain
-from .errors import DataError, NumericError, UsageError, VollabError
+from .errors import DataError, EmptyInputError, NumericError, UsageError, VollabError
 from .features import engineer, log_diff
 from .frames import (SYNTHETIC_DAYS, SYNTHETIC_SERIES, TimeSeriesFrame, align,
                      generate_synthetic, load_csv, partition)
@@ -29,8 +29,7 @@ from .walkforward import (ExperimentData, check_history, run_experiment, task_se
 def _load_frame(cfg: RunConfig) -> TimeSeriesFrame:
     if "synthetic" in cfg.data:
         return generate_synthetic(**cfg.data["synthetic"])
-    frames = [load_csv(p) for p in cfg.data["csv"]]
-    return frames[0] if len(frames) == 1 else align(frames)
+    return align([load_csv(p) for p in cfg.data["csv"]])
 
 
 def _volume_columns(cfg: RunConfig, frame: TimeSeriesFrame) -> set:
@@ -63,6 +62,9 @@ def _rank_features(cfg: RunConfig, data: ExperimentData):
     sel = cfg.partition_spec("selection")
     if sel is not None:
         lo, hi = bisect_left(dates, sel.start), min(bisect_right(dates, sel.end), last)
+        if lo >= hi:
+            raise EmptyInputError(
+                f"partition {sel.name!r} ({sel.start}..{sel.end}) selects no rows")
     else:
         # default: the first half of the pre-test span, well before any test date
         lo, hi = 0, min(max(60, (len(dates) - cfg.horizon) // 2), last)

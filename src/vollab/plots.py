@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -55,8 +56,11 @@ def _title(text) -> str:
     return f'<text x="{MARGIN}" y="20" font-size="14" font-family="sans-serif">{text}</text>'
 
 
-def _sidecar(path, header: list[str], columns) -> None:
-    with open(path, "w") as fh:
+def _figure(base: str, title: str, elements: list[str], header: list[str], columns) -> None:
+    """Write ``base.svg`` (the title first) and its ``base.csv`` sidecar of columns."""
+    with open(base + ".svg", "w") as fh:
+        fh.write(_svg([_title(title), *elements]))
+    with open(base + ".csv", "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in zip(*columns):
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
@@ -66,20 +70,13 @@ def residual_plot(records, base: str) -> None:
     resid = [r.pred_logdiff - r.actual_logdiff for r in records]
     xs = _scale(np.arange(len(resid)), MARGIN, WIDTH - MARGIN)
     ys = _scale(resid, HEIGHT - MARGIN, MARGIN)
-    zero_y = float(_scale(np.array(resid + [0.0]), HEIGHT - MARGIN, MARGIN)[-1])
-    elems = [
-        _title(f"residuals over time: {records[0].model} W={records[0].window}"),
-        f'<line x1="{MARGIN}" y1="{_fmt(zero_y)}" x2="{WIDTH - MARGIN}" '
-        f'y2="{_fmt(zero_y)}" stroke="#999" stroke-dasharray="4"/>',
-        _points(xs, ys, "#1f6fb2"),
-    ]
-    with open(base + ".svg", "w") as fh:
-        fh.write(_svg(elems))
-    _sidecar(base + ".csv", ["date", "residual", "x_px", "y_px"],
-             ([r.date.isoformat() for r in records],
-              [float(v) for v in resid],
-              [float(v) for v in xs],
-              [float(v) for v in ys]))
+    zero_y = _scale(resid + [0.0], HEIGHT - MARGIN, MARGIN)[-1]
+    _figure(base, f"residuals over time: {records[0].model} W={records[0].window}",
+            [f'<line x1="{MARGIN}" y1="{_fmt(zero_y)}" x2="{WIDTH - MARGIN}" '
+             f'y2="{_fmt(zero_y)}" stroke="#999" stroke-dasharray="4"/>',
+             _points(xs, ys, "#1f6fb2")],
+            ["date", "residual", "x_px", "y_px"],
+            ([r.date.isoformat() for r in records], resid, xs, ys))
 
 
 def dispersion_plot(records, base: str) -> None:
@@ -89,18 +86,13 @@ def dispersion_plot(records, base: str) -> None:
     yq = _scale(np.concatenate([resid, [q1, q2, q3]]), HEIGHT - MARGIN, MARGIN)[-3:]
     cx = WIDTH / 2
     xs = cx + 60 + 20 * np.cos(np.linspace(0, 2 * math.pi, len(resid), endpoint=False))
-    elems = [
-        _title(f"error dispersion: {records[0].model} W={records[0].window}"),
-        f'<rect x="{_fmt(cx - 100)}" y="{_fmt(min(yq[0], yq[2]))}" width="80" '
-        f'height="{_fmt(abs(yq[0] - yq[2]))}" fill="none" stroke="#333"/>',
-        f'<line x1="{_fmt(cx - 100)}" y1="{_fmt(yq[1])}" x2="{_fmt(cx - 20)}" '
-        f'y2="{_fmt(yq[1])}" stroke="#333" stroke-width="2"/>',
-        _points(xs, ys, "#b25050", r=2.0),
-    ]
-    with open(base + ".svg", "w") as fh:
-        fh.write(_svg(elems))
-    _sidecar(base + ".csv", ["residual", "x_px", "y_px"],
-             ([float(v) for v in resid], [float(v) for v in xs], [float(v) for v in ys]))
+    _figure(base, f"error dispersion: {records[0].model} W={records[0].window}",
+            [f'<rect x="{_fmt(cx - 100)}" y="{_fmt(min(yq[0], yq[2]))}" width="80" '
+             f'height="{_fmt(abs(yq[0] - yq[2]))}" fill="none" stroke="#333"/>',
+             f'<line x1="{_fmt(cx - 100)}" y1="{_fmt(yq[1])}" x2="{_fmt(cx - 20)}" '
+             f'y2="{_fmt(yq[1])}" stroke="#333" stroke-width="2"/>',
+             _points(xs, ys, "#b25050", r=2.0)],
+            ["residual", "x_px", "y_px"], (resid, xs, ys))
 
 
 def levels_plot(records, base: str) -> bool:
@@ -112,18 +104,10 @@ def levels_plot(records, base: str) -> bool:
     both = np.concatenate([actual, pred])
     ys_all = _scale(both, HEIGHT - MARGIN, MARGIN)
     ya, yp = ys_all[: len(records)], ys_all[len(records):]
-    elems = [
-        _title(f"predicted vs actual levels: {records[0].model} W={records[0].window}"),
-        _polyline(xs, ya, "#333333"),
-        _polyline(xs, yp, "#1f6fb2"),
-    ]
-    with open(base + ".svg", "w") as fh:
-        fh.write(_svg(elems))
-    _sidecar(base + ".csv",
-             ["date", "actual_level", "pred_level", "x_px", "y_actual_px", "y_pred_px"],
-             ([r.date.isoformat() for r in records],
-              [float(v) for v in actual], [float(v) for v in pred],
-              [float(v) for v in xs], [float(v) for v in ya], [float(v) for v in yp]))
+    _figure(base, f"predicted vs actual levels: {records[0].model} W={records[0].window}",
+            [_polyline(xs, ya, "#333333"), _polyline(xs, yp, "#1f6fb2")],
+            ["date", "actual_level", "pred_level", "x_px", "y_actual_px", "y_pred_px"],
+            ([r.date.isoformat() for r in records], actual, pred, xs, ya, yp))
     return True
 
 
@@ -136,14 +120,12 @@ def write_plots(records_dir, out_dir) -> list[str]:
         tag = f"{model}_{window}"
         residual_plot(recs, os.path.join(out_dir, f"residuals_{tag}"))
         dispersion_plot(recs, os.path.join(out_dir, f"dispersion_{tag}"))
-        ok = levels_plot(recs, os.path.join(out_dir, f"levels_{tag}"))
         written += [f"residuals_{tag}.svg", f"dispersion_{tag}.svg"]
-        if ok:
+        if levels_plot(recs, os.path.join(out_dir, f"levels_{tag}")):
             written.append(f"levels_{tag}.svg")
         else:
             skipped.append(tag)
     if skipped:
-        import sys
         print(f"warning: level plots skipped (non-positive levels): {skipped}",
               file=sys.stderr)
     return [os.path.join(out_dir, w) for w in written]

@@ -57,21 +57,16 @@ def collect_records(records_dir) -> dict[tuple[str, int], list[ForecastRecord]]:
 def build_report(records_dir) -> tuple[list[ReportRow], dict]:
     """Rows per (model, window) plus header facts about the actuals."""
     groups = collect_records(records_dir)
-    naive_errors = {}
-    for (model, window), recs in groups.items():
-        if model == "naive":
-            naive_errors[window] = np.array(
-                [r.pred_logdiff - r.actual_logdiff for r in recs]
-            )
     rows = []
     for (model, window), recs in sorted(groups.items()):
         table = compute_metrics(recs)
         dm_stat = dm_p = math.nan
-        base = naive_errors.get(window)
-        if model != "naive" and base is not None and len(base) == len(recs) >= 8:
-            errs = np.array([r.pred_logdiff - r.actual_logdiff for r in recs])
+        base = groups.get(("naive", window))
+        if (model != "naive" and base is not None and len(recs) >= 8
+                and [r.date for r in recs] == [r.date for r in base]):
             try:
-                res = dm_test(errs, base)
+                res = dm_test([r.pred_logdiff - r.actual_logdiff for r in recs],
+                              [r.pred_logdiff - r.actual_logdiff for r in base])
                 dm_stat, dm_p = res.statistic, res.p_value
             except DegenerateTestError:
                 pass

@@ -11,9 +11,12 @@ import math
 
 import numpy as np
 
-from vollab.errors import AlignmentError, IntegrityError, VollabError
+from vollab.errors import AlignmentError, DegenerateTestError, IntegrityError, VollabError
 from vollab.frames import TimeSeriesFrame
 from vollab.gbdt import GbdtModel
+from vollab.metrics import compute_metrics, dm_test
+from vollab.plots import HEIGHT, MARGIN, WIDTH, _fmt, _points, _polyline, _scale, _svg, _title
+from vollab.report import ReportRow, collect_records
 from vollab.svr import MAX_PASSES, SvrModel, SvrParams, kernel_matrix, resolve_gamma
 from vollab.tree import TreeLimits, fit_regression_tree
 
@@ -438,6 +441,120 @@ def metrics_oracle(pred_d, act_d, pred_l, act_l):
     ll = 100.0 * sum((math.log(p) - math.log(a)) ** 2
                      for p, a in zip(pred_l, act_l)) / n
     return mae, rmse, mape, ll
+
+
+# ---------------------------------------------------------- report, plots
+
+def two_pass_build_report(records_dir):
+    """``report.build_report`` with a first pass that collects naive's errors
+    per window; it pairs a model with naive by record count alone, so it is
+    a reference only for record sets whose groups share naive's dates."""
+    groups = collect_records(records_dir)
+    naive_errors = {}
+    for (model, window), recs in groups.items():
+        if model == "naive":
+            naive_errors[window] = np.array(
+                [r.pred_logdiff - r.actual_logdiff for r in recs]
+            )
+    rows = []
+    for (model, window), recs in sorted(groups.items()):
+        table = compute_metrics(recs)
+        dm_stat = dm_p = math.nan
+        base = naive_errors.get(window)
+        if model != "naive" and base is not None and len(base) == len(recs) >= 8:
+            errs = np.array([r.pred_logdiff - r.actual_logdiff for r in recs])
+            try:
+                res = dm_test(errs, base)
+                dm_stat, dm_p = res.statistic, res.p_value
+            except DegenerateTestError:
+                pass
+        rows.append(ReportRow(model, window, table.mae, table.rmse, table.mape,
+                              table.log_loss, dm_stat, dm_p))
+    some = next(iter(groups.values()))
+    levels = np.array([r.actual_level for r in some])
+    header = {
+        "n": len(some),
+        "level_min": float(levels.min()),
+        "level_max": float(levels.max()),
+        "cov_pct": float(100.0 * levels.std() / levels.mean()),
+    }
+    return rows, header
+
+
+def _sidecar(path, header, columns):
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def two_write_residual_plot(records, base):
+    """``plots.residual_plot`` writing the SVG and the sidecar on their own,
+    with every sidecar value converted to a Python float."""
+    resid = [r.pred_logdiff - r.actual_logdiff for r in records]
+    xs = _scale(np.arange(len(resid)), MARGIN, WIDTH - MARGIN)
+    ys = _scale(resid, HEIGHT - MARGIN, MARGIN)
+    zero_y = float(_scale(np.array(resid + [0.0]), HEIGHT - MARGIN, MARGIN)[-1])
+    elems = [
+        _title(f"residuals over time: {records[0].model} W={records[0].window}"),
+        f'<line x1="{MARGIN}" y1="{_fmt(zero_y)}" x2="{WIDTH - MARGIN}" '
+        f'y2="{_fmt(zero_y)}" stroke="#999" stroke-dasharray="4"/>',
+        _points(xs, ys, "#1f6fb2"),
+    ]
+    with open(base + ".svg", "w") as fh:
+        fh.write(_svg(elems))
+    _sidecar(base + ".csv", ["date", "residual", "x_px", "y_px"],
+             ([r.date.isoformat() for r in records],
+              [float(v) for v in resid],
+              [float(v) for v in xs],
+              [float(v) for v in ys]))
+
+
+def two_write_dispersion_plot(records, base):
+    """``plots.dispersion_plot``, SVG and sidecar written on their own."""
+    resid = np.array([r.pred_logdiff - r.actual_logdiff for r in records])
+    q1, q2, q3 = np.percentile(resid, [25, 50, 75])
+    ys = _scale(resid, HEIGHT - MARGIN, MARGIN)
+    yq = _scale(np.concatenate([resid, [q1, q2, q3]]), HEIGHT - MARGIN, MARGIN)[-3:]
+    cx = WIDTH / 2
+    xs = cx + 60 + 20 * np.cos(np.linspace(0, 2 * math.pi, len(resid), endpoint=False))
+    elems = [
+        _title(f"error dispersion: {records[0].model} W={records[0].window}"),
+        f'<rect x="{_fmt(cx - 100)}" y="{_fmt(min(yq[0], yq[2]))}" width="80" '
+        f'height="{_fmt(abs(yq[0] - yq[2]))}" fill="none" stroke="#333"/>',
+        f'<line x1="{_fmt(cx - 100)}" y1="{_fmt(yq[1])}" x2="{_fmt(cx - 20)}" '
+        f'y2="{_fmt(yq[1])}" stroke="#333" stroke-width="2"/>',
+        _points(xs, ys, "#b25050", r=2.0),
+    ]
+    with open(base + ".svg", "w") as fh:
+        fh.write(_svg(elems))
+    _sidecar(base + ".csv", ["residual", "x_px", "y_px"],
+             ([float(v) for v in resid], [float(v) for v in xs], [float(v) for v in ys]))
+
+
+def two_write_levels_plot(records, base):
+    """``plots.levels_plot``, SVG and sidecar written on their own."""
+    actual = np.array([r.actual_level for r in records])
+    pred = np.array([r.pred_level for r in records])
+    if np.any(actual <= 0) or np.any(pred <= 0):
+        return False
+    xs = _scale(np.arange(len(records)), MARGIN, WIDTH - MARGIN)
+    both = np.concatenate([actual, pred])
+    ys_all = _scale(both, HEIGHT - MARGIN, MARGIN)
+    ya, yp = ys_all[: len(records)], ys_all[len(records):]
+    elems = [
+        _title(f"predicted vs actual levels: {records[0].model} W={records[0].window}"),
+        _polyline(xs, ya, "#333333"),
+        _polyline(xs, yp, "#1f6fb2"),
+    ]
+    with open(base + ".svg", "w") as fh:
+        fh.write(_svg(elems))
+    _sidecar(base + ".csv",
+             ["date", "actual_level", "pred_level", "x_px", "y_actual_px", "y_pred_px"],
+             ([r.date.isoformat() for r in records],
+              [float(v) for v in actual], [float(v) for v in pred],
+              [float(v) for v in xs], [float(v) for v in ya], [float(v) for v in yp]))
+    return True
 
 
 # ---------------------------------------------------------------- autodiff

@@ -273,6 +273,21 @@ class TestFeaturesAndSelect:
         got = (tmp_path / "out" / "importance.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", ["select", "features", "run"])
+    @pytest.mark.parametrize("selection", ["before the data", "the last date"])
+    def test_empty_selection_is_data_error(self, tmp_path, capsys, command, selection):
+        last = generate_synthetic(3, 220, 2).dates[-1].isoformat()  # it has no target
+        start, end = ("1999-01-01", "1999-02-01") if selection == "before the data" else (
+            last, last)
+        cfg = write_config(tmp_path / "c.json", out=str(tmp_path / "out"), top_k=4,
+                           models=["naive"], windows=[63], horizon=5,
+                           data={"synthetic": {"seed": 3, "n_days": 220, "n_series": 2}},
+                           partitions={"selection": [start, end]})
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"error (data): partition 'selection' ({start}..{end}) selects no rows\n")
+        assert not (tmp_path / "out").exists()
+
     def test_outputs_are_csv_for_names_that_need_quoting(self, tmp_path):
         name = 'price, "EUR"'
         data = tmp_path / "data.csv"

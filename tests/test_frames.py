@@ -174,6 +174,17 @@ class TestAlign:
         assert j.dates == a.dates
         np.testing.assert_array_equal(j.column("a"), a.column("a"))
 
+    def test_single_loaded_csv_keeps_its_dates_names_and_bytes(self, tmp_path):
+        # one data.csv entry goes through align like several do
+        path = tmp_path / "one.csv"
+        for seed in range(20):
+            generate_synthetic(seed, 30 + 7 * seed, seed % 4).to_csv(str(path))
+            f = load_csv(str(path))
+            j = align([f])
+            assert j.dates == f.dates and j.names == f.names
+            for n in f.names:
+                assert j.column(n).tobytes() == f.column(n).tobytes()
+
     @given(frame_sets())
     @settings(max_examples=500, deadline=None)
     def test_matches_the_scan_oracle(self, frames):

@@ -1,11 +1,16 @@
+import dataclasses
+import datetime as dt
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from conftest import make_records
-from vollab.errors import ReportError
+from oracles import (two_pass_build_report, two_write_dispersion_plot, two_write_levels_plot,
+                     two_write_residual_plot)
+from vollab.errors import ReportError, VollabError
 from vollab.plots import dispersion_plot, levels_plot, residual_plot, write_plots
 from vollab.report import (
     build_report,
@@ -96,6 +101,17 @@ class TestBuildReport:
         rows, _ = build_report(str(tmp_path))
         svr = next(r for r in rows if r.model == "svr")
         assert math.isnan(svr.dm_stat)
+
+    def test_dm_blank_when_naive_forecasts_other_dates(self, tmp_path, rng):
+        write_records_csv(_group(rng, "naive", 63), str(tmp_path / "records_naive_63.csv"))
+        later = [dataclasses.replace(r, date=r.date + dt.timedelta(days=400))
+                 for r in _group(rng, "svr", 63)]  # as many records, none on naive's dates
+        write_records_csv(later, str(tmp_path / "records_svr_63.csv"))
+        rows, header = build_report(str(tmp_path))
+        svr = next(r for r in rows if r.model == "svr")
+        assert math.isnan(svr.dm_stat) and math.isnan(svr.dm_p)
+        assert format_report(rows, header).splitlines()[-1].split()[-2:] == ["-", "-"]
+        assert report_csv(rows).splitlines()[-1].endswith(",nan,nan")
 
 
 class TestFormatting:
@@ -196,3 +212,62 @@ class TestPlots:
         paths = write_plots(str(tmp_path), str(tmp_path))
         assert not any("levels_" in p for p in paths)
         assert "non-positive levels" in capsys.readouterr().err
+
+
+def _random_record_set(rng, path):
+    """naive plus 0-3 other models at windows 63 and 126, every group on the
+    same 1-30 dates; about one group in eight has a non-positive level."""
+    n = int(rng.integers(1, 31))
+    act_d = 0.05 * rng.normal(size=n)
+    act_l = 30.0 * np.exp(np.cumsum(act_d))
+    others = rng.choice(["svr", "gbdt", "attn_gru"], size=rng.integers(0, 4), replace=False)
+    for model in ["naive", *others]:
+        for window in (63, 126):
+            pred_d = act_d + 0.03 * rng.normal(size=n)
+            pred_l, actual = act_l * np.exp(pred_d - act_d), act_l.copy()
+            if rng.random() < 0.125:
+                (pred_l, actual)[int(rng.integers(2))][rng.integers(n)] = -rng.random()
+            recs = make_records(pred_d, act_d, pred_l, actual, model=model, window=window)
+            write_records_csv(recs, str(path / f"records_{model}_{window}.csv"))
+
+
+def _same(a, b):
+    return a == b or (isinstance(a, float) and isinstance(b, float)
+                      and math.isnan(a) and math.isnan(b))
+
+
+class TestAgainstTheTwoPassWriters:
+    def test_report_and_figures_match_on_shared_dates(self, tmp_path):
+        rng = np.random.default_rng(16)
+        reported = skipped_levels = dm_rows = 0
+        for case in range(60):
+            records, got_dir, want_dir = (tmp_path / f"{case}_{d}" for d in ("r", "got", "want"))
+            records.mkdir()
+            _random_record_set(rng, records)
+            try:
+                want_rows, want_header = two_pass_build_report(str(records))
+            except VollabError as exc:  # a non-positive level fails both alike
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    build_report(str(records))
+            else:
+                got_rows, got_header = build_report(str(records))
+                assert got_header == want_header
+                assert len(got_rows) == len(want_rows)
+                for g, w in zip(got_rows, want_rows):
+                    assert all(map(_same, dataclasses.astuple(g), dataclasses.astuple(w)))
+                reported += 1
+                dm_rows += sum(math.isfinite(r.dm_stat) for r in got_rows)
+            figures = write_plots(str(records), str(got_dir))
+            want_dir.mkdir()
+            for (model, window), recs in sorted(collect_records(str(records)).items()):
+                tag = f"{model}_{window}"
+                two_write_residual_plot(recs, str(want_dir / f"residuals_{tag}"))
+                two_write_dispersion_plot(recs, str(want_dir / f"dispersion_{tag}"))
+                skipped_levels += not two_write_levels_plot(recs, str(want_dir / f"levels_{tag}"))
+            names = sorted(os.listdir(want_dir))
+            assert sorted(os.listdir(got_dir)) == names
+            assert sorted(os.path.basename(p) for p in figures) == [
+                n for n in names if n.endswith(".svg")]
+            for name in names:
+                assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes(), name
+        assert reported >= 20 and dm_rows >= 20 and skipped_levels >= 10
