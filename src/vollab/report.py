@@ -55,7 +55,7 @@ def collect_records(records_dir) -> dict[tuple[str, int], list[ForecastRecord]]:
 
 
 def build_report(records_dir) -> tuple[list[ReportRow], dict]:
-    """Rows per (model, window) plus header facts about the actuals."""
+    """Rows per (model, window) plus header facts about each test date's actual level."""
     groups = collect_records(records_dir)
     rows = []
     for (model, window), recs in sorted(groups.items()):
@@ -72,10 +72,13 @@ def build_report(records_dir) -> tuple[list[ReportRow], dict]:
                 pass
         rows.append(ReportRow(model, window, table.mae, table.rmse, table.mape,
                               table.log_loss, dm_stat, dm_p))
-    some = next(iter(groups.values()))
-    levels = np.array([r.actual_level for r in some])
+    actual = {}  # test date -> actual level, from the first file that holds the date
+    for recs in groups.values():
+        for r in recs:
+            actual.setdefault(r.date, r.actual_level)
+    levels = np.array([actual[d] for d in sorted(actual)])
     header = {
-        "n": len(some),
+        "n": len(levels),
         "level_min": float(levels.min()),
         "level_max": float(levels.max()),
         "cov_pct": float(100.0 * levels.std() / levels.mean()),

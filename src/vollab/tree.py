@@ -11,6 +11,7 @@ larger gain wins, then the lower leaf id.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,8 +179,10 @@ def fit_regression_tree(
     """Grow a regression tree, expanding at each step the frontier leaf whose
     best split has maximal gain.
 
-    feature_subset < 1 restricts every split search to a seeded random
-    fraction of the features (one draw per tree).
+    Every split search reads one draw per tree, the first max(1,
+    ceil(feature_subset * m)) of PCG64(seed)'s permutation of the m features,
+    sorted (all of them at 1.0); seed must be >= 0 at every fraction, and
+    fit_gbdt and rf_importance draw it from [0, 2**63 - 1).  X must be finite.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -189,57 +192,37 @@ def fit_regression_tree(
     # sl * sl, so while it is finite no split gain is inf or nan
     if not np.abs(y).sum() <= _MAX_ABS_SUM:  # false for nan and inf too
         raise VollabError("targets and (sum of |y|) ** 2 must be finite")
+    if not np.isfinite(X).all():  # a nan midpoint threshold sends every row right
+        raise VollabError("features must be finite")
     limits = limits or TreeLimits()
-    m = X.shape[1]
-    if feature_subset < 1.0:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        k = max(1, int(np.ceil(feature_subset * m)))
-        perm = rng.permutation(m)
-        features = sorted(perm[:k].tolist())
-    else:
-        features = list(range(m))
+    n, m = X.shape
+    draw = np.random.Generator(np.random.PCG64(seed)).permutation(m)
+    features = sorted(draw[:max(1, math.ceil(feature_subset * m))].tolist())
 
-    n = len(y)
     size = 2 * n - 1  # a split leaves a row on each side, so at most n leaves
     feature, left, right = np.full((3, size), -1)
     threshold, value, gain = np.zeros((3, size))
-    n_samples, depth = np.zeros((2, size), dtype=int)
-    value[0], n_samples[0] = y.sum() / n, n
-    rows = {0: np.arange(n)}
+    n_samples = np.zeros(size, dtype=int)
+    frontier: dict[int, tuple] = {}  # leaf id -> (gain, feature, threshold, rows, depth)
+
+    def add_leaf(j, rows, depth, expand):
+        value[j], n_samples[j] = y[rows].sum() / len(rows), len(rows)
+        if expand and (limits.max_depth < 0 or depth < limits.max_depth):
+            sp = best_split(X[rows], y[rows], features, limits.min_samples_leaf)
+            if sp is not None and sp[0] >= limits.min_gain:
+                frontier[j] = (*sp, rows, depth)
+
+    add_leaf(0, np.arange(n), 0, True)
     count = 1  # nodes so far; a tree with c nodes has (c + 1) // 2 leaves
-
-    def candidate(j):
-        if limits.max_depth >= 0 and depth[j] >= limits.max_depth:
-            return None
-        sp = best_split(X[rows[j]], y[rows[j]], features, limits.min_samples_leaf)
-        if sp is None or sp[0] < limits.min_gain:
-            return None
-        return sp
-
-    frontier: dict[int, tuple] = {}
-    c = candidate(0)
-    if c is not None:
-        frontier[0] = c
-
     while frontier and (count + 1) // 2 < limits.max_leaves:
         j = min(frontier, key=lambda j: (-frontier[j][0], j))  # max gain, then lower id
-        g, f, thr = frontier.pop(j)
-        idx = rows.pop(j)
-        mask = X[idx, f] < thr
+        g, f, thr, rows, depth = frontier.pop(j)
+        mask = X[rows, f] < thr
         feature[j], threshold[j], gain[j] = f, thr, g
-        children = (count, count + 1)
-        left[j], right[j] = children
-        for cid, child_rows in zip(children, (idx[mask], idx[~mask])):
-            value[cid] = y[child_rows].sum() / len(child_rows)
-            n_samples[cid] = len(child_rows)
-            depth[cid] = depth[j] + 1
-            rows[cid] = child_rows
+        left[j], right[j] = count, count + 1
         count += 2
-        if (count + 1) // 2 >= limits.max_leaves:
-            break
-        for cid in children:
-            c = candidate(cid)
-            if c is not None:
-                frontier[cid] = c
+        expand = (count + 1) // 2 < limits.max_leaves  # children of the last split stay unsearched
+        add_leaf(count - 2, rows[mask], depth + 1, expand)
+        add_leaf(count - 1, rows[~mask], depth + 1, expand)
     arrays = (feature, threshold, left, right, value, n_samples, gain)
     return RegressionTree(*(a[:count].copy() for a in arrays), m)

@@ -18,7 +18,8 @@ from vollab.metrics import compute_metrics, dm_test
 from vollab.plots import HEIGHT, MARGIN, WIDTH, _fmt, _points, _polyline, _scale, _svg, _title
 from vollab.report import ReportRow, collect_records
 from vollab.svr import MAX_PASSES, SvrModel, SvrParams, kernel_matrix, resolve_gamma
-from vollab.tree import TreeLimits, fit_regression_tree
+import vollab.tree
+from vollab.tree import RegressionTree, TreeLimits, fit_regression_tree
 
 
 # ------------------------------------------------------------------ frames
@@ -374,6 +375,70 @@ def exhaustive_leafwise_order(X, y, max_leaves, min_samples_leaf, min_gain):
         leaves[next_id + 1] = rows[~mask]
         next_id += 2
     return order
+
+
+def rows_dict_fit_regression_tree(X, y, limits=None, feature_subset=1.0, seed=0):
+    """``tree.fit_regression_tree`` with each node's state kept in three
+    places: its rows in a dict, its depth in an array and its split in the
+    frontier; the root is scored apart from the children, and the feature
+    draw is skipped at fractions of 1 and above.  It calls the module global
+    ``vollab.tree.best_split``, so a test can record both growths' searches."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    limits = limits or TreeLimits()
+    m = X.shape[1]
+    if feature_subset < 1.0:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        k = max(1, int(np.ceil(feature_subset * m)))
+        perm = rng.permutation(m)
+        features = sorted(perm[:k].tolist())
+    else:
+        features = list(range(m))
+
+    n = len(y)
+    size = 2 * n - 1
+    feature, left, right = np.full((3, size), -1)
+    threshold, value, gain = np.zeros((3, size))
+    n_samples, depth = np.zeros((2, size), dtype=int)
+    value[0], n_samples[0] = y.sum() / n, n
+    rows = {0: np.arange(n)}
+    count = 1
+
+    def candidate(j):
+        if limits.max_depth >= 0 and depth[j] >= limits.max_depth:
+            return None
+        sp = vollab.tree.best_split(X[rows[j]], y[rows[j]], features, limits.min_samples_leaf)
+        if sp is None or sp[0] < limits.min_gain:
+            return None
+        return sp
+
+    frontier = {}
+    c = candidate(0)
+    if c is not None:
+        frontier[0] = c
+
+    while frontier and (count + 1) // 2 < limits.max_leaves:
+        j = min(frontier, key=lambda j: (-frontier[j][0], j))
+        g, f, thr = frontier.pop(j)
+        idx = rows.pop(j)
+        mask = X[idx, f] < thr
+        feature[j], threshold[j], gain[j] = f, thr, g
+        children = (count, count + 1)
+        left[j], right[j] = children
+        for cid, child_rows in zip(children, (idx[mask], idx[~mask])):
+            value[cid] = y[child_rows].sum() / len(child_rows)
+            n_samples[cid] = len(child_rows)
+            depth[cid] = depth[j] + 1
+            rows[cid] = child_rows
+        count += 2
+        if (count + 1) // 2 >= limits.max_leaves:
+            break
+        for cid in children:
+            c = candidate(cid)
+            if c is not None:
+                frontier[cid] = c
+    arrays = (feature, threshold, left, right, value, n_samples, gain)
+    return RegressionTree(*(a[:count].copy() for a in arrays), m)
 
 
 # -------------------------------------------------------------------- gbdt

@@ -81,6 +81,15 @@ class TestFitGbdt:
             with pytest.raises(VollabError, match="rounds"):
                 GbdtParams(rounds=rounds)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, rng, bad):
+        # a nan used to grow trees with empty nan-valued leaves, and an inf
+        # was fitted as a number
+        X = rng.normal(size=(30, 3))
+        X[7, 1] = bad
+        with pytest.raises(VollabError, match="features must be finite"):
+            fit_gbdt(X, rng.normal(size=30), SMALL)
+
     @pytest.mark.parametrize("bad", [
         {"min_data": 0}, {"min_data": -3}, {"min_data": True}, {"rounds": 2.5},
         {"leaves": 2.5}, {"max_depth": -7}, {"min_gain": float("nan")}, {"min_gain": -0.5},

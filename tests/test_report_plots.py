@@ -113,6 +113,19 @@ class TestBuildReport:
         assert format_report(rows, header).splitlines()[-1].split()[-2:] == ["-", "-"]
         assert report_csv(rows).splitlines()[-1].endswith(",nan,nan")
 
+    def test_header_covers_every_test_date_of_every_file(self, tmp_path, rng):
+        # the header used to describe the first file alone: observations 5
+        naive = _group(rng, "naive", 63, n=20)
+        write_records_csv(naive, str(tmp_path / "records_naive_63.csv"))
+        gbdt = [dataclasses.replace(r, model="gbdt") for r in naive[:5]]
+        write_records_csv(gbdt, str(tmp_path / "records_gbdt_63.csv"))
+        rows, header = build_report(str(tmp_path))
+        levels = np.array([r.actual_level for r in naive])
+        assert header == {"n": 20, "level_min": levels.min(), "level_max": levels.max(),
+                          "cov_pct": 100.0 * levels.std() / levels.mean()}
+        assert format_report(rows, header).startswith(
+            f"observations: 20   actual levels: {levels.min():.2f} - {levels.max():.2f} ")
+
 
 class TestFormatting:
     def test_text_layout(self, tmp_path, rng):

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vollab.tree
 from oracles import (
     exhaustive_best_split,
     exhaustive_leafwise_order,
+    rows_dict_fit_regression_tree,
     scan_best_split,
     walk_apply,
     walk_predict,
@@ -265,6 +267,70 @@ class TestFitRegressionTree:
             fit_regression_tree(np.ones((3, 1)), np.ones(2))
         with pytest.raises(VollabError):
             fit_regression_tree(np.ones((3, 1)), np.array([1.0, np.nan, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        # a nan row made the threshold nan, which sends every row right: the
+        # split repeated into three empty nan-valued leaves and 1/6 everywhere
+        X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [bad]])
+        with pytest.raises(VollabError, match="features must be finite"):
+            fit_regression_tree(X, [0, 0, 0, 0, 0, 1], TreeLimits(max_leaves=4))
+
+    @pytest.mark.parametrize("fraction", [0.5, 1.0])
+    def test_negative_seed_rejected_at_every_fraction(self, fraction):
+        with pytest.raises(ValueError):
+            fit_regression_tree(np.ones((4, 2)), np.ones(4), feature_subset=fraction, seed=-1)
+
+
+@st.composite
+def growth_cases(draw):
+    """(X, y, limits, feature_subset, seed) with ties, duplicated rows and
+    every limit binding or not, min_samples_leaf above n / 2 included."""
+    n = draw(st.integers(1, 80))
+    m = draw(st.integers(1, 20))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = r.normal(size=(n, m))
+    rounded = r.random(m) < 0.5  # few distinct values: tied thresholds
+    X[:, rounded] = np.round(X[:, rounded], draw(st.integers(0, 1)))
+    y = r.normal(size=n)
+    target = draw(st.sampled_from(["normal", "sign", "rounded"]))
+    if target == "sign":
+        y = r.integers(-1, 2, size=n).astype(float)
+    elif target == "rounded":
+        y = np.round(y, 1)
+    if draw(st.booleans()):  # a bootstrap draw repeats whole rows
+        boot = r.integers(0, n, size=n)
+        X, y = X[boot], y[boot]
+    limits = TreeLimits(max_leaves=draw(st.integers(1, 40)),
+                        max_depth=draw(st.integers(-1, 5)),
+                        min_samples_leaf=draw(st.integers(1, 12)),
+                        min_gain=draw(st.sampled_from([0.0, 0.5])))
+    return (X, y, limits, draw(st.sampled_from([0.2, 0.5, 1.0])),
+            draw(st.integers(0, 2**63 - 2)))
+
+
+class TestAgainstTheRowsDictGrowth:
+    @given(growth_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_same_nodes_and_split_searches(self, case):
+        searches, search = [], vollab.tree.best_split
+
+        def recording(X, y, features, min_samples_leaf):
+            searches[-1].append((len(y), list(features), min_samples_leaf))
+            return search(X, y, features, min_samples_leaf)
+
+        trees = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vollab.tree, "best_split", recording)
+            for fit in (fit_regression_tree, rows_dict_fit_regression_tree):
+                searches.append([])
+                trees.append(fit(*case))
+        got, want = trees
+        for name in ("feature", "threshold", "left", "right", "value", "n_samples", "gain"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.n_features == want.n_features
+        assert searches[0] == searches[1]
 
 
 class TestApplyAndGains:
