@@ -59,6 +59,10 @@ def fit_gbdt(X, y, params: GbdtParams) -> GbdtModel:
         raise VollabError(
             f"need at least {2 * params.min_data} rows for min_data={params.min_data}, got {n}"
         )
+    # every row, not only the bagged ones each tree checks: a row no bag
+    # draws is still routed by apply, and a nan goes right at every split
+    if not np.isfinite(X).all():
+        raise VollabError("features must be finite")
     rng = np.random.default_rng(np.random.PCG64(params.seed))
     model = GbdtModel(params, float(np.median(y)))
     F = np.full(n, model.base_score)

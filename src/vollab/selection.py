@@ -3,7 +3,8 @@
 A feature's score within one fold is its share of the total split gain
 accumulated by a forest of bootstrap mean-leaf trees (sqrt(m) feature
 subsampling per tree); scores are averaged across folds and the top-k
-names are selected.
+names are selected.  All the trees of all the folds grow in lockstep
+(tree.fit_forest), and the fold rows are checked to be finite once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import VollabError
 from .features import FeatureMatrix
-from .tree import TreeLimits, fit_regression_tree
+from .tree import TreeLimits, fit_forest
 
 
 @dataclass(frozen=True)
@@ -68,17 +69,20 @@ def rf_importance(
     boundaries = [int(round(n * i / (n_splits + 1))) for i in range(1, n_splits + 1)]
     if boundaries[0] < 10:
         raise VollabError(f"too few rows ({n}) for {n_splits} expanding folds")
-    frac = np.sqrt(m) / m
-    limits = TreeLimits(max_leaves=32, min_samples_leaf=5)
     rng = np.random.default_rng(np.random.PCG64(seed))
+    samples, seeds = [], []
+    for b in boundaries:
+        for _ in range(n_trees):
+            samples.append(rng.integers(0, b, size=b))
+            seeds.append(int(rng.integers(0, 2**63 - 1)))
+    # the last fold's rows hold every fold's rows, so X is checked once
+    rows = boundaries[-1]
+    trees = fit_forest(X.values[:rows], y[:rows], samples, seeds,
+                       TreeLimits(max_leaves=32, min_samples_leaf=5), np.sqrt(m) / m)
     per_split = np.zeros((n_splits, m))
-    for i, b in enumerate(boundaries):
-        Xi, yi = X.values[:b], y[:b]
+    for i in range(n_splits):
         gains = np.zeros(m)
-        for t in range(n_trees):
-            boot = rng.integers(0, b, size=b)
-            tree_seed = int(rng.integers(0, 2**63 - 1))
-            tree = fit_regression_tree(Xi[boot], yi[boot], limits, frac, tree_seed)
+        for tree in trees[i * n_trees:(i + 1) * n_trees]:
             gains += tree.feature_gains()
         total = gains.sum()
         per_split[i] = gains / total if total > 0 else np.full(m, 1.0 / m)

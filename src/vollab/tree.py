@@ -1,11 +1,16 @@
-"""Regression tree grown leaf-wise (best gain first) with mean-valued leaves.
+"""Regression trees grown leaf-wise (best gain first) with mean-valued leaves.
 
-Shared by the random-forest feature selector and the boosting engine.
-Splits scan the midpoints between sorted unique feature values; the gain
-is the reduction in total squared error.  Thresholds route strictly-less
-to the left.  A node's split search scores every threshold of every
-feature in one array pass (see best_split); among expandable leaves the
-larger gain wins, then the lower leaf id.
+Two growers share one rule.  fit_regression_tree grows one tree and scores
+each node with best_split; the boosting engine uses it.  fit_forest grows
+many trees in lockstep for the random-forest feature selector and scores
+all the leaves one growth step opens in one batched search; each of its
+trees equals fit_regression_tree's on the same sample, bit for bit.  The
+rule: splits scan the midpoints between sorted unique feature values; the
+gain is the reduction in total squared error; thresholds route
+strictly-less to the left; a node's candidates rank by feature, then
+threshold, and a later one wins only if its gain is larger by more than a
+rounding tolerance; among expandable leaves the larger gain wins, then the
+lower leaf id.
 """
 
 from __future__ import annotations
@@ -226,3 +231,186 @@ def fit_regression_tree(
         add_leaf(count - 1, rows[~mask], depth + 1, expand)
     arrays = (feature, threshold, left, right, value, n_samples, gain)
     return RegressionTree(*(a[:count].copy() for a in arrays), m)
+
+
+# cells (nodes x features x rows) of one batched split search, which keeps
+# its working set to a few MB; the row counts of one search's nodes differ
+# by at most _PAD_RATIO, so little of it is padding
+_SEARCH_CELLS = 1 << 15
+_PAD_RATIO = 1.5
+
+
+def _sums(y, rows, counts):
+    """Each node's target sum and squared error about its mean, with the bits
+    of fit_regression_tree's and _sse's 1-D sums: the nodes of one row count
+    are summed as the rows of one C-contiguous array (padding would change
+    the pairwise summation)."""
+    total, sse = np.empty((2, len(counts)))
+    by_count = counts.argsort(kind="stable")
+    starts = np.flatnonzero(np.diff(counts[by_count], prepend=-1))
+    for at in np.split(by_count, starts[1:]):
+        c = counts[at[0]]
+        Y = y[rows[at, :c]]
+        s = Y.sum(axis=1)
+        d = Y - (s / c)[:, None]
+        total[at], sse[at] = s, (d * d).sum(axis=1)
+    return total, sse
+
+
+def _batched_split(X, ranks, y, rows, counts, features, parent, min_samples_leaf):
+    """best_split of many nodes at once: (gain, feature, threshold) arrays,
+    gain -inf where a node has no split.
+
+    Node r's rows are rows[r, :counts[r]], padded with the index of a row of
+    +inf features and 0 target.  Columns are sorted by their ranks (ranks[f]
+    orders X[:, f] with ties equal), so a stable argsort keeps every node's
+    own rows in best_split's order and the padding after them; the gains
+    are best_split's expression on the same running sums.
+    """
+    N, L = rows.shape
+    k = features.shape[1]
+    lo = min_samples_leaf - 1
+    P = L - 2 * min_samples_leaf + 1  # split positions lo .. lo + P - 1
+    keys = ranks.take(features[:, :, None] * ranks.shape[1] + rows[:, None, :])
+    order = keys.argsort(axis=2, kind="stable")
+    # gathers along the last axis by flat index: row (node, feature) of keys
+    # starts at (node * k + feature) * L, row node of y[rows] at node * L
+    keys = keys.take(order + np.arange(N * k).reshape(N, k, 1) * L)
+    ys = y[rows].take(order + np.arange(N).reshape(N, 1, 1) * L)
+    sy, sq = ys.cumsum(axis=2), (ys * ys).cumsum(axis=2)
+    last = np.arange(N), slice(None), counts - 1
+    nl = np.arange(lo + 1, lo + P + 1)
+    nr = counts[:, None] - nl
+    valid = nr >= min_samples_leaf
+    nr = np.where(valid, nr, 1)[:, None, :]
+    sl, ql = sy[..., lo:lo + P], sq[..., lo:lo + P]
+    sr, qr = sy[last][..., None] - sl, sq[last][..., None] - ql
+    gains = parent[:, None, None] - ((ql - sl * sl / nl) + (qr - sr * sr / nr))
+    cand = valid[:, None, :] & (keys[..., lo:lo + P] != keys[..., lo + 1:lo + P + 1])
+    G = np.where(cand, gains, -np.inf).reshape(N, k * P)
+    # best_split's running-maximum rule keeps the first argmax unless an
+    # earlier candidate comes within tie_tol of the maximum; those nodes
+    # take the rule itself
+    best = G.argmax(axis=1)
+    top = G[np.arange(N), best]
+    tie_tol = 1e-10 * np.maximum(1.0, parent)
+    for r in np.flatnonzero((G >= (top - tie_tol)[:, None]).argmax(axis=1) < best):
+        g = G[r]
+        b = 0
+        for p in np.flatnonzero(g[1:] > np.maximum.accumulate(g)[:-1]).tolist():
+            if g[p + 1] > g[b] + tie_tol[r]:
+                b = p + 1
+        best[r] = b
+    node = np.arange(N)
+    r, i = np.divmod(best, P)
+    i += lo
+    below, above = rows[node, order[node, r, i]], rows[node, order[node, r, i + 1]]
+    f = features[node, r]
+    return G[node, best], f, (X[below, f] + X[above, f]) / 2.0
+
+
+def fit_forest(X, y, samples, seeds, limits: TreeLimits | None = None,
+               feature_subset: float = 1.0) -> list[RegressionTree]:
+    """Grow one tree per (sample, seed) pair, all in lockstep.
+
+    Tree t equals fit_regression_tree(X[samples[t]], y[samples[t]], limits,
+    feature_subset, seeds[t]) node for node and bit for bit: the same
+    feature draw, the same growth rule (the frontier leaf of maximal gain,
+    then the lower id) and the same split rule as best_split.  Each step,
+    every tree that can still grow splits its best leaf, and all the new
+    children of all the trees are scored by one batched search
+    (_batched_split).  X is checked to be finite once, over all its rows.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if (X.ndim != 2 or len(X) != len(y) or len(seeds) != len(samples)
+            or any(len(s) == 0 for s in samples)):
+        raise VollabError("fit_forest needs matching X and y and a seed per non-empty sample")
+    for s in samples:
+        if not np.abs(y[s]).sum() <= _MAX_ABS_SUM:
+            raise VollabError("targets and (sum of |y|) ** 2 must be finite")
+    if not np.isfinite(X).all():
+        raise VollabError("features must be finite")
+    limits = limits or TreeLimits()
+    msl = limits.min_samples_leaf
+    if msl < 1:
+        raise VollabError(f"min_samples_leaf must be >= 1, got {msl}")
+    n, m = X.shape
+    T = len(samples)
+    k = min(m, max(1, math.ceil(feature_subset * m)))
+    draws = np.array([np.sort(np.random.Generator(np.random.PCG64(s)).permutation(m)[:k])
+                      for s in seeds])
+    # row n is the padding: +inf features sort after every real value
+    X = np.vstack((X, np.full(m, np.inf)))
+    y = np.append(y, 0.0)
+    ranks = np.array([np.unique(c, return_inverse=True)[1] for c in X.T],
+                     dtype=np.min_scalar_type(n))
+    sizes = np.array([len(s) for s in samples])
+    width = sizes.max()
+    R = np.full((T, width), n)  # each tree's sample, padded
+    at = np.arange(width) < sizes[:, None]
+    R[at] = np.concatenate(samples)
+    leaf = np.where(at, 0, -1)  # the leaf holding each sample position
+
+    size = 2 * min(limits.max_leaves, width) - 1
+    feature, left, right, depth = np.full((4, T, size), -1)
+    threshold, value, gain = np.zeros((3, T, size))
+    n_samples = np.zeros((T, size), dtype=int)
+    open_gain = np.full((T, size), -np.inf)  # best split gain of each frontier leaf
+    open_feature = np.zeros((T, size), dtype=int)
+    open_threshold = np.zeros((T, size))
+
+    def add_leaves(trees, ids, rows, counts, depths, expand):
+        total, sse = _sums(y, rows, counts)
+        value[trees, ids], n_samples[trees, ids], depth[trees, ids] = total / counts, counts, depths
+        if not expand:
+            return
+        go = counts >= 2 * msl
+        if limits.max_depth >= 0:
+            go &= depths < limits.max_depth
+        go = np.flatnonzero(go)
+        go = go[counts[go].argsort(kind="stable")]
+        start = 0
+        while start < len(go):  # chunks of nodes of similar row counts
+            c = counts[go[start:]]
+            cells = np.arange(1, len(c) + 1) * c * k
+            stop = min(np.searchsorted(cells, _SEARCH_CELLS, "right"),
+                       np.searchsorted(c, c[0] * _PAD_RATIO, "right"))
+            chunk = go[start:start + max(1, stop)]
+            start += len(chunk)
+            t, j = trees[chunk], ids[chunk]
+            g, f, thr = _batched_split(X, ranks, y, rows[chunk, :counts[chunk[-1]]], counts[chunk],
+                                       draws[t], sse[chunk], msl)
+            ok = g >= limits.min_gain
+            t, j = t[ok], j[ok]
+            open_gain[t, j], open_feature[t, j], open_threshold[t, j] = g[ok], f[ok], thr[ok]
+
+    add_leaves(np.arange(T), np.zeros(T, dtype=int), R, sizes, np.zeros(T, dtype=int),
+               limits.max_leaves > 1)
+    count = 1  # nodes of every tree still growing
+    while (count + 1) // 2 < limits.max_leaves:
+        j = open_gain.argmax(axis=1)  # max gain, then the lower id
+        t = np.flatnonzero(open_gain[np.arange(T), j] > -np.inf)
+        if t.size == 0:
+            break
+        j = j[t]
+        f, thr = open_feature[t, j], open_threshold[t, j]
+        feature[t, j], threshold[t, j], gain[t, j] = f, thr, open_gain[t, j]
+        left[t, j], right[t, j] = count, count + 1
+        open_gain[t, j] = -np.inf
+        Rt, here = R[t], leaf[t] == j[:, None]
+        goes_left = X[Rt, f[:, None]] < thr[:, None]
+        # the children, left then right, each with its rows in sample order
+        side = np.concatenate((here & goes_left, here & ~goes_left))
+        node, pos = np.nonzero(side)
+        leaf[t[node % len(t)], pos] = count + node // len(t)
+        counts = np.bincount(node, minlength=len(side))
+        rows = np.full((len(side), counts.max()), n)
+        rows[node, np.arange(len(node)) - (counts.cumsum() - counts)[node]] = Rt[node % len(t), pos]
+        count += 2
+        add_leaves(np.concatenate((t, t)), np.repeat([count - 2, count - 1], len(t)), rows,
+                   counts, np.tile(depth[t, j] + 1, 2), (count + 1) // 2 < limits.max_leaves)
+    arrays = (feature, threshold, left, right, value, n_samples, gain)
+    n_nodes = 1 + 2 * (feature >= 0).sum(axis=1)  # a split adds two nodes
+    return [RegressionTree(*(a[i, :c].copy() for a in arrays), m)
+            for i, c in enumerate(n_nodes.tolist())]

@@ -17,6 +17,7 @@ from vollab.gbdt import GbdtModel
 from vollab.metrics import compute_metrics, dm_test
 from vollab.plots import HEIGHT, MARGIN, WIDTH, _fmt, _points, _polyline, _scale, _svg, _title
 from vollab.report import ReportRow, collect_records
+from vollab.selection import ImportanceReport
 from vollab.svr import MAX_PASSES, SvrModel, SvrParams, kernel_matrix, resolve_gamma
 import vollab.tree
 from vollab.tree import RegressionTree, TreeLimits, fit_regression_tree
@@ -439,6 +440,41 @@ def rows_dict_fit_regression_tree(X, y, limits=None, feature_subset=1.0, seed=0)
                 frontier[cid] = c
     arrays = (feature, threshold, left, right, value, n_samples, gain)
     return RegressionTree(*(a[:count].copy() for a in arrays), m)
+
+
+# --------------------------------------------------------------- selection
+
+def per_tree_rf_importance(X, y, n_splits=5, n_trees=100, seed=0):
+    """``selection.rf_importance`` with one ``fit_regression_tree`` call per
+    tree, each bootstrap sample fitted (and its features checked) on its
+    own, the draws taken fold by fold as the lockstep forest takes them."""
+    y = np.asarray(y, dtype=float)
+    if n_splits < 2:
+        raise VollabError("n_splits must be >= 2")
+    if n_trees < 1:
+        raise VollabError(f"n_trees must be >= 1, got {n_trees}")
+    n, m = X.values.shape
+    if y.shape != (n,):
+        raise VollabError("X and y must be aligned")
+    boundaries = [int(round(n * i / (n_splits + 1))) for i in range(1, n_splits + 1)]
+    if boundaries[0] < 10:
+        raise VollabError(f"too few rows ({n}) for {n_splits} expanding folds")
+    frac = np.sqrt(m) / m
+    limits = TreeLimits(max_leaves=32, min_samples_leaf=5)
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    per_split = np.zeros((n_splits, m))
+    for i, b in enumerate(boundaries):
+        Xi, yi = X.values[:b], y[:b]
+        gains = np.zeros(m)
+        for t in range(n_trees):
+            boot = rng.integers(0, b, size=b)
+            tree_seed = int(rng.integers(0, 2**63 - 1))
+            tree = fit_regression_tree(Xi[boot], yi[boot], limits, frac, tree_seed)
+            gains += tree.feature_gains()
+        total = gains.sum()
+        per_split[i] = gains / total if total > 0 else np.full(m, 1.0 / m)
+    averaged = per_split.mean(axis=0)
+    return ImportanceReport(X.names, per_split, averaged, tuple(boundaries))
 
 
 # -------------------------------------------------------------------- gbdt

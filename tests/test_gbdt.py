@@ -90,6 +90,17 @@ class TestFitGbdt:
         with pytest.raises(VollabError, match="features must be finite"):
             fit_gbdt(X, rng.normal(size=30), SMALL)
 
+    def test_non_finite_feature_outside_every_bag_rejected(self, rng):
+        # half of the rows are out of the one bag; their nan used to be
+        # fitted and then routed right by apply
+        X, y = rng.normal(size=(40, 3)), rng.normal(size=40)
+        p = GbdtParams(rounds=1, bagging_fraction=0.5, min_data=2)
+        for row in range(40):
+            bad = X.copy()
+            bad[row, row % 3] = np.nan
+            with pytest.raises(VollabError, match="features must be finite"):
+                fit_gbdt(bad, y, p)
+
     @pytest.mark.parametrize("bad", [
         {"min_data": 0}, {"min_data": -3}, {"min_data": True}, {"rounds": 2.5},
         {"leaves": 2.5}, {"max_depth": -7}, {"min_gain": float("nan")}, {"min_gain": -0.5},

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import per_tree_rf_importance
 from vollab.errors import VollabError
 from vollab.features import FeatureMatrix
 from vollab.frames import business_days
@@ -61,6 +64,51 @@ class TestRfImportance:
         X = matrix(rng)
         with pytest.raises(VollabError):
             rf_importance(X, rng.normal(size=len(X) - 1))
+
+    def test_non_finite_feature_in_any_fold_row_rejected(self, rng):
+        # each bootstrap sample used to be checked on its own, so a nan in a
+        # row that no tree drew was ranked silently
+        X = matrix(rng, n=60, m=3)
+        y = rng.normal(size=60)
+        rows = rf_importance(X, y, n_trees=1).split_boundaries[-1]
+        for row in range(rows):
+            bad = X.values.copy()
+            bad[row, row % 3] = np.nan
+            with pytest.raises(VollabError, match="features must be finite"):
+                rf_importance(FeatureMatrix(X.dates, X.names, bad), y, n_trees=1)
+
+
+@st.composite
+def ranking_cases(draw):
+    """(X, y, n_splits, n_trees, seed) with tied values, duplicated rows and
+    targets of few distinct values."""
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_splits = draw(st.integers(2, 5))
+    n = draw(st.integers(10 * (n_splits + 1), 150))
+    m = draw(st.integers(1, 12))
+    X = matrix(r, n=n, m=m)
+    values = X.values.copy()
+    rounded = r.random(m) < 0.5
+    values[:, rounded] = np.round(values[:, rounded], draw(st.integers(0, 1)))
+    if draw(st.booleans()):
+        values = values[r.integers(0, n, size=n)]
+    y = r.normal(size=n)
+    if draw(st.booleans()):
+        y = np.round(y, 1)
+    return (FeatureMatrix(X.dates, X.names, values), y, n_splits,
+            draw(st.integers(1, 6)), draw(st.integers(0, 2**63 - 1)))
+
+
+class TestAgainstThePerTreeForest:
+    @given(ranking_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_same_importance_bytes(self, case):
+        X, y, n_splits, n_trees, seed = case
+        got = rf_importance(X, y, n_splits=n_splits, n_trees=n_trees, seed=seed)
+        want = per_tree_rf_importance(X, y, n_splits=n_splits, n_trees=n_trees, seed=seed)
+        assert got.per_split.tobytes() == want.per_split.tobytes()
+        assert got.averaged.tobytes() == want.averaged.tobytes()
+        assert got.split_boundaries == want.split_boundaries
 
 
 class TestRankingAndSelect:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vollab.tree
@@ -19,6 +19,7 @@ from vollab.tree import (
     TreeLimits,
     _sse,
     best_split,
+    fit_forest,
     fit_regression_tree,
     predict_tree,
 )
@@ -331,6 +332,86 @@ class TestAgainstTheRowsDictGrowth:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert got.n_features == want.n_features
         assert searches[0] == searches[1]
+
+
+@st.composite
+def forest_cases(draw):
+    """(X, y, samples, seeds, limits, feature_subset): bootstrap samples of
+    expanding prefixes of one matrix, as rf_importance's folds draw them,
+    with tied values, duplicated rows and every limit binding or not."""
+    n = draw(st.integers(1, 80))
+    m = draw(st.integers(1, 12))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = r.normal(size=(n, m))
+    rounded = r.random(m) < draw(st.sampled_from([0.5, 1.0]))  # tied thresholds
+    X[:, rounded] = np.round(X[:, rounded], draw(st.integers(0, 1)))
+    y = r.normal(size=n)
+    # sums of small integers are exact, so leaves often tie on gain
+    target = draw(st.sampled_from(["normal", "sign", "rounded"]))
+    if target == "sign":
+        y = r.integers(-1, 2, size=n).astype(float)
+    elif target == "rounded":
+        y = np.round(y, 1)
+    if draw(st.booleans()):  # a bootstrap draw repeats whole rows
+        boot = r.integers(0, n, size=n)
+        X, y = X[boot], y[boot]
+    folds = np.sort(r.integers(1, n + 1, size=draw(st.integers(1, 4))))
+    per_fold = draw(st.integers(1, 4))
+    samples = [r.integers(0, b, size=b) for b in folds for _ in range(per_fold)]
+    seeds = r.integers(0, 2**63 - 1, size=len(samples)).tolist()
+    limits = TreeLimits(max_leaves=draw(st.integers(1, 40)),
+                        max_depth=draw(st.integers(-1, 6)),
+                        min_samples_leaf=draw(st.integers(1, 12)),
+                        min_gain=draw(st.sampled_from([0.0, 1e-3, 0.5])))
+    fraction = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return X, y, samples, seeds, limits, fraction
+
+
+# two clusters of two rows with the same spread: after the root split both
+# children score a gain of exactly 0.5, and the lower id is expanded first
+TIED_LEAVES = (np.array([[0.0], [1.0], [10.0], [11.0]]), np.array([0.0, 1.0, 10.0, 11.0]),
+               [np.arange(4)], [0], TreeLimits(max_leaves=3), 1.0)
+
+
+class TestLockstepForest:
+    @given(forest_cases())
+    @example(TIED_LEAVES)
+    @settings(max_examples=400, deadline=None)
+    def test_every_tree_equals_its_own_growth(self, case):
+        X, y, samples, seeds, limits, fraction = case
+        trees = fit_forest(X, y, samples, seeds, limits, fraction)
+        assert len(trees) == len(samples)
+        for got, s, seed in zip(trees, samples, seeds):
+            want = fit_regression_tree(X[s], y[s], limits, fraction, seed)
+            for name in ("feature", "threshold", "left", "right", "value", "n_samples",
+                         "gain"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert got.n_features == want.n_features
+            assert got.to_json() == want.to_json()
+
+    def test_ranks_wider_than_a_byte(self, rng):
+        # X has more than 255 rows, so the search sorts uint16 ranks
+        X = np.round(rng.normal(size=(700, 3)), 2)
+        y = rng.normal(size=700)
+        samples = [rng.integers(0, b, size=b) for b in (40, 300, 700)]
+        limits = TreeLimits(max_leaves=20, min_samples_leaf=3)
+        for tree, s, seed in zip(fit_forest(X, y, samples, [1, 2, 3], limits, 0.7), samples,
+                                 [1, 2, 3]):
+            assert tree.to_json() == fit_regression_tree(X[s], y[s], limits, 0.7, seed).to_json()
+
+    def test_inputs_checked_before_growth(self, rng):
+        X, y = rng.normal(size=(30, 3)), rng.normal(size=30)
+        X[29, 2] = np.nan  # no sample draws row 29
+        with pytest.raises(VollabError, match="features must be finite"):
+            fit_forest(X, y, [np.arange(10)], [0])
+        X[29, 2] = 0.0
+        y[3] = np.inf
+        with pytest.raises(VollabError, match="must be finite"):
+            fit_forest(X, y, [np.arange(10)], [0])
+        for samples, seeds in (([np.arange(0)], [0]), ([np.arange(10)], [0, 1])):
+            with pytest.raises(VollabError, match="a seed per non-empty sample"):
+                fit_forest(X, y, samples, seeds)
 
 
 class TestApplyAndGains:
