@@ -14,6 +14,8 @@ import numpy as np
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum grad down to `shape` after a broadcast."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for ax, s in enumerate(shape):
@@ -41,8 +43,11 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # 0 + g, laid out like data: a gradient's layout picks the BLAS
+            # kernel of the next matmul it enters, and so that matmul's bits
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self):
         # depth-first post-order over _prev, in order; an explicit stack, as
@@ -175,10 +180,16 @@ class Tensor:
     # -- shape ops -----------------------------------------------------------
     def __getitem__(self, key):
         out = Tensor(self.data[key], (self,))
+        # a key of ints and slices selects each element at most once
+        basic = all(k is None or k is Ellipsis or isinstance(k, (int, slice))
+                    for k in (key if isinstance(key, tuple) else (key,)))
 
         def bw(g):
             full = np.zeros_like(self.data)
-            np.add.at(full, key, g)
+            if basic:
+                full[key] += g
+            else:
+                np.add.at(full, key, g)
             self._accum(full)
 
         out._backward = bw
@@ -219,15 +230,6 @@ def concat(tensors, axis: int) -> Tensor:
 
     out._backward = bw
     return out
-
-
-def stack(tensors, axis: int) -> Tensor:
-    expanded = []
-    for t in tensors:
-        shape = list(t.shape)
-        shape.insert(axis, 1)
-        expanded.append(t.reshape(*shape))
-    return concat(expanded, axis)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -5,9 +5,11 @@ scaled-dot-product attention over time -> second Conv1D (tanh) ->
 residual Z1 = H1 + H2 -> O = LayerNorm(Z1) + Dropout(tanh(FCL1(Z1)))
 (normalized once more before the recurrent stack) -> bidirectional GRU
 (64) -> bidirectional GRU (32) -> linear head on the last time step ->
-scalar.  Training: Adam at the configured rate, MAE loss, global-norm
-gradient clipping, early stopping on validation MAE with snapshotting of
-the best epoch.  Everything is seeded and bit-reproducible.
+scalar.  Each GRU direction is one fused autodiff node whose hand-written
+backward gives the same bits as the per-op graph.  Training: Adam at the
+configured rate, MAE loss, global-norm gradient clipping, early stopping
+on validation MAE with snapshotting of the best epoch.  Everything is
+seeded and bit-reproducible.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, softmax, stack
+from .autodiff import Tensor, concat, softmax
 from .errors import NumericError, VollabError, check_int, check_real
 
 LN_EPS = 1e-5
@@ -134,22 +136,83 @@ def multi_head_attention(x: Tensor, p: dict, heads: int, head_size: int):
     return ctx @ p["attn_wo"] + p["attn_bo"], w
 
 
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-a))
+
+
+def _fold(terms: list) -> np.ndarray:
+    """Left-to-right sum of the terms, ((t0 + t1) + t2) + ..."""
+    return sum(terms[1:], terms[0])
+
+
+GRU_WEIGHTS = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
+
+
 def _gru_direction(x: Tensor, p: dict, prefix: str, units: int, reverse: bool) -> Tensor:
-    B, T, _ = x.shape
-    wz, uz, bz = p[f"{prefix}_wz"], p[f"{prefix}_uz"], p[f"{prefix}_bz"]
-    wr, ur, br = p[f"{prefix}_wr"], p[f"{prefix}_ur"], p[f"{prefix}_br"]
-    wh, uh, bh = p[f"{prefix}_wh"], p[f"{prefix}_uh"], p[f"{prefix}_bh"]
-    h = Tensor(np.zeros((B, units), dtype=x.data.dtype), requires_grad=False)
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    outs: list[Tensor] = [None] * T
-    for t in steps:
-        xt = x[:, t, :]
-        z = (xt @ wz + h @ uz + bz).sigmoid()
-        r = (xt @ wr + h @ ur + br).sigmoid()
-        hc = (xt @ wh + (r * h) @ uh + bh).tanh()
-        h = (1.0 - z) * h + z * hc
-        outs[t] = h
-    return stack(outs, axis=1)
+    """One GRU direction over (B, T, D) as a single node: its parents are x
+    and the nine weights, its data the stacked (B, T, units) states.
+
+    The forward pass and the hand-written backpropagation through time
+    repeat, expression for expression, what a graph of per-step Tensor ops
+    computes (tests/oracles.py::composed_gru_direction), and every gradient
+    takes its terms in the order that graph's reverse-topological sweep
+    adds them, so the output and every gradient are the same bits.
+    """
+    ws = [p[f"{prefix}_{name}"] for name in GRU_WEIGHTS]
+    wz, uz, bz, wr, ur, br, wh, uh, bh = (w.data for w in ws)
+    X = x.data
+    B, T, _ = X.shape
+    h = np.zeros((B, units), dtype=X.dtype)
+    steps, outs = [], [None] * T
+    for t in (range(T - 1, -1, -1) if reverse else range(T)):
+        xt = X[:, t, :]
+        z = _sigmoid((xt @ wz + h @ uz) + bz)
+        r = _sigmoid((xt @ wr + h @ ur) + br)
+        rh = r * h
+        hc = np.tanh((xt @ wh + rh @ uh) + bh)
+        omz = 1.0 + (-z)  # 1.0 - z as Tensor.__rsub__ builds it
+        steps.append((t, xt, h, z, r, rh, hc, omz))
+        h = omz * h + z * hc
+        outs[t] = h.reshape(B, 1, units)
+    out = Tensor(np.concatenate(outs, axis=1), (x, *ws))
+
+    def bw(g):
+        terms = {name: [] for name in GRU_WEIGHTS}
+        dx = [None] * T
+        gh = g[:, steps[-1][0], :]  # the last step's state feeds only the output
+        for k in range(T - 1, -1, -1):
+            t, xt, h, z, r, rh, hc, omz = steps[k]
+            dc = gh * z * (1.0 - hc ** 2)  # candidate pre-activation
+            drh = dc @ uh.T
+            db = drh * h * r * (1.0 - r)  # reset-gate pre-activation
+            da = (gh * hc + (-(gh * h))) * z * (1.0 - z)  # update-gate pre-activation
+            terms["bh"].append(dc.sum(axis=0))
+            terms["uh"].append(rh.T @ dc)
+            terms["br"].append(db.sum(axis=0))
+            terms["ur"].append(h.T @ db)
+            terms["wr"].append(xt.T @ db)
+            terms["wh"].append(xt.T @ dc)
+            terms["bz"].append(da.sum(axis=0))
+            terms["uz"].append(h.T @ da)
+            terms["wz"].append(xt.T @ da)
+            dx[t] = (db @ wr.T + dc @ wh.T) + da @ wz.T
+            if k:
+                # the previous state's terms, in the order the composed graph
+                # adds them; its output slice comes last going forward in
+                # time and first going backward
+                rec = [drh * r, db @ ur.T, gh * omz, da @ uz.T]
+                out_slice = g[:, steps[k - 1][0], :]
+                gh = _fold([out_slice] + rec if reverse else rec + [out_slice])
+        if reverse:
+            # each step's xt @ wz node sits below the rest of the chain in
+            # the composed graph, so wz takes its terms first step first
+            terms["wz"].reverse()
+        x._accum(np.stack(dx, axis=1))
+        for w, name in zip(ws, GRU_WEIGHTS):
+            w._accum(_fold(terms[name]))
+
+    out._backward = bw
+    return out
 
 
 def _bigru(x: Tensor, p: dict, layer: int, units: int) -> Tensor:

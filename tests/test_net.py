@@ -2,11 +2,15 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import recursive_backward
+import vollab.net
+from oracles import composed_gru_direction, recursive_backward
 from vollab.autodiff import Tensor
 from vollab.errors import VollabError
 from vollab.net import (
+    GRU_WEIGHTS,
     TINY_CONFIG,
     NetConfig,
     build_graph,
@@ -169,6 +173,80 @@ class TestBackward:
         assert total == pytest.approx(1.0)
         untouched = clip_global_norm(g, 100.0)
         np.testing.assert_array_equal(untouched["a"], g["a"])
+
+
+def assert_same_bits(a, b, what):
+    """Equal dtype, shape and bits.  x87's 80-bit longdouble sits in 16 bytes
+    whose padding is left undefined, so a longdouble is compared by value
+    and sign, which fixes its 80 bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape), what
+    if a.dtype == np.longdouble:
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), what
+    else:
+        assert a.tobytes() == b.tobytes(), what
+
+
+class TestFusedGru:
+    """Each GRU direction is one node; its output and every gradient equal
+    the composed per-op graph's (oracles.composed_gru_direction) bit for
+    bit, and each gradient keeps the layout of its tensor's data."""
+
+    @staticmethod
+    def _graph_grads(params, x, y, cfg, train_mode, seed, gru):
+        old = vollab.net._gru_direction
+        vollab.net._gru_direction = gru
+        try:
+            pred, nodes, _ = build_graph(params, x, cfg, train_mode, seed)
+        finally:
+            vollab.net._gru_direction = old
+        (pred - Tensor(y, requires_grad=False)).abs().mean().backward()
+        return pred.data, {k: t.grad for k, t in nodes.items()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(default=st.booleans(), batch=st.integers(1, 32), train_mode=st.booleans(),
+           longdouble=st.booleans(), seed=st.integers(0, 2**16))
+    def test_whole_net_matches_the_composed_graph(self, default, batch, train_mode,
+                                                  longdouble, seed):
+        cfg = NetConfig() if default else TINY_CONFIG
+        dtype = np.longdouble if longdouble else np.float64
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(batch, 5, 3)).astype(dtype)
+        y = rng.normal(size=batch).astype(dtype)
+        p = {k: v.astype(dtype) for k, v in init_params(cfg, 3, seed=seed).items()}
+        fused = self._graph_grads(p, x, y, cfg, train_mode, seed, vollab.net._gru_direction)
+        composed = self._graph_grads(p, x, y, cfg, train_mode, seed, composed_gru_direction)
+        assert_same_bits(fused[0], composed[0], "prediction")
+        for k in p:
+            assert_same_bits(fused[1][k], composed[1][k], k)
+            assert fused[1][k].strides == composed[1][k].strides, k
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_one_direction_matches_on_any_input_layout(self, rng, layout, reverse):
+        B, T, D, U = 6, 7, 5, 4
+        base = rng.normal(size=(B, 2 * T, D))
+        data = {"C": np.ascontiguousarray(base[:, :T]), "F": np.asfortranarray(base[:, :T]),
+                "strided": base[:, ::2]}[layout]
+        weights = {}
+        for g in ("z", "r", "h"):
+            weights[f"d_w{g}"] = rng.normal(size=(D, U))
+            weights[f"d_u{g}"] = rng.normal(size=(U, U))
+            weights[f"d_b{g}"] = rng.normal(size=U)
+        c = rng.normal(size=(B, T, U))
+        runs = []
+        for gru in (vollab.net._gru_direction, composed_gru_direction):
+            x = Tensor(data)
+            p = {k: Tensor(v) for k, v in weights.items()}
+            out = gru(x, p, "d", U, reverse)
+            (out * Tensor(c, requires_grad=False)).sum().backward()
+            runs.append((out.data, x.grad, {k: p[f"d_{k}"].grad for k in GRU_WEIGHTS}))
+        (out_f, dx_f, g_f), (out_c, dx_c, g_c) = runs
+        assert_same_bits(out_f, out_c, "output")
+        assert_same_bits(dx_f, dx_c, "x")
+        assert dx_f.strides == dx_c.strides
+        for k in GRU_WEIGHTS:
+            assert_same_bits(g_f[k], g_c[k], k)
 
 
 class TestTrain:

@@ -121,7 +121,7 @@ class TestBestSplit:
         X, y = np.arange(6.0).reshape(-1, 1), np.arange(6.0)
         with pytest.raises(VollabError, match="min_samples_leaf must be >= 1"):
             best_split(X, y, [0], 0)
-        with pytest.raises(VollabError, match="min_samples_leaf must be >= 1"):
+        with pytest.raises(VollabError, match="min_samples_leaf must be int >= 1"):
             fit_regression_tree(X, y, TreeLimits(min_samples_leaf=0))
 
     def test_no_split_on_constant_feature(self):
@@ -173,7 +173,8 @@ class TestFitRegressionTree:
 
     @pytest.mark.parametrize("bad", [
         {"max_leaves": 0}, {"max_leaves": 2.5}, {"max_depth": -7}, {"min_gain": float("nan")},
-        {"min_gain": -1.0},
+        {"min_gain": -1.0}, {"min_samples_leaf": 2.5}, {"min_samples_leaf": 0},
+        {"min_samples_leaf": True},
     ], ids=lambda bad: "{}={!r}".format(*next(iter(bad.items()))))
     def test_limits_rejected(self, bad):
         # each of these used to be accepted and read as another value
