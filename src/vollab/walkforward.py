@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +20,7 @@ import numpy as np
 from .errors import DataError, ReportError, VollabError
 from .features import FeatureMatrix, SequencedDataset, log_diff, sequence
 from .frames import read_text
-from .grids import ParamState, derive_seed, enumerate_grid, forecast
+from .grids import ParamState, derive_seed, enumerate_grid, forecast, load_kind
 
 MIN_VALIDATION_SEED = 10  # sequenced observations in the initial training slice
 
@@ -215,10 +213,15 @@ def run_experiment(
 
     With threads > 1 the tasks run on that many forked worker processes, at
     most one per CPU and one per task.  Where the platform cannot fork, they
-    run serially.
+    run serially.  The kind's solver is loaded first, so no task imports it
+    and the workers inherit it.
     """
     tasks = build_tasks(data, kind, window, horizon, s, root_seed, grid, model_options)
+    load_kind(kind)
     workers = min(threads, os.cpu_count() or 1, len(tasks))
+    if workers > 1:  # only a run that may fork a pool loads its modules
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [run_batch(t) for t in tasks]
     # The workers inherit the tasks through the fork, so only indexes and

@@ -1,5 +1,7 @@
+import concurrent.futures
 import datetime as dt
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from conftest import planted_signal_data
 from vollab.errors import ReadError, ReportError, VollabError
 from vollab.features import SEQ_LEN, log_diff
-from vollab import grids, walkforward
+from vollab import grids, svr, walkforward
 from vollab.grids import enumerate_grid, forecast
 from vollab.walkforward import (
     MIN_VALIDATION_SEED,
@@ -194,7 +196,7 @@ class TestRunBatch:
         def broken(*args, **kwargs):
             raise TwoArgError(7, "solver broke")
 
-        monkeypatch.setattr(grids, "fit_svr", broken)
+        monkeypatch.setattr(svr, "fit_svr", broken)
         data = planted_signal_data(n=120)
         task = build_tasks(data, "svr", window=63, horizon=1, s=5, root_seed=0,
                            grid=enumerate_grid("svr")[:1])[0]
@@ -255,7 +257,7 @@ class TestWorkerPool:
         def broken(*args, **kwargs):
             raise LocalError(7, "solver broke")
 
-        monkeypatch.setattr(grids, "fit_svr", broken)
+        monkeypatch.setattr(svr, "fit_svr", broken)
         data = planted_signal_data(n=120)
         with pytest.raises(LocalError) as info:
             run_experiment(data, "svr", 63, horizon=3, s=5, root_seed=0,
@@ -304,7 +306,7 @@ class TestWorkerPool:
             started.append(max_workers)
             raise TwoArgError(0, "no process started")
 
-        monkeypatch.setattr(walkforward, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         data = planted_signal_data(n=120)
         if workers is None:  # the serial loop
@@ -318,9 +320,8 @@ class TestWorkerPool:
             assert started == [workers]
 
     def test_serial_where_fork_is_unavailable(self, monkeypatch, two_cpus):
-        monkeypatch.setattr(walkforward.multiprocessing, "get_all_start_methods",
-                            lambda: ["spawn"])
-        monkeypatch.setattr(walkforward, "ProcessPoolExecutor", None)  # must not be called
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # never called
         data = planted_signal_data(n=120)
         assert len(run_experiment(data, "naive", 63, horizon=3, s=5, root_seed=0,
                                   threads=2)) == 3
