@@ -7,9 +7,10 @@ comparison statistics, runnable end to end on synthetic or CSV data.
 Import from the submodules (``vollab.walkforward``, ``vollab.svr``, ...).
 """
 
-# numpy loads numpy.random lazily, on first use, and every fitted run draws
-# noise from it.  Every vollab import runs this file first, so it loads at
-# import time rather than inside the first forecast.
+# numpy loads both lazily: numpy.random on first use and numpy.ma on the
+# first np.median call.  Every vollab import runs this file first, so they
+# load at import time rather than inside the first forecast.
+import numpy.ma
 import numpy.random
 
 __version__ = "0.1.0"

@@ -17,8 +17,9 @@ from .errors import DataError, EmptyInputError, NumericError, UsageError, Vollab
 from .features import engineer, log_diff
 from .frames import (SYNTHETIC_DAYS, SYNTHETIC_SERIES, TimeSeriesFrame, align,
                      generate_synthetic, load_csv, partition)
-from .grids import MODELS, derive_seed, enumerate_grid, load_kind, resolve_grid
+from .grids import MODELS, derive_seed, enumerate_grid, resolve_grid
 from .report import write_report
+from .selection import rf_importance, select_top_k
 from .walkforward import (ExperimentData, check_history, run_experiment, task_seed,
                           write_records_csv)
 
@@ -54,8 +55,6 @@ def _engineer(cfg: RunConfig) -> ExperimentData:
 
 def _rank_features(cfg: RunConfig, data: ExperimentData):
     """Forest importances over the selection partition, else the early rows."""
-    from .selection import rf_importance
-
     diffs = log_diff(data.levels)
     dates, last = data.dates, len(data.dates) - 1  # the last date has no next-day target
     sel = cfg.partition_spec("selection")
@@ -76,8 +75,6 @@ def _prepare(cfg: RunConfig) -> ExperimentData:
     data = _engineer(cfg)
     if cfg.top_k is None:
         return data
-    from .selection import select_top_k
-
     k = min(cfg.top_k, len(data.features.names))
     names = select_top_k(_rank_features(cfg, data), k)
     return ExperimentData(data.dates, data.levels, data.features.select(names))
@@ -101,8 +98,6 @@ def cmd_features(args) -> int:
 
 
 def cmd_select(args) -> int:
-    from .selection import select_top_k
-
     cfg = load_config(args.config)
     data = _engineer(cfg)
     report = _rank_features(cfg, data)
@@ -132,8 +127,6 @@ def cmd_run(args) -> int:
     if fitted and data.features.zero_variance:
         raise DataError(f"constant feature(s) cannot be scaled for {', '.join(fitted)}: "
                         f"{', '.join(data.features.zero_variance)}")
-    for kind in fitted:  # in set-up, so no forecast imports a solver
-        load_kind(kind)
     for kind in cfg.models:
         grid = resolve_grid(kind, cfg.grids[kind]) if kind in cfg.grids else None
         for window in cfg.windows:

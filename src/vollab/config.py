@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import platform
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -145,8 +146,6 @@ def load_config(path, **overrides) -> RunConfig:
 
 
 def manifest(cfg: RunConfig, extra: dict) -> str:
-    import platform  # only a finished run reads it
-
     doc = {
         "config": asdict(cfg),
         "versions": {

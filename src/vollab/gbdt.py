@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.median loads it on first call; load it with the solver
 
 from .errors import VollabError, check_int, check_real
 from .tree import RegressionTree, TreeLimits, fit_regression_tree, predict_tree

@@ -1,22 +1,22 @@
 """Common regressor contract: one table describes every model kind.
 
 `MODELS` holds, per kind, its hyperparameter grid axes, the
-`model_options` section it reads with the keys allowed there, its solver
-module and its fit.  `load_kind` imports a solver module when a run first
-names its kind, so a command loads only the solvers it uses.  Grid
-enumeration order is the documented cartesian order of the axis lists,
-last axis fastest.  Adding a model kind is one table entry.
+`model_options` section it reads with the keys allowed there, and its
+fit.  Grid enumeration order is the documented cartesian order of the
+axis lists, last axis fastest.  Adding a model kind is one table entry.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from .errors import UsageError, VollabError
 from .features import add_uniform_noise, apply_scaler, fit_scaler
+from .gbdt import GbdtParams, fit_gbdt, predict_gbdt
+from .net import NetConfig, predict as net_predict, train as net_train
+from .svr import SvrParams, fit_svr, predict_svr
 
 
 def derive_seed(root_seed: int, *parts) -> int:
@@ -53,30 +53,30 @@ class ParamState:
         return cls(tuple((k, given[k]) for k in axes))
 
 
-# A fit takes its kind's solver module, the scaled, noised training slice,
-# the state, the fit's seed, its kind's model_options section and the
-# scaled block to forecast, and returns (forecast, internal validation MAE
-# or nan).  The solvers are looked up on their module when a fit runs, so
-# a tracer or test that rebinds them sees the calls.
+# A fit takes the scaled, noised training slice, the state, the fit's seed,
+# its kind's model_options section and the scaled block to forecast, and
+# returns (forecast, internal validation MAE or nan).  The solvers are
+# looked up as module globals when a fit runs, so a tracer that rebinds
+# them sees the calls.
 
 
-def _fit_svr(svr, train, state, seed, options, block):
-    model = svr.fit_svr(train.flat(), train.targets, svr.SvrParams(**dict(state.values)))
-    return float(svr.predict_svr(model, block.ravel())), float("nan")
+def _fit_svr(train, state, seed, options, block):
+    model = fit_svr(train.flat(), train.targets, SvrParams(**dict(state.values)))
+    return float(predict_svr(model, block.ravel())), float("nan")
 
 
-def _fit_gbdt(gbdt, train, state, seed, options, block):
+def _fit_gbdt(train, state, seed, options, block):
     values = dict(state.values)
     values["min_data"] = min(values["min_data"], max(1, len(train) // 3))
-    params = gbdt.GbdtParams(**values, **options, seed=derive_seed(seed, "gbdt"))
-    model = gbdt.fit_gbdt(train.flat(), train.targets, params)
-    return float(gbdt.predict_gbdt(model, block.ravel())), float("nan")
+    params = GbdtParams(**values, **options, seed=derive_seed(seed, "gbdt"))
+    model = fit_gbdt(train.flat(), train.targets, params)
+    return float(predict_gbdt(model, block.ravel())), float("nan")
 
 
-def _fit_net(net, train, state, seed, options, block):
-    config = net.NetConfig(**{**options, "seed": derive_seed(seed, "net") % (2**31)})
-    result = net.train(config, (train.blocks, train.targets))
-    return float(net.predict(result.params, block[None, :, :], config)[0]), result.best_val_mae
+def _fit_net(train, state, seed, options, block):
+    config = NetConfig(**{**options, "seed": derive_seed(seed, "net") % (2**31)})
+    result = net_train(config, (train.blocks, train.targets))
+    return float(net_predict(result.params, block[None, :, :], config)[0]), result.best_val_mae
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,8 @@ class ModelKind:
 
     axes: dict = field(default_factory=dict)  # grid axis -> values, in order
     section: str | None = None  # the model_options section it reads
-    options_type: str | None = None  # the solver module's class that section configures
-    keys: frozenset | None = None  # keys allowed there; None: that class's fields but seed
-    module: str | None = None  # the vollab module holding its solver
+    options_type: type | None = None  # what that section's keys configure
+    keys: frozenset = frozenset()  # the keys allowed in that section
     fit: Callable | None = None
 
 
@@ -100,7 +99,6 @@ MODELS = {
             "gamma": ("scale", "auto", 0.1, 0.15, 0.2),
             "epsilon": (0.05, 0.1, 0.15),
         },
-        module="svr",
         fit=_fit_svr,
     ),
     "gbdt": ModelKind(
@@ -111,15 +109,14 @@ MODELS = {
             "feature_fraction": (0.4, 0.5, 0.6),
         },
         section="gbdt",
-        options_type="GbdtParams",
+        options_type=GbdtParams,
         keys=frozenset({"rounds", "learning_rate"}),
-        module="gbdt",
         fit=_fit_gbdt,
     ),
     "attn_gru": ModelKind(
         section="net",
-        options_type="NetConfig",
-        module="net",
+        options_type=NetConfig,
+        keys=frozenset(f.name for f in fields(NetConfig)) - {"seed"},  # seed is per fit
         fit=_fit_net,
     ),
 }
@@ -130,13 +127,6 @@ def model_kind(kind: str) -> ModelKind:
         return MODELS[kind]
     except KeyError:
         raise VollabError(f"unknown regressor kind {kind!r}") from None
-
-
-def load_kind(kind: str):
-    """The solver module of a kind, imported on first request; None for the
-    random walk."""
-    m = model_kind(kind)
-    return importlib.import_module(f".{m.module}", __package__) if m.module else None
 
 
 def enumerate_grid(kind: str) -> list[ParamState]:
@@ -174,27 +164,22 @@ def resolve_grid(kind: str, entries) -> list[ParamState]:
 
 def check_model_options(options: dict) -> None:
     """Reject unknown sections, unknown keys and values the section's type refuses."""
-    sections = {m.section: kind for kind, m in MODELS.items() if m.section}
+    sections = {m.section: m for m in MODELS.values() if m.section}
     for section, opts in options.items():
-        kind = sections.get(section)
-        if kind is None or not isinstance(opts, dict):
+        m = sections.get(section)
+        if m is None or not isinstance(opts, dict):
             raise UsageError(
                 f"model_options.{section} is not a known section with an object "
                 f"value; known sections: {sorted(sections)}"
             )
-        m = MODELS[kind]
-        options_type = getattr(load_kind(kind), m.options_type)
-        keys = m.keys
-        if keys is None:  # every field but seed, which is per fit
-            keys = frozenset(f.name for f in fields(options_type)) - {"seed"}
-        unknown = set(opts) - keys
+        unknown = set(opts) - m.keys
         if unknown:
             raise UsageError(
                 f"unknown model_options.{section} keys {sorted(unknown)}; "
-                f"allowed: {sorted(keys)}"
+                f"allowed: {sorted(m.keys)}"
             )
         try:
-            options_type(**opts)
+            m.options_type(**opts)
         except VollabError as exc:
             raise UsageError(f"model_options.{section}: {exc}") from None
 
@@ -210,10 +195,9 @@ def forecast(kind: str, train, seed: int, options: dict | None, states,
     m = model_kind(kind)
     if m.fit is None:
         return [(0.0, float("nan"))] * len(states)
-    solver = load_kind(kind)
     scaler = fit_scaler(train)
     noised = add_uniform_noise(apply_scaler(scaler, train),
                                seed=derive_seed(seed, "noise", len(train)))
     scaled = (block - scaler.mean) / scaler.std
     section = (options or {}).get(m.section, {})
-    return [m.fit(solver, noised, state, seed, section, scaled) for state in states]
+    return [m.fit(noised, state, seed, section, scaled) for state in states]

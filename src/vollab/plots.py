@@ -13,7 +13,6 @@ import os
 import sys
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.percentile loads it on first call; load it with the module
 
 from .report import collect_records
 

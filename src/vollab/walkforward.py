@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DataError, ReportError, VollabError
 from .features import FeatureMatrix, SequencedDataset, log_diff, sequence
 from .frames import read_text
-from .grids import ParamState, derive_seed, enumerate_grid, forecast, load_kind
+from .grids import ParamState, derive_seed, enumerate_grid, forecast
 
 MIN_VALIDATION_SEED = 10  # sequenced observations in the initial training slice
 
@@ -213,11 +213,9 @@ def run_experiment(
 
     With threads > 1 the tasks run on that many forked worker processes, at
     most one per CPU and one per task.  Where the platform cannot fork, they
-    run serially.  The kind's solver is loaded first, so no task imports it
-    and the workers inherit it.
+    run serially.
     """
     tasks = build_tasks(data, kind, window, horizon, s, root_seed, grid, model_options)
-    load_kind(kind)
     workers = min(threads, os.cpu_count() or 1, len(tasks))
     if workers > 1:  # only a run that may fork a pool loads its modules
         import multiprocessing

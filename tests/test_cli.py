@@ -506,13 +506,13 @@ class TestRun:
         assert main(["run", "--config", self.flat_column_config(tmp_path, **overrides)]) == 0
 
     def test_task_error_names_the_task(self, tmp_path, capsys, monkeypatch):
-        from vollab import svr
+        from vollab import grids
         from vollab.errors import NumericError
 
         def broken(*args, **kwargs):
             raise NumericError("solver broke")
 
-        monkeypatch.setattr(svr, "fit_svr", broken)
+        monkeypatch.setattr(grids, "fit_svr", broken)
         cfg = self.run_config(tmp_path, models=["svr"], grids={"svr": [0]})
         assert main(["run", "--config", cfg]) == 3
         assert "error (numeric): solver broke [task kind=svr window=63 date=" in (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import planted_signal_data
-from vollab import grids, svr
+from vollab import grids
 from vollab.errors import UsageError, VollabError
 from vollab.grids import (
     MODELS,
@@ -138,17 +138,16 @@ class TestFitModel:
         states = enumerate_grid("svr")[::5][:n_states]
         calls = []
 
-        def counted(owner, name):
-            original = getattr(owner, name)
+        def counted(name):
+            original = getattr(grids, name)
 
             def call(*args, **kwargs):
                 calls.append(args[2] if name == "fit_svr" else name)  # fit_svr(X, y, params)
                 return original(*args, **kwargs)
             return call
 
-        for name in ("fit_scaler", "apply_scaler", "add_uniform_noise"):
-            monkeypatch.setattr(grids, name, counted(grids, name))
-        monkeypatch.setattr(svr, "fit_svr", counted(svr, "fit_svr"))
+        for name in ("fit_scaler", "apply_scaler", "add_uniform_noise", "fit_svr"):
+            monkeypatch.setattr(grids, name, counted(name))
         results = forecast("svr", batch, 4, None, states, batch.blocks[-1])
         assert calls == ["fit_scaler", "apply_scaler", "add_uniform_noise",
                          *(SvrParams(**dict(s.values)) for s in states)]

@@ -1,8 +1,8 @@
-"""Each `vollab` process imports only the modules its command runs.
+"""Each `vollab` process imports the worker pool only when a run forks one,
+and the plot writer and the option-chain reader only in their commands.
 
 Every check runs in a fresh interpreter, since this test process has
-imported the whole package.  numpy itself imports `platform`, so each
-script imports numpy first and the checks read what vollab adds on top.
+imported the whole package.
 """
 
 import json
@@ -14,39 +14,33 @@ from pathlib import Path
 from test_cli import CHAIN, write_config
 
 ROOT = Path(__file__).resolve().parent.parent
-SOLVERS = {"vollab.svr", "vollab.gbdt", "vollab.tree", "vollab.net", "vollab.autodiff"}
-OPTIONAL = {"vollab.selection", "vollab.plots", "vollab.creditvix"}
-LIBRARIES = {"multiprocessing", "concurrent.futures", "numpy.ma", "platform"}
-
-PRELUDE = """\
-import json, sys
-import numpy
-before = set(sys.modules)
-import vollab.cli as cli
-"""
+POOL = {"multiprocessing", "concurrent.futures"}
+COMMAND_ONLY = {"vollab.plots", "vollab.creditvix"}
 
 
-def loaded_by(script: str, tmp_path) -> dict:
-    """Run PRELUDE + script; it prints one JSON object as its last line."""
+def loaded_after(script: str, tmp_path) -> dict:
+    """Run `import vollab.cli as cli` and then script, which prints one JSON
+    object as its last line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", PRELUDE + script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", "import json, sys\nimport vollab.cli as cli\n"
+                           + script], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_importing_the_cli_loads_no_solver_selector_or_pool(tmp_path):
-    got = loaded_by("print(json.dumps(sorted(set(sys.modules) - before)))", tmp_path)
-    assert set(got) & (SOLVERS | OPTIONAL | LIBRARIES) == set()
-    assert "vollab.walkforward" in got and "vollab.report" in got
+def test_importing_the_cli_loads_no_pool_plots_or_chain_reader(tmp_path):
+    got = set(loaded_after("print(json.dumps(sorted(sys.modules)))", tmp_path))
+    assert got & (POOL | COMMAND_ONLY) == set()
+    assert {"vollab.walkforward", "vollab.report"} <= got
 
 
-def test_serial_svr_run_loads_svr_alone_and_nothing_while_forecasting(tmp_path):
+def test_serial_run_loads_no_pool_and_nothing_while_forecasting(tmp_path):
     config = write_config(tmp_path / "c.json", models=["svr"], windows=[63], horizon=2,
                           grids={"svr": [0, 24]}, out=str(tmp_path / "out"))
-    got = loaded_by(f"""
+    got = loaded_after(f"""
 inner, phases = cli.run_experiment, []
 def run_experiment(*args, **kwargs):
     entry = set(sys.modules)
@@ -55,22 +49,20 @@ def run_experiment(*args, **kwargs):
     return records
 cli.run_experiment = run_experiment
 code = cli.main(["run", "--config", {config!r}])
-print(json.dumps({{"code": code, "phases": phases, "new": sorted(set(sys.modules) - before)}}))
+print(json.dumps({{"code": code, "phases": phases, "loaded": sorted(sys.modules)}}))
 """, tmp_path)
     assert got["code"] == 0
     assert got["phases"] == [[]]
-    assert "vollab.svr" in got["new"]
-    assert set(got["new"]) & (SOLVERS - {"vollab.svr"} | OPTIONAL | LIBRARIES - {"platform"}) \
-        == set()
+    assert set(got["loaded"]) & (POOL | COMMAND_ONLY) == set()
 
 
-def test_vix_loads_the_chain_reader_and_no_solver(tmp_path):
+def test_vix_loads_the_chain_reader_and_no_pool(tmp_path):
     chain = tmp_path / "chain.csv"
     chain.write_text(CHAIN)
-    got = loaded_by(f"""
+    got = loaded_after(f"""
 code = cli.main(["vix", "--chain", {str(chain)!r}])
-print(json.dumps({{"code": code, "new": sorted(set(sys.modules) - before)}}))
+print(json.dumps({{"code": code, "loaded": sorted(sys.modules)}}))
 """, tmp_path)
     assert got["code"] == 0
-    assert "vollab.creditvix" in got["new"]
-    assert set(got["new"]) & (SOLVERS | LIBRARIES) == set()
+    assert "vollab.creditvix" in got["loaded"]
+    assert set(got["loaded"]) & (POOL | {"vollab.plots"}) == set()

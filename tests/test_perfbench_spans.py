@@ -4,6 +4,9 @@ silently drop a span from `--trace 1` runs."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +39,22 @@ def test_span_target_exists(module, attr):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def test_importing_the_cli_loads_every_span_module():
+    """The tracer rebinds a function only in the vollab modules loaded when it
+    is installed, right after `import vollab.cli`; a SPANS module loaded
+    later keeps its own unwrapped globals, and its spans read 0.  Checked in
+    a fresh interpreter, since this one has loaded the whole package."""
+    src = str(LAUNCH.parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    proc = subprocess.run([sys.executable, "-c", "import sys, vollab.cli\n"
+                           "print(' '.join(sorted(sys.modules)))"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded = set(proc.stdout.split())
+    assert {f"vollab.{module}" for module, *_ in load_spans()} <= loaded
 
 
 def test_one_best_split_call_per_candidate_leaf(monkeypatch, rng):

@@ -282,7 +282,7 @@ def test_pipeline_slices_match_two_array_loop(monkeypatch):
         fits.append((fit_svr(X, y, params), two_array_fit_svr(X, y, params)))
         return fits[-1][0]
 
-    monkeypatch.setattr(svr, "fit_svr", both)
+    monkeypatch.setattr(grids, "fit_svr", both)
     sizes = (*range(10, 126, 8), 126)
     for n in sizes:
         grids.forecast("svr", ds.slice(0, n), grids.derive_seed(3, "val", n), None, states,

@@ -10,7 +10,7 @@ import pytest
 from conftest import planted_signal_data
 from vollab.errors import ReadError, ReportError, VollabError
 from vollab.features import SEQ_LEN, log_diff
-from vollab import grids, svr, walkforward
+from vollab import grids, walkforward
 from vollab.grids import enumerate_grid, forecast
 from vollab.walkforward import (
     MIN_VALIDATION_SEED,
@@ -196,7 +196,7 @@ class TestRunBatch:
         def broken(*args, **kwargs):
             raise TwoArgError(7, "solver broke")
 
-        monkeypatch.setattr(svr, "fit_svr", broken)
+        monkeypatch.setattr(grids, "fit_svr", broken)
         data = planted_signal_data(n=120)
         task = build_tasks(data, "svr", window=63, horizon=1, s=5, root_seed=0,
                            grid=enumerate_grid("svr")[:1])[0]
@@ -257,7 +257,7 @@ class TestWorkerPool:
         def broken(*args, **kwargs):
             raise LocalError(7, "solver broke")
 
-        monkeypatch.setattr(svr, "fit_svr", broken)
+        monkeypatch.setattr(grids, "fit_svr", broken)
         data = planted_signal_data(n=120)
         with pytest.raises(LocalError) as info:
             run_experiment(data, "svr", 63, horizon=3, s=5, root_seed=0,
