@@ -50,6 +50,13 @@ class Tensor:
             self.grad += g
 
     def backward(self):
+        """Add d(self)/d(leaf) into every leaf's grad, releasing the graph.
+
+        Each interior node is dropped once its _backward has run: its grad,
+        _backward and _prev are cleared, so its closure's activations and its
+        gradient are freed as the sweep passes.  A graph supports one
+        backward; leaves keep their grad.
+        """
         # depth-first post-order over _prev, in order; an explicit stack, as
         # a recurrent graph is deeper than Python's recursion limit
         topo, seen = [], {id(self)}
@@ -65,9 +72,14 @@ class Tensor:
                 stack.pop()
                 topo.append(t)
         self.grad = np.ones_like(self.data)
-        for t in reversed(topo):
+        while topo:
+            t = topo.pop()
+            if not t._prev:  # a leaf
+                continue
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
+            t.grad = t._backward = None
+            t._prev = ()
 
     # -- arithmetic --------------------------------------------------------
     @staticmethod

@@ -49,6 +49,17 @@ class GbdtModel:
         return lam * sum(np.abs(t.leaf_values()).max() for t in self.trees)
 
 
+def _medians(ranked: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The median of each run of ranked, which holds runs of the given
+    (nonzero) lengths back to back, each sorted, with np.median's bits."""
+    half, odd = np.divmod(counts, 2)
+    upper = counts.cumsum() - half - odd  # each run's start + half
+    # np.median averages the middle pair, or the middle element alone, by
+    # summing from +0.0: hence the + 0.0, which turns a -0.0 sum into +0.0
+    pair = ranked[upper - 1 + odd] + np.where(odd, 0.0, ranked[upper]) + 0.0
+    return pair / (2 - odd)
+
+
 def fit_gbdt(X, y, params: GbdtParams) -> GbdtModel:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -63,8 +74,12 @@ def fit_gbdt(X, y, params: GbdtParams) -> GbdtModel:
     # draws is still routed by apply, and a nan goes right at every split
     if not np.isfinite(X).all():
         raise VollabError("features must be finite")
+    # np.median's nan check is not in the sorted-middle rule: a nan sorts
+    # last, where the base score can miss it, and a bag can too
+    if np.isnan(y).any():
+        raise VollabError("targets must not be nan")
     rng = np.random.default_rng(np.random.PCG64(params.seed))
-    model = GbdtModel(params, float(np.median(y)))
+    model = GbdtModel(params, float(_medians(np.sort(y), np.array([n]))[0]))
     F = np.full(n, model.base_score)
     limits = TreeLimits(
         max_leaves=params.leaves,
@@ -90,13 +105,7 @@ def fit_gbdt(X, y, params: GbdtParams) -> GbdtModel:
         ranked = resid[np.lexsort((resid, in_bag))]
         counts = np.bincount(in_bag)
         j = counts.nonzero()[0]
-        c = counts[j]
-        half, odd = np.divmod(c, 2)
-        upper = c.cumsum() - half - odd  # each leaf's start + half
-        # np.median averages the middle pair, or the middle element alone, by
-        # summing from +0.0: hence the + 0.0, which turns a -0.0 sum into +0.0
-        pair = ranked[upper - 1 + odd] + np.where(odd, 0.0, ranked[upper]) + 0.0
-        tree.value[j] = pair / (2 - odd)
+        tree.value[j] = _medians(ranked, counts[j])
         model.trees.append(tree)
         F += params.learning_rate * tree.value[leaf]
     return model

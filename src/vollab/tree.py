@@ -346,10 +346,12 @@ def fit_forest(X, y, samples, seeds, limits: TreeLimits | None = None,
                      dtype=np.min_scalar_type(n))
     sizes = np.array([len(s) for s in samples])
     width = sizes.max()
-    R = np.full((T, width), n)  # each tree's sample, padded
+    # int32 sample rows and leaf ids: they count at most n + 1 rows and
+    # 2 * width - 1 nodes
+    R = np.full((T, width), n, dtype=np.int32)  # each tree's sample, padded
     at = np.arange(width) < sizes[:, None]
     R[at] = np.concatenate(samples)
-    leaf = np.where(at, 0, -1)  # the leaf holding each sample position
+    leaf = np.where(at, np.int32(0), np.int32(-1))  # the leaf holding each sample position
 
     size = 2 * min(limits.max_leaves, width) - 1
     feature, left, right, depth = np.full((4, T, size), -1)
@@ -401,11 +403,15 @@ def fit_forest(X, y, samples, seeds, limits: TreeLimits | None = None,
         goes_left = X[Rt, f[:, None]] < thr[:, None]
         # the children, left then right, each with its rows in sample order
         side = np.concatenate((here & goes_left, here & ~goes_left))
+        del here, goes_left
         node, pos = np.nonzero(side)
         leaf[t[node % len(t)], pos] = count + node // len(t)
         counts = np.bincount(node, minlength=len(side))
-        rows = np.full((len(side), counts.max()), n)
+        rows = np.full((len(side), counts.max()), n, dtype=np.int32)
         rows[node, np.arange(len(node)) - (counts.cumsum() - counts)[node]] = Rt[node % len(t), pos]
+        # the step's masks and gathers are not read again: free them before
+        # the children's search
+        del Rt, side, node, pos
         count += 2
         add_leaves(np.concatenate((t, t)), np.repeat([count - 2, count - 1], len(t)), rows,
                    counts, np.tile(depth[t, j] + 1, 2), (count + 1) // 2 < limits.max_leaves)

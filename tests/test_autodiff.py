@@ -1,10 +1,14 @@
-"""Finite-difference checks for every primitive in the autodiff engine."""
+"""Finite-difference checks for every primitive in the autodiff engine, and
+the release of a graph by its one backward."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import stack
+from oracles import recursive_backward, stack
 from vollab.autodiff import Tensor, concat, softmax
+from vollab.net import NetConfig, init_params, mae_and_grads
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -169,3 +173,58 @@ class TestEngine:
             return (a * b + a).sum()
 
         check(f, x)
+
+
+def graph_nodes(root):
+    """Every tensor reachable from root through _prev."""
+    seen, todo = {id(root): root}, [root]
+    while todo:
+        for p in todo.pop()._prev:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                todo.append(p)
+    return list(seen.values())
+
+
+class TestGraphRelease:
+    @staticmethod
+    def build(rng_seed):
+        rng = np.random.default_rng(rng_seed)
+        w = Tensor(rng.normal(size=(4, 3)))
+        x = Tensor(rng.normal(size=(2, 5, 4)))
+        c = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=False)
+        h = (x @ w).tanh()
+        a = softmax(h * c, axis=-1)
+        z = concat([a, h[:, ::2, :].pad_axis(1, 0, 2)], axis=2)
+        out = (z.reshape(10, 6).transpose(1, 0) ** 2).mean() + (h - a).abs().sum()
+        return out, {"w": w, "x": x, "c": c}
+
+    def test_backward_releases_interior_nodes_and_keeps_leaf_grads(self):
+        out, leaves = self.build(7)
+        nodes = graph_nodes(out)
+        interior = [t for t in nodes if t._prev]
+        # x, w, c and the constants that mean and softmax lift
+        leaf_nodes = [t for t in nodes if not t._prev]
+        assert len(interior) > 10 and len(leaf_nodes) > len(leaves)
+        out.backward()
+        for t in interior:
+            assert t.grad is None and t._backward is None and t._prev == ()
+        for t in leaf_nodes:  # only a constant takes no gradient
+            assert (t.grad is not None) == t.requires_grad
+        oracle_out, oracle_leaves = self.build(7)
+        recursive_backward(oracle_out)
+        for name in ("w", "x"):
+            assert leaves[name].grad.tobytes() == oracle_leaves[name].grad.tobytes(), name
+
+    def test_default_net_step_peak_memory(self):
+        # activations and gradients are freed as the reverse sweep passes
+        # them; holding the whole graph to the end took 12.5 MB
+        x, y = np.random.default_rng(0).normal(size=(32, 5, 12)), np.zeros(32)
+        params = init_params(NetConfig(), 12)
+        tracemalloc.start()
+        try:
+            mae_and_grads(params, x, y, NetConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9e6

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import median_loop_fit_gbdt
 from vollab.errors import VollabError
@@ -22,10 +24,23 @@ SMALL = GbdtParams(leaves=8, min_data=2, feature_fraction=1.0,
 
 
 class TestFitGbdt:
-    def test_base_score_is_median(self, rng):
-        y = rng.normal(size=41)
-        m = fit_gbdt(rng.normal(size=(41, 2)), y, SMALL)
-        assert m.base_score == np.median(y)
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 0.5, -1.0, 3.0])
+                    | st.floats(-1e300, 1e300, allow_nan=False), min_size=2, max_size=41))
+    @settings(max_examples=300, deadline=None)
+    def test_base_score_is_median(self, values):
+        # odd and even lengths, ties and signed zeros, to the repr
+        y = np.array(values)
+        p = GbdtParams(min_data=1, rounds=1, feature_fraction=1.0, bagging_fraction=1.0)
+        m = fit_gbdt(np.arange(len(y), dtype=float)[:, None], y, p)
+        assert repr(m.base_score) == repr(float(np.median(y)))
+
+    def test_nan_target_rejected(self, rng):
+        # one bag can miss the nan row; the nan is rejected all the same
+        y = rng.normal(size=40)
+        y[5] = np.nan
+        with pytest.raises(VollabError, match="targets must not be nan"):
+            fit_gbdt(rng.normal(size=(40, 2)), y, GbdtParams(rounds=1, min_data=2,
+                                                               bagging_fraction=0.5))
 
     def test_monotone_training_mae_without_subsampling(self, rng):
         for _ in range(3):

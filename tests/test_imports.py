@@ -1,5 +1,6 @@
 """Each `vollab` process imports the worker pool only when a run forks one,
-and the plot writer and the option-chain reader only in their commands.
+the plot writer and the option-chain reader only in their commands, and
+numpy.ma never in a run.
 
 Every check runs in a fresh interpreter, since this test process has
 imported the whole package.
@@ -54,6 +55,21 @@ print(json.dumps({{"code": code, "phases": phases, "loaded": sorted(sys.modules)
     assert got["code"] == 0
     assert got["phases"] == [[]]
     assert set(got["loaded"]) & (POOL | COMMAND_ONLY) == set()
+
+
+def test_gbdt_and_net_run_never_loads_numpy_ma(tmp_path):
+    # numpy.ma costs about 1.2 MB and 10 ms a process; np.median loads it
+    config = write_config(tmp_path / "c.json", models=["gbdt", "attn_gru"], windows=[63],
+                          horizon=2, top_k=6, grids={"gbdt": [0]},
+                          model_options={"gbdt": {"rounds": 2}, "net": {"epochs": 1}},
+                          out=str(tmp_path / "out"))
+    got = loaded_after(f"""
+code = cli.main(["run", "--config", {config!r}])
+print(json.dumps({{"code": code, "loaded": sorted(sys.modules)}}))
+""", tmp_path)
+    assert got["code"] == 0
+    assert "vollab.gbdt" in got["loaded"] and "vollab.net" in got["loaded"]
+    assert "numpy.ma" not in got["loaded"]
 
 
 def test_vix_loads_the_chain_reader_and_no_pool(tmp_path):
