@@ -9,12 +9,14 @@ row/column subsampling follow the ensemble parameters.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import VollabError, check_int, check_real
-from .tree import RegressionTree, TreeLimits, fit_regression_tree, predict_tree
+from .tree import (RegressionTree, TreeLimits, feature_draw, fit_regression_tree, predict_tree,
+                   presort)
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,40 @@ def _medians(ranked: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return pair / (2 - odd)
 
 
-def fit_gbdt(X, y, params: GbdtParams) -> GbdtModel:
+def _round_draws(seed: int, n: int, m: int, bagging: bool):
+    """Each boosting round's draws from PCG64(seed), forever: a permutation of
+    the n rows (None without bagging), the tree's seed, and that tree's
+    feature_draw of the m features."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    while True:
+        perm = rng.permutation(n) if bagging else None
+        tree_seed = int(rng.integers(0, 2**63 - 1))
+        yield perm, tree_seed, feature_draw(m, tree_seed)
+
+
+class GbdtSlice:
+    """What every fit_gbdt on one feature matrix can share: one stable
+    presort of its columns, and each seed's round draws, which the first
+    fit with that seed takes and later fits replay.  It holds no per-round
+    bag or sorted root: a fit filters those from the presort."""
+
+    def __init__(self, X):
+        self.X = np.atleast_2d(np.asarray(X, dtype=float))
+        self.order, self.values = presort(self.X)
+        self._draws = {}  # (seed, bagging) -> (the seed's draw stream, the draws taken)
+
+    def draws(self, seed: int, bagging: bool, rounds: int) -> list:
+        """The first rounds of the seed's round draws, the memo's first."""
+        if (seed, bagging) not in self._draws:
+            self._draws[seed, bagging] = _round_draws(seed, *self.X.shape, bagging), []
+        stream, taken = self._draws[seed, bagging]
+        taken.extend(itertools.islice(stream, max(0, rounds - len(taken))))
+        return taken[:rounds]
+
+
+def fit_gbdt(X, y, params: GbdtParams, prepared: GbdtSlice | None = None) -> GbdtModel:
+    """Fit the ensemble.  prepared, a GbdtSlice of X, shares its presort and
+    draws with other fits on X; without it the fit makes its own."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     n, m = X.shape
@@ -78,7 +113,11 @@ def fit_gbdt(X, y, params: GbdtParams) -> GbdtModel:
     # last, where the base score can miss it, and a bag can too
     if np.isnan(y).any():
         raise VollabError("targets must not be nan")
-    rng = np.random.default_rng(np.random.PCG64(params.seed))
+    if prepared is None:
+        prepared = GbdtSlice(X)
+    elif not (prepared.X.shape == X.shape and np.array_equal(prepared.X, X)):
+        raise VollabError("the prepared slice holds other rows than X")
+    bagging = params.bagging_fraction < 1.0
     model = GbdtModel(params, float(_medians(np.sort(y), np.array([n]))[0]))
     F = np.full(n, model.base_score)
     limits = TreeLimits(
@@ -87,17 +126,13 @@ def fit_gbdt(X, y, params: GbdtParams) -> GbdtModel:
         min_samples_leaf=params.min_data,
         min_gain=params.min_gain,
     )
-    for _ in range(params.rounds):
-        if params.bagging_fraction < 1.0:
-            k = max(2 * params.min_data, int(params.bagging_fraction * n))
-            k = min(k, n)
-            sub = np.sort(rng.permutation(n)[:k])
-        else:
-            sub = np.arange(n)
+    k = min(n, max(2 * params.min_data, int(params.bagging_fraction * n)))
+    for perm, tree_seed, draw in prepared.draws(params.seed, bagging, params.rounds):
+        sub = np.sort(perm[:k]) if bagging else np.arange(n)
         resid = y[sub] - F[sub]
-        grad = np.sign(resid)
-        tree_seed = int(rng.integers(0, 2**63 - 1))
-        tree = fit_regression_tree(X[sub], grad, limits, params.feature_fraction, tree_seed)
+        tree = fit_regression_tree(X[sub], np.sign(resid), limits, params.feature_fraction,
+                                   tree_seed, draw=draw,
+                                   presorted=(prepared.order, prepared.values, sub))
         # MAE-exact leaf values: the median of each leaf's in-bag residuals,
         # read off one sort of the residuals by (leaf, residual)
         leaf = tree.apply(X)

@@ -1,9 +1,11 @@
 """Common regressor contract: one table describes every model kind.
 
 `MODELS` holds, per kind, its hyperparameter grid axes, the
-`model_options` section it reads with the keys allowed there, and its
-fit.  Grid enumeration order is the documented cartesian order of the
-axis lists, last axis fastest.  Adding a model kind is one table entry.
+`model_options` section it reads with the keys allowed there, its fit,
+and optionally what the fits of one training slice share: a key under
+which states fit identically, and per-slice data every fit is handed.
+Grid enumeration order is the documented cartesian order of the axis
+lists, last axis fastest.  Adding a model kind is one table entry.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable
 
 from .errors import UsageError, VollabError
 from .features import add_uniform_noise, apply_scaler, fit_scaler
-from .gbdt import GbdtParams, fit_gbdt, predict_gbdt
+from .gbdt import GbdtParams, GbdtSlice, fit_gbdt, predict_gbdt
 from .net import NetConfig, predict as net_predict, train as net_train
 from .svr import SvrParams, fit_svr, predict_svr
 
@@ -54,10 +56,11 @@ class ParamState:
 
 
 # A fit takes the scaled, noised training slice, the state, the fit's seed,
-# its kind's model_options section and the scaled block to forecast, and
-# returns (forecast, internal validation MAE or nan).  The solvers are
-# looked up as module globals when a fit runs, so a tracer that rebinds
-# them sees the calls.
+# its kind's model_options section and the scaled block to forecast, and,
+# for a kind with a prepare, that slice's prepared data; it returns
+# (forecast, internal validation MAE or nan).  The solvers are looked up as
+# module globals when a fit runs, so a tracer that rebinds them sees the
+# calls.
 
 
 def _fit_svr(train, state, seed, options, block):
@@ -65,11 +68,31 @@ def _fit_svr(train, state, seed, options, block):
     return float(predict_svr(model, block.ravel())), float("nan")
 
 
-def _fit_gbdt(train, state, seed, options, block):
+def _gbdt_values(state, n):
+    """The state's GbdtParams values on n rows, min_data clipped to n // 3."""
     values = dict(state.values)
-    values["min_data"] = min(values["min_data"], max(1, len(train) // 3))
-    params = GbdtParams(**values, **options, seed=derive_seed(seed, "gbdt"))
-    model = fit_gbdt(train.flat(), train.targets, params)
+    values["min_data"] = min(values["min_data"], max(1, n // 3))
+    return values
+
+
+def _gbdt_key(state, n):
+    """States with equal keys fit identically on n rows: every fit of a slice
+    draws the same bags and trees, bags of k rows with at least md rows a
+    leaf grow at most L leaves, and so at most L - 1 levels; a leaves or
+    max_depth limit that no tree can reach constrains nothing."""
+    values = _gbdt_values(state, n)
+    md = values["min_data"]
+    k = min(n, max(2 * md, int(GbdtParams.bagging_fraction * n)))
+    L = k // md
+    return (md, values["feature_fraction"],
+            values["leaves"] if L > values["leaves"] else None,
+            values["max_depth"] if 0 <= values["max_depth"] < L - 1 else None)
+
+
+def _fit_gbdt(train, state, seed, options, block, prepared):
+    params = GbdtParams(**_gbdt_values(state, len(train)), **options,
+                        seed=derive_seed(seed, "gbdt"))
+    model = fit_gbdt(train.flat(), train.targets, params, prepared)
     return float(predict_gbdt(model, block.ravel())), float("nan")
 
 
@@ -89,6 +112,8 @@ class ModelKind:
     options_type: type | None = None  # what that section's keys configure
     keys: frozenset = frozenset()  # the keys allowed in that section
     fit: Callable | None = None
+    key: Callable | None = None  # (state, n_rows) -> states with equal keys share a fit
+    prepare: Callable | None = None  # noised slice -> data handed to each of its fits
 
 
 MODELS = {
@@ -112,6 +137,8 @@ MODELS = {
         options_type=GbdtParams,
         keys=frozenset({"rounds", "learning_rate"}),
         fit=_fit_gbdt,
+        key=_gbdt_key,
+        prepare=lambda train: GbdtSlice(train.flat()),
     ),
     "attn_gru": ModelKind(
         section="net",
@@ -159,6 +186,8 @@ def resolve_grid(kind: str, entries) -> list[ParamState]:
                 raise UsageError(f"{kind} grid: {exc}") from None
         else:
             raise UsageError(f"grid entries must be indexes or text states, got {item!r}")
+        if out[-1] in out[:-1]:
+            raise UsageError(f"the {kind} grid names {out[-1].to_text()!r} more than once")
     return out
 
 
@@ -189,7 +218,8 @@ def forecast(kind: str, train, seed: int, options: dict | None, states,
     """Fit a training slice under each state and forecast one block.
 
     The slice is scaled, then noised, and the block scaled, once; every
-    state's fit shares them and must not modify them.  Returns one
+    state's fit shares them, and the kind's prepared data, and must not
+    modify them.  States with equal kind keys share one fit.  Returns one
     (forecast, internal validation MAE or nan) per state, in state order.
     """
     m = model_kind(kind)
@@ -200,4 +230,11 @@ def forecast(kind: str, train, seed: int, options: dict | None, states,
                                seed=derive_seed(seed, "noise", len(train)))
     scaled = (block - scaler.mean) / scaler.std
     section = (options or {}).get(m.section, {})
-    return [m.fit(noised, state, seed, section, scaled) for state in states]
+    shared = () if m.prepare is None else (m.prepare(noised),)
+    keys = (range(len(states)) if m.key is None
+            else [m.key(state, len(noised)) for state in states])
+    fits = {}  # key -> (forecast, MAE), freed with the slice
+    for key, state in zip(keys, states):
+        if key not in fits:
+            fits[key] = m.fit(noised, state, seed, section, scaled, *shared)
+    return [fits[key] for key in keys]

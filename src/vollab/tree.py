@@ -128,6 +128,14 @@ def _sse(y: np.ndarray) -> float:
     return float((d * d).sum())
 
 
+def presort(X) -> tuple[np.ndarray, np.ndarray]:
+    """Each column of X in stable ascending order, as (order, values): row f
+    of order is X[:, f].argsort(kind="stable"), and values[f] = X[order[f], f]."""
+    cols = np.asarray(X, dtype=float).T
+    order = cols.argsort(axis=1, kind="stable")
+    return order, np.take_along_axis(cols, order, axis=1)
+
+
 def best_split(X, y, features, min_samples_leaf: int):
     """Best (gain, feature, threshold) over the given feature indices.
 
@@ -138,6 +146,11 @@ def best_split(X, y, features, min_samples_leaf: int):
     larger by more than tie_tol, so near-equal gains keep the lower feature,
     then the lower threshold.  Each replacement is a strict running maximum
     of the gains, so the rule visits only those positions.
+
+    X is the node's rows, or its presorted columns: a pair (xs, ys) whose
+    row r holds the values of feature sorted(features)[r] in stable
+    ascending order and y in that order.  X is not read when y has fewer
+    than 2 * min_samples_leaf rows.
     """
     if min_samples_leaf < 1:
         raise VollabError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
@@ -151,10 +164,13 @@ def best_split(X, y, features, min_samples_leaf: int):
     tie_tol = 1e-10 * max(1.0, parent)
     fs = sorted(features)
     k = len(fs)
-    cols = X.T[fs]  # one row per feature, scanned in this order
-    order = cols.argsort(axis=1, kind="stable")
-    xs = cols[np.arange(k)[:, None], order]
-    ys = y[order]
+    if isinstance(X, tuple):
+        xs, ys = X
+    else:
+        cols = X.T[fs]  # one row per feature, scanned in this order
+        order = cols.argsort(axis=1, kind="stable")
+        xs = cols[np.arange(k)[:, None], order]
+        ys = y[order]
     # running sums of y (the first k rows), then of y * y (the last k)
     run = np.concatenate((ys, ys * ys)).cumsum(axis=1)
     # split after position i (left = first i+1 rows) for i in [lo, hi)
@@ -179,16 +195,42 @@ def best_split(X, y, features, min_samples_leaf: int):
     return g[b], fs[r], (xs[r, i] + xs[r, i + 1]) / 2.0
 
 
+def feature_draw(m: int, seed: int) -> np.ndarray:
+    """PCG64(seed)'s permutation of m features; a tree searches a prefix of it."""
+    return np.random.Generator(np.random.PCG64(seed)).permutation(m)
+
+
+def _restrict(order, values, size, rows, ids):
+    """Presorted columns (order, values) over row ids in range(size), cut to
+    the given rows and renumbered: rows[i] becomes ids[i].  Every row of
+    order holds the same rows, so each keeps as many entries."""
+    local = np.full(size, -1)
+    local[rows] = ids
+    at = local[order]
+    keep = at >= 0
+    k = len(order)
+    return at[keep].reshape(k, -1), values[keep].reshape(k, -1)
+
+
 def fit_regression_tree(
-    X, y, limits: TreeLimits | None = None, feature_subset: float = 1.0, seed: int = 0
+    X, y, limits: TreeLimits | None = None, feature_subset: float = 1.0, seed: int = 0,
+    *, draw=None, presorted=None,
 ) -> RegressionTree:
     """Grow a regression tree, expanding at each step the frontier leaf whose
     best split has maximal gain.
 
     Every split search reads one draw per tree, the first max(1,
-    ceil(feature_subset * m)) of PCG64(seed)'s permutation of the m features,
-    sorted (all of them at 1.0); seed must be >= 0 at every fraction, and
-    fit_gbdt and rf_importance draw it from [0, 2**63 - 1).  X must be finite.
+    ceil(feature_subset * m)) of feature_draw(m, seed), sorted (all of them
+    at 1.0); seed must be >= 0 at every fraction, and fit_gbdt and
+    rf_importance draw it from [0, 2**63 - 1).  A caller that holds that
+    permutation passes it as draw.  X must be finite.
+
+    presorted = (order, values, rows) says X is Z[rows] for distinct,
+    ascending rows of a matrix Z with presort(Z) == (order, values).  Each
+    node's search then reads sorted columns filtered from its parent's (the
+    root's from Z's, by rows) instead of sorting its own: a stable argsort
+    of ascending rows is the stable order of all rows, filtered, so the
+    tree is the same.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -201,35 +243,54 @@ def fit_regression_tree(
     if not np.isfinite(X).all():  # a nan midpoint threshold sends every row right
         raise VollabError("features must be finite")
     limits = limits or TreeLimits()
+    msl = limits.min_samples_leaf
     n, m = X.shape
-    draw = np.random.Generator(np.random.PCG64(seed)).permutation(m)
+    if draw is None:
+        draw = feature_draw(m, seed)
     features = sorted(draw[:max(1, math.ceil(feature_subset * m))].tolist())
 
     size = 2 * n - 1  # a split leaves a row on each side, so at most n leaves
     feature, left, right = np.full((3, size), -1)
     threshold, value, gain = np.zeros((3, size))
     n_samples = np.zeros(size, dtype=int)
-    frontier: dict[int, tuple] = {}  # leaf id -> (gain, feature, threshold, rows, depth)
+    # leaf id -> (gain, feature, threshold, rows, depth, presorted columns)
+    frontier: dict[int, tuple] = {}
 
-    def add_leaf(j, rows, depth, expand):
-        value[j], n_samples[j] = y[rows].sum() / len(rows), len(rows)
+    def add_leaf(j, rows, depth, expand, parent):
+        """parent: the presorted columns of the leaf's parent, None at the
+        root; a leaf too small to split filters none."""
+        ys = y[rows]
+        value[j], n_samples[j] = ys.sum() / len(rows), len(rows)
         if expand and (limits.max_depth < 0 or depth < limits.max_depth):
-            sp = best_split(X[rows], y[rows], features, limits.min_samples_leaf)
+            cols = None
+            if presorted is None:
+                x = X[rows]
+            elif len(rows) < 2 * msl:
+                x = None
+            else:
+                if parent is None:  # Z's columns, cut to X's rows
+                    order, values, sample = presorted
+                    cols = _restrict(order[features], values[features], order.shape[1],
+                                     sample, rows)
+                else:
+                    cols = _restrict(*parent, n, rows, rows)
+                x = cols[1], y[cols[0]]
+            sp = best_split(x, ys, features, msl)
             if sp is not None and sp[0] >= limits.min_gain:
-                frontier[j] = (*sp, rows, depth)
+                frontier[j] = (*sp, rows, depth, cols)
 
-    add_leaf(0, np.arange(n), 0, True)
+    add_leaf(0, np.arange(n), 0, True, None)
     count = 1  # nodes so far; a tree with c nodes has (c + 1) // 2 leaves
     while frontier and (count + 1) // 2 < limits.max_leaves:
         j = min(frontier, key=lambda j: (-frontier[j][0], j))  # max gain, then lower id
-        g, f, thr, rows, depth = frontier.pop(j)
+        g, f, thr, rows, depth, cols = frontier.pop(j)
         mask = X[rows, f] < thr
         feature[j], threshold[j], gain[j] = f, thr, g
         left[j], right[j] = count, count + 1
         count += 2
         expand = (count + 1) // 2 < limits.max_leaves  # children of the last split stay unsearched
-        add_leaf(count - 2, rows[mask], depth + 1, expand)
-        add_leaf(count - 1, rows[~mask], depth + 1, expand)
+        add_leaf(count - 2, rows[mask], depth + 1, expand, cols)
+        add_leaf(count - 1, rows[~mask], depth + 1, expand, cols)
     arrays = (feature, threshold, left, right, value, n_samples, gain)
     return RegressionTree(*(a[:count].copy() for a in arrays), m)
 
@@ -337,8 +398,7 @@ def fit_forest(X, y, samples, seeds, limits: TreeLimits | None = None,
     n, m = X.shape
     T = len(samples)
     k = min(m, max(1, math.ceil(feature_subset * m)))
-    draws = np.array([np.sort(np.random.Generator(np.random.PCG64(s)).permutation(m)[:k])
-                      for s in seeds])
+    draws = np.array([np.sort(feature_draw(m, s)[:k]) for s in seeds])
     # row n is the padding: +inf features sort after every real value
     X = np.vstack((X, np.full(m, np.inf)))
     y = np.append(y, 0.0)
@@ -354,11 +414,13 @@ def fit_forest(X, y, samples, seeds, limits: TreeLimits | None = None,
     leaf = np.where(at, np.int32(0), np.int32(-1))  # the leaf holding each sample position
 
     size = 2 * min(limits.max_leaves, width) - 1
-    feature, left, right, depth = np.full((4, T, size), -1)
+    # int32 node ids, features, depths and counts: each is below n + size
+    # or m; the trees get fit_regression_tree's int64 copies
+    feature, left, right, depth = np.full((4, T, size), -1, dtype=np.int32)
     threshold, value, gain = np.zeros((3, T, size))
-    n_samples = np.zeros((T, size), dtype=int)
+    n_samples = np.zeros((T, size), dtype=np.int32)
     open_gain = np.full((T, size), -np.inf)  # best split gain of each frontier leaf
-    open_feature = np.zeros((T, size), dtype=int)
+    open_feature = np.zeros((T, size), dtype=np.int32)
     open_threshold = np.zeros((T, size))
 
     def add_leaves(trees, ids, rows, counts, depths, expand):
@@ -417,5 +479,6 @@ def fit_forest(X, y, samples, seeds, limits: TreeLimits | None = None,
                    counts, np.tile(depth[t, j] + 1, 2), (count + 1) // 2 < limits.max_leaves)
     arrays = (feature, threshold, left, right, value, n_samples, gain)
     n_nodes = 1 + 2 * (feature >= 0).sum(axis=1)  # a split adds two nodes
-    return [RegressionTree(*(a[i, :c].copy() for a in arrays), m)
+    return [RegressionTree(*(a[i, :c].astype(int if a.dtype == np.int32 else float)
+                             for a in arrays), m)
             for i, c in enumerate(n_nodes.tolist())]

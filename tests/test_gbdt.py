@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from oracles import median_loop_fit_gbdt
 from vollab.errors import VollabError
-from vollab.gbdt import GbdtModel, GbdtParams, fit_gbdt, predict_gbdt
+from vollab.gbdt import GbdtModel, GbdtParams, GbdtSlice, fit_gbdt, predict_gbdt
+from vollab.grids import _gbdt_values, enumerate_grid
 from vollab.tree import predict_tree
 
 
@@ -203,6 +204,54 @@ class TestLeafValues:
         assert leaf_counts(model).tolist() == [7] * 6
         assert np.isfinite(model.trees[0].value).all()
         same_trees(model, median_loop_fit_gbdt(X, y, p), X)
+
+
+class TestSharedSlice:
+    """Fits on one GbdtSlice share its presort and replay its draws, and each
+    equals the oracle's fit, which sorts at every node and draws afresh."""
+
+    @pytest.mark.parametrize("n", [12, 40, 62, 125])
+    def test_every_grid_state_equals_its_plain_fit(self, rng, n):
+        X = rng.normal(size=(n, 30))
+        X[:, ::3] = np.round(X[:, ::3])  # tied values
+        X[:, 1] = X[:, 4]  # a duplicated column
+        y = rng.normal(size=n)
+        shared = GbdtSlice(X)
+        # two seeds take turns on the one slice, as a memo keyed by
+        # anything less than the seed would not survive
+        seeds = rng.integers(0, 2**63 - 1, size=2).tolist()
+        for i, state in enumerate(enumerate_grid("gbdt")):
+            p = GbdtParams(**_gbdt_values(state, n), rounds=3, learning_rate=0.3,
+                           seed=seeds[i % 2])
+            same_trees(fit_gbdt(X, y, p, shared), median_loop_fit_gbdt(X, y, p), X)
+
+    def test_without_bagging(self, rng):
+        X, y = rng.normal(size=(50, 6)), rng.normal(size=50)
+        shared = GbdtSlice(X)
+        for fraction in (1.0, 0.9, 1.0):  # the two draw streams of one seed
+            p = GbdtParams(leaves=6, min_data=3, rounds=4, bagging_fraction=fraction, seed=2)
+            same_trees(fit_gbdt(X, y, p, shared), median_loop_fit_gbdt(X, y, p), X)
+
+    def test_later_fits_replay_the_draws(self, rng, monkeypatch):
+        X, y = rng.normal(size=(40, 5)), rng.normal(size=40)
+        p = GbdtParams(min_data=5, rounds=3)
+        want = fit_gbdt(X, y, p)
+        shared = GbdtSlice(X)
+        fit_gbdt(X, y, GbdtParams(min_data=3, rounds=4), shared)  # four rounds' draws
+
+        def no_draw(*args):
+            raise AssertionError("a replayed round draws nothing")
+
+        monkeypatch.setattr(np.random, "PCG64", no_draw)
+        same_trees(fit_gbdt(X, y, p, shared), want, X)
+
+    def test_slice_prepared_for_other_rows_refused(self, rng):
+        X, y = rng.normal(size=(30, 3)), rng.normal(size=30)
+        p = GbdtParams(min_data=3, rounds=1)
+        for other in (X[:-1], X + 1.0, X[:, :2]):
+            with pytest.raises(VollabError, match="prepared slice"):
+                fit_gbdt(X, y, p, GbdtSlice(other))
+        fit_gbdt(X, y, p, GbdtSlice(X.copy()))
 
 
 class TestNonExtrapolation:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import planted_signal_data
 from vollab import grids
+from vollab.config import parse_config
 from vollab.errors import UsageError, VollabError
 from vollab.grids import (
     MODELS,
@@ -83,6 +84,16 @@ class TestConfigChecks:
             with pytest.raises(UsageError):
                 resolve_grid("svr", bad)
 
+    def test_a_grid_names_each_state_once(self):
+        # a repeated state used to be fitted once per mention on every slice
+        base = {"data": {"synthetic": {"n_days": 160}}, "models": ["svr", "gbdt"]}
+        for grids_ in ({"svr": [16, "kernel=rbf;gamma=scale;epsilon=0.1", 16]},
+                       {"svr": [3, 3]}, {"gbdt": [0, "leaves=75;min_data=10;max_depth=-1;"
+                                                      "feature_fraction=0.4"]}):
+            with pytest.raises(UsageError, match="more than once"):
+                parse_config({**base, "grids": grids_})
+        parse_config({**base, "grids": {"svr": [16, 17], "gbdt": [0, 1]}})
+
     def test_model_options_keys(self):
         for kind, m in MODELS.items():
             if m.section:
@@ -152,3 +163,44 @@ class TestFitModel:
         assert calls == ["fit_scaler", "apply_scaler", "add_uniform_noise",
                          *(SvrParams(**dict(s.values)) for s in states)]
         assert len(results) == n_states
+
+
+class TestSharedFits:
+    """gbdt states with equal keys share one fit per slice."""
+
+    @pytest.mark.parametrize("window, fits", [(63, 249), (126, 960), (252, 3168)])
+    def test_validation_fits_of_a_full_grid_task(self, window, fits):
+        # one fit per distinct key on each slice of the expanding validation:
+        # 81 states on each of window - 10 slices before the key
+        key, grid = MODELS["gbdt"].key, enumerate_grid("gbdt")
+        assert sum(len({key(s, n) for s in grid}) for n in range(10, window)) == fits
+
+    def test_key_reads_each_limit_only_where_it_binds(self):
+        key = MODELS["gbdt"].key
+        state = {s.to_text(): s for s in enumerate_grid("gbdt")}
+
+        def at(leaves, min_data, max_depth, fraction, n):
+            return key(state[f"leaves={leaves};min_data={min_data};max_depth={max_depth};"
+                             f"feature_fraction={fraction}"], n)
+
+        # n = 70: md = min_data, bags of k = 63 rows, at most 63 // 10 = 6
+        # leaves and 5 levels for min_data 10
+        assert at(75, 10, 5, 0.4, 70) == at(75, 10, -1, 0.4, 70) == at(125, 10, 10, 0.4, 70)
+        assert at(75, 10, 5, 0.4, 80) != at(75, 10, -1, 0.4, 80)  # 72 // 10 = 7 leaves
+        assert at(75, 10, -1, 0.4, 70) != at(75, 20, -1, 0.4, 70)
+        assert at(75, 10, -1, 0.4, 70) != at(75, 10, -1, 0.5, 70)
+        # n = 30: min_data 10, 20 and 30 all clip to 10
+        assert at(75, 10, -1, 0.4, 30) == at(75, 30, -1, 0.4, 30)
+        # n = 2000: bags of 1800 rows, 180 leaves of min_data 10
+        assert at(75, 10, -1, 0.4, 2000) != at(100, 10, -1, 0.4, 2000)
+
+    @pytest.mark.parametrize("n", [12, 40, 62, 125])
+    def test_shared_fits_forecast_as_one_state_at_a_time(self, n):
+        data = planted_signal_data(n=260)
+        batch = build_tasks(data, "gbdt", window=n + 1, horizon=1, s=5, root_seed=0)[0].batch
+        train, block = batch.slice(0, n), batch.blocks[n]
+        opts = {"gbdt": {"rounds": 2, "learning_rate": 0.3}}
+        grid = enumerate_grid("gbdt")
+        got = forecast("gbdt", train, 5, opts, grid, block)
+        want = [forecast("gbdt", train, 5, opts, [s], block)[0] for s in grid]
+        assert repr(got) == repr(want)

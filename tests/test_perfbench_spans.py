@@ -14,10 +14,13 @@ import pytest
 
 import vollab.svr
 import vollab.tree
-from oracles import walk_apply
-from vollab.gbdt import GbdtParams, fit_gbdt
+from conftest import planted_signal_data
+from oracles import median_loop_fit_gbdt, walk_apply
+from vollab import grids
+from vollab.gbdt import GbdtParams, GbdtSlice, fit_gbdt
 from vollab.svr import SvrParams, fit_svr
 from vollab.tree import TreeLimits, fit_regression_tree
+from vollab.walkforward import build_tasks
 
 LAUNCH = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
 
@@ -94,6 +97,71 @@ def test_one_best_split_call_per_candidate_leaf(monkeypatch, rng):
         np.testing.assert_array_equal(args[1], y[rows])
         assert list(args[2]) == list(features) and args[3] == 8
         assert cells(args, kwargs, result) == len(rows) * 2
+
+
+def test_presorted_searches_make_the_same_calls_and_cells(monkeypatch, rng):
+    """On a shared slice each candidate leaf still makes one positional
+    `best_split` call, with the y rows, features and min_samples_leaf of a
+    fit that sorts at every node, so `tree.best_split.*` counts the same; its
+    first argument is the leaf's presorted columns, or None where the leaf
+    is too small to split."""
+    calls = []
+    search = vollab.tree.best_split
+
+    def recording(*args, **kwargs):
+        calls[-1].append((args, kwargs))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(vollab.tree, "best_split", recording)
+    X, y = np.round(rng.normal(size=(90, 8)), 1), rng.normal(size=90)
+    p = GbdtParams(leaves=12, min_data=4, rounds=6, learning_rate=0.3, seed=9)
+    for fit in (median_loop_fit_gbdt, lambda *args: fit_gbdt(*args, GbdtSlice(X))):
+        calls.append([])
+        fit(X, y, p)
+    plain, presorted = calls
+    cells = load_launch()._best_split_cells
+    assert len(plain) == len(presorted) > 6 * 3
+    assert any(args[0] is None for args, _ in presorted)
+    for (want, _), (got, kwargs) in zip(plain, presorted):
+        assert kwargs == {} and len(got) == 4
+        assert got[1].tobytes() == want[1].tobytes() and got[2:] == want[2:]
+        assert cells(got, kwargs, None) == cells(want, {}, None)
+        if len(got[1]) < 2 * got[3]:
+            assert got[0] is None
+            continue
+        cols = want[0].T[sorted(want[2])]
+        order = cols.argsort(axis=1, kind="stable")
+        xs, ys = got[0]
+        np.testing.assert_array_equal(xs, np.take_along_axis(cols, order, axis=1))
+        np.testing.assert_array_equal(ys, want[1][order])
+
+
+def test_one_fit_gbdt_call_per_distinct_key(monkeypatch):
+    """`gbdt.fit_gbdt.calls` counts one fit per distinct key of a slice, each
+    handed the slice's one GbdtSlice; every state of a key gets its fit's
+    forecast."""
+    data = planted_signal_data(n=120)
+    batch = build_tasks(data, "gbdt", window=63, horizon=1, s=5, root_seed=0)[0].batch
+    train = batch.slice(0, 50)
+    grid = grids.enumerate_grid("gbdt")
+    calls = []
+    fit = grids.fit_gbdt
+
+    def recording(*args):
+        calls.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(grids, "fit_gbdt", recording)
+    results = grids.forecast("gbdt", train, 3, {"gbdt": {"rounds": 2}}, grid, batch.blocks[50])
+    keys = [grids.MODELS["gbdt"].key(s, 50) for s in grid]
+    first = {k: i for i, k in reversed(list(enumerate(keys)))}  # each key's first state
+    assert len(calls) == len(first) < len(grid)
+    assert len({id(args[3]) for args in calls}) == 1 and isinstance(calls[0][3], GbdtSlice)
+    for args, i in zip(calls, sorted(first.values())):
+        values = grids._gbdt_values(grid[i], 50)
+        assert {k: getattr(args[2], k) for k in values} == values
+    for k, result in zip(keys, results):
+        assert result is results[first[k]]
 
 
 def test_gbdt_facts_count_trees_and_leaves(rng):

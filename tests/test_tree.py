@@ -19,9 +19,11 @@ from vollab.tree import (
     TreeLimits,
     _sse,
     best_split,
+    feature_draw,
     fit_forest,
     fit_regression_tree,
     predict_tree,
+    presort,
 )
 
 
@@ -333,6 +335,66 @@ class TestAgainstTheRowsDictGrowth:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert got.n_features == want.n_features
         assert searches[0] == searches[1]
+
+
+def same_node_arrays(got, want):
+    for name in ("feature", "threshold", "left", "right", "value", "n_samples", "gain"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.n_features == want.n_features
+    assert got.to_json() == want.to_json()
+
+
+class TestPresortedSearch:
+    """A search on presorted columns, and a growth that filters them, equal
+    the sorting ones: on ascending rows a stable argsort is the stable
+    order of all rows, filtered."""
+
+    @given(split_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_best_split_on_presorted_columns(self, case):
+        X, y, features, msl = case
+        order, values = presort(X)
+        fs = sorted(features)
+        got = best_split((values[fs], y[order[fs]]), y, features, msl)
+        want = best_split(X, y, features, msl)
+        assert repr(got) == repr(want)
+
+    def test_presort_is_stable(self):
+        X = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, -1.0], [0.0, 0.0]])
+        order, values = presort(X)
+        assert order.tolist() == [[1, 3, 0, 2], [2, 0, 1, 3]]
+        assert values.tolist() == [[0.0, 0.0, 1.0, 1.0], [-1.0, 0.0, 0.0, 0.0]]
+
+    @given(growth_cases(), st.integers(0, 2**32 - 1), st.sampled_from([0.4, 0.9, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_presorted_growth(self, case, seed, kept):
+        """The tree of Z[rows] grown from presort(Z), with the searches it
+        makes, equals the sorting growth's, on every node array."""
+        Z, y, limits, fraction, tree_seed = case
+        r = np.random.default_rng(seed)
+        rows = np.flatnonzero(r.random(len(Z)) < kept)
+        if rows.size == 0:
+            rows = np.arange(len(Z))
+        X, y = Z[rows], y[rows]
+        searches, search = [], vollab.tree.best_split
+
+        def recording(x, ys, features, min_samples_leaf):
+            searches[-1].append((ys.tobytes(), list(features), min_samples_leaf))
+            return search(x, ys, features, min_samples_leaf)
+
+        order, values = presort(Z)
+        trees = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vollab.tree, "best_split", recording)
+            for kwargs in ({}, {"presorted": (order, values, rows)},
+                           {"presorted": (order, values, rows),
+                            "draw": feature_draw(Z.shape[1], tree_seed)}):
+                searches.append([])
+                trees.append(fit_regression_tree(X, y, limits, fraction, tree_seed, **kwargs))
+        for got in trees[1:]:
+            same_node_arrays(got, trees[0])
+        assert searches[1] == searches[0] and searches[2] == searches[0]
 
 
 @st.composite

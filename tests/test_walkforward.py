@@ -122,6 +122,9 @@ class TestValidateParams:
         ("naive", [0], None),
         ("svr", [0, 20, 40], None),  # poly, rbf, sigmoid
         ("gbdt", [0, 80], {"gbdt": {"rounds": 2}}),
+        # 0, 3, 6 and 27 differ only in a max_depth or leaves limit that no
+        # tree on these slices reaches, so they share each slice's fit
+        ("gbdt", [0, 3, 80, 6, 27], {"gbdt": {"rounds": 2}}),
     ])
     def test_equals_state_major_sweep(self, kind, states, options):
         data = planted_signal_data(n=120)
