@@ -2,8 +2,9 @@
 
 `MODELS` holds, per kind, its hyperparameter grid axes, the
 `model_options` section it reads with the keys allowed there, its fit,
-and optionally what the fits of one training slice share: a key under
-which states fit identically, and per-slice data every fit is handed.
+and optionally what the fits of one training slice share (a key under
+which states fit identically, and per-slice data every fit is handed) or
+how a fit that solves one state on many slices at once splits them.
 Grid enumeration order is the documented cartesian order of the axis
 lists, last axis fastest.  Adding a model kind is one table entry.
 """
@@ -18,7 +19,7 @@ from .errors import UsageError, VollabError
 from .features import add_uniform_noise, apply_scaler, fit_scaler
 from .gbdt import GbdtParams, GbdtSlice, fit_gbdt, predict_gbdt
 from .net import NetConfig, predict as net_predict, train as net_train
-from .svr import SvrParams, fit_svr, predict_svr
+from .svr import SvrParams, fit_svr_slices, predict_svr, slice_runs
 
 
 def derive_seed(root_seed: int, *parts) -> int:
@@ -58,14 +59,17 @@ class ParamState:
 # A fit takes the scaled, noised training slice, the state, the fit's seed,
 # its kind's model_options section and the scaled block to forecast, and,
 # for a kind with a prepare, that slice's prepared data; it returns
-# (forecast, internal validation MAE or nan).  The solvers are looked up as
-# module globals when a fit runs, so a tracer that rebinds them sees the
-# calls.
+# (forecast, internal validation MAE or nan).  A kind with runs fits one
+# state on a run of slices at once instead: it takes their noised slices,
+# the state and their scaled blocks, and returns one such pair per slice.
+# The solvers are looked up as module globals when a fit runs, so a tracer
+# that rebinds them sees the calls.
 
 
-def _fit_svr(train, state, seed, options, block):
-    model = fit_svr(train.flat(), train.targets, SvrParams(**dict(state.values)))
-    return float(predict_svr(model, block.ravel())), float("nan")
+def _fit_svr(trains, state, blocks):
+    models = fit_svr_slices([t.flat() for t in trains], [t.targets for t in trains],
+                            SvrParams(**dict(state.values)))
+    return [(float(predict_svr(m, b.ravel())), float("nan")) for m, b in zip(models, blocks)]
 
 
 def _gbdt_values(state, n):
@@ -114,6 +118,7 @@ class ModelKind:
     fit: Callable | None = None
     key: Callable | None = None  # (state, n_rows) -> states with equal keys share a fit
     prepare: Callable | None = None  # noised slice -> data handed to each of its fits
+    runs: Callable | None = None  # slice row counts -> lengths of the runs a fit takes
 
 
 MODELS = {
@@ -125,6 +130,7 @@ MODELS = {
             "epsilon": (0.05, 0.1, 0.15),
         },
         fit=_fit_svr,
+        runs=slice_runs,
     ),
     "gbdt": ModelKind(
         axes={
@@ -213,23 +219,54 @@ def check_model_options(options: dict) -> None:
             raise UsageError(f"model_options.{section}: {exc}") from None
 
 
-def forecast(kind: str, train, seed: int, options: dict | None, states,
-             block) -> list[tuple[float, float]]:
-    """Fit a training slice under each state and forecast one block.
-
-    The slice is scaled, then noised, and the block scaled, once; every
-    state's fit shares them, and the kind's prepared data, and must not
-    modify them.  States with equal kind keys share one fit.  Returns one
-    (forecast, internal validation MAE or nan) per state, in state order.
-    """
-    m = model_kind(kind)
-    if m.fit is None:
-        return [(0.0, float("nan"))] * len(states)
+def _scaled(train, seed, block):
+    """The slice scaled, then noised, and the block scaled, by the slice's scaler."""
     scaler = fit_scaler(train)
     noised = add_uniform_noise(apply_scaler(scaler, train),
                                seed=derive_seed(seed, "noise", len(train)))
-    scaled = (block - scaler.mean) / scaler.std
+    return noised, (block - scaler.mean) / scaler.std
+
+
+def forecast(kind: str, slices, options: dict | None,
+             states) -> list[list[tuple[float, float]]]:
+    """Fit each training slice under each state and forecast its block.
+
+    `slices` holds (training slice, seed, block to forecast) triples.  Each
+    slice is scaled, then noised, and its block scaled, once; every state's
+    fit shares them, and the kind's prepared data, and must not modify
+    them.  A kind without runs fits slice by slice, and states with equal
+    kind keys share one fit; what a slice prepared is freed with it.  A
+    kind with runs fits state by state on each run of slices.  Either way a
+    failing fit raises what fitting slice by slice, each under every state
+    in order, raises first.  Returns, per slice, one (forecast, internal
+    validation MAE or nan) per state, in state order.
+    """
+    m = model_kind(kind)
+    if m.fit is None:
+        return [[(0.0, float("nan"))] * len(states) for _ in slices]
     section = (options or {}).get(m.section, {})
+    if m.runs is None:
+        return [_fit_slice(m, section, states, *item) for item in slices]
+    out = []
+    for count in m.runs([len(train) for train, _, _ in slices]):
+        run, slices = slices[:count], slices[count:]
+        trains, blocks = zip(*(_scaled(*item) for item in run))
+        try:
+            per_state = [m.fit(trains, state, blocks) for state in states]
+        except Exception as exc:
+            error = exc
+        else:
+            out += [list(fits) for fits in zip(*per_state)]
+            continue
+        for train, block in zip(trains, blocks):  # raise what slice by slice raises first
+            for state in states:
+                m.fit([train], state, [block])
+        raise error
+    return out
+
+
+def _fit_slice(m: ModelKind, section, states, train, seed, block):
+    noised, scaled = _scaled(train, seed, block)
     shared = () if m.prepare is None else (m.prepare(noised),)
     keys = (range(len(states)) if m.key is None
             else [m.key(state, len(noised)) for state in states])

@@ -93,9 +93,10 @@ def validate_params(batch: SequencedDataset, kind: str, grid, seed: int,
                     options: dict | None = None) -> list[float]:
     """Expanding-window validation MAE of every grid state inside a batch.
 
-    Starts from the first MIN_VALIDATION_SEED sequenced observations, then
-    repeatedly fits every state, forecasts the next observation, and grows
-    the window by one until the batch is exhausted.
+    Starts from the first MIN_VALIDATION_SEED sequenced observations: fits
+    every state, forecasts the next observation, and grows the window by
+    one until the batch is exhausted.  Every window goes to one forecast
+    call.
     """
     n = len(batch)
     if n <= MIN_VALIDATION_SEED:
@@ -103,13 +104,12 @@ def validate_params(batch: SequencedDataset, kind: str, grid, seed: int,
             f"batch of {n} sequenced observations is too small to validate "
             f"(need > {MIN_VALIDATION_SEED})"
         )
-    errors = [[] for _ in grid]
-    for v in range(MIN_VALIDATION_SEED, n):
-        results = forecast(kind, batch.slice(0, v), derive_seed(seed, "val", v), options,
-                           grid, batch.blocks[v])
-        for (pred, _), state_errors in zip(results, errors):
-            state_errors.append(abs(pred - batch.targets[v]))
-    return [float(np.mean(e)) for e in errors]
+    steps = range(MIN_VALIDATION_SEED, n)
+    results = forecast(kind, [(batch.slice(0, v), derive_seed(seed, "val", v), batch.blocks[v])
+                              for v in steps], options, grid)
+    return [float(np.mean([abs(per_state[k][0] - batch.targets[v])
+                           for v, per_state in zip(steps, results)]))
+            for k in range(len(grid))]
 
 
 def run_batch(task: BatchTask) -> ForecastRecord:
@@ -124,9 +124,9 @@ def run_batch(task: BatchTask) -> ForecastRecord:
                                    task.model_options)
             best = int(np.nanargmin(maes))  # ties go to the first state
             best_mae = maes[best]
-        [(pred, internal_mae)] = forecast(
-            task.kind, task.batch, derive_seed(task.seed, "refit"), task.model_options,
-            [task.grid[best]], task.predict_block)
+        [[(pred, internal_mae)]] = forecast(
+            task.kind, [(task.batch, derive_seed(task.seed, "refit"), task.predict_block)],
+            task.model_options, [task.grid[best]])
     except Exception as exc:
         exc.add_note(f"[task kind={task.kind} window={task.window} date={task.test_date}]")
         raise

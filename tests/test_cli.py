@@ -512,7 +512,7 @@ class TestRun:
         def broken(*args, **kwargs):
             raise NumericError("solver broke")
 
-        monkeypatch.setattr(grids, "fit_svr", broken)
+        monkeypatch.setattr(grids, "fit_svr_slices", broken)
         cfg = self.run_config(tmp_path, models=["svr"], grids={"svr": [0]})
         assert main(["run", "--config", cfg]) == 3
         assert "error (numeric): solver broke [task kind=svr window=63 date=" in (

@@ -122,8 +122,8 @@ class TestFitModel:
                 "net": {"conv_channels": 8, "heads": 2, "head_size": 4, "fcl1_units": 8,
                         "gru1_units": 8, "gru2_units": 4, "epochs": 1}}
         for kind in MODELS:
-            [(pred, val_mae)] = forecast(kind, batch.slice(0, 30), 1, opts,
-                                         enumerate_grid(kind)[:1], batch.blocks[30])
+            [[(pred, val_mae)]] = forecast(kind, [(batch.slice(0, 30), 1, batch.blocks[30])],
+                                           opts, enumerate_grid(kind)[:1])
             assert np.isfinite(pred)
             assert math.isnan(val_mae) == (kind != "attn_gru")
 
@@ -136,8 +136,8 @@ class TestFitModel:
 
         for name in ("fit_scaler", "apply_scaler", "add_uniform_noise"):
             monkeypatch.setattr(grids, name, unscaled)
-        results = forecast("naive", batch, 0, None, enumerate_grid("naive") * 3,
-                           batch.blocks[0])
+        [results] = forecast("naive", [(batch, 0, batch.blocks[0])], None,
+                             enumerate_grid("naive") * 3)
         assert len(results) == 3
         for pred, val_mae in results:
             assert pred == 0.0 and math.isnan(val_mae)
@@ -153,13 +153,14 @@ class TestFitModel:
             original = getattr(grids, name)
 
             def call(*args, **kwargs):
-                calls.append(args[2] if name == "fit_svr" else name)  # fit_svr(X, y, params)
+                # fit_svr_slices(Xs, ys, params)
+                calls.append(args[2] if name == "fit_svr_slices" else name)
                 return original(*args, **kwargs)
             return call
 
-        for name in ("fit_scaler", "apply_scaler", "add_uniform_noise", "fit_svr"):
+        for name in ("fit_scaler", "apply_scaler", "add_uniform_noise", "fit_svr_slices"):
             monkeypatch.setattr(grids, name, counted(name))
-        results = forecast("svr", batch, 4, None, states, batch.blocks[-1])
+        [results] = forecast("svr", [(batch, 4, batch.blocks[-1])], None, states)
         assert calls == ["fit_scaler", "apply_scaler", "add_uniform_noise",
                          *(SvrParams(**dict(s.values)) for s in states)]
         assert len(results) == n_states
@@ -201,6 +202,6 @@ class TestSharedFits:
         train, block = batch.slice(0, n), batch.blocks[n]
         opts = {"gbdt": {"rounds": 2, "learning_rate": 0.3}}
         grid = enumerate_grid("gbdt")
-        got = forecast("gbdt", train, 5, opts, grid, block)
-        want = [forecast("gbdt", train, 5, opts, [s], block)[0] for s in grid]
+        [got] = forecast("gbdt", [(train, 5, block)], opts, grid)
+        want = [forecast("gbdt", [(train, 5, block)], opts, [s])[0][0] for s in grid]
         assert repr(got) == repr(want)

@@ -152,7 +152,8 @@ def test_one_fit_gbdt_call_per_distinct_key(monkeypatch):
         return fit(*args)
 
     monkeypatch.setattr(grids, "fit_gbdt", recording)
-    results = grids.forecast("gbdt", train, 3, {"gbdt": {"rounds": 2}}, grid, batch.blocks[50])
+    [results] = grids.forecast("gbdt", [(train, 3, batch.blocks[50])], {"gbdt": {"rounds": 2}},
+                               grid)
     keys = [grids.MODELS["gbdt"].key(s, 50) for s in grid]
     first = {k: i for i, k in reversed(list(enumerate(keys)))}  # each key's first state
     assert len(calls) == len(first) < len(grid)

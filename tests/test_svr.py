@@ -1,11 +1,17 @@
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from conftest import planted_signal_data
 from oracles import qp_oracle_predict, qp_svr_oracle, two_array_fit_svr
-from vollab import grids, svr
+from vollab import cli, grids, svr
+from vollab.config import parse_config
 from vollab.errors import FitError, VollabError
 from vollab.features import engineer, log_diff, sequence
 from vollab.frames import TimeSeriesFrame, generate_synthetic
@@ -13,12 +19,15 @@ from vollab.svr import (
     SvrParams,
     dual_objective,
     fit_svr,
+    fit_svr_slices,
     kernel_eval,
     kernel_matrix,
     kkt_violation,
     predict_svr,
     resolve_gamma,
+    slice_runs,
 )
+from vollab.walkforward import build_tasks, validate_params
 
 
 class TestKernels:
@@ -181,6 +190,8 @@ class TestFitSvr:
             fit_svr(np.ones((3, 1)), np.ones(2), p)
         with pytest.raises(VollabError):
             fit_svr(np.array([[np.inf]] * 3), np.ones(3), p)
+        with pytest.raises(VollabError, match="one target vector per slice"):
+            fit_svr_slices([np.ones((3, 1)), np.ones((3, 1))], [np.ones(3)], p)
 
     @pytest.mark.parametrize("kernel, scale", [("poly", 1e60), ("rbf", 1e160)])
     def test_non_finite_kernel_matrix_is_fit_error(self, rng, kernel, scale):
@@ -266,30 +277,167 @@ def test_truncated_fit_matches_two_array_loop(kernel, monkeypatch):
     assert cut > 0
 
 
-def test_pipeline_slices_match_two_array_loop(monkeypatch):
-    """Scaled and noised expanding slices of a synthetic batch, n = 10..126,
-    under the nine grid states of perfbench's svr_sweep."""
+SWEEP_STATES = (0, 4, 8, 17, 24, 28, 33, 37, 41)  # perfbench's svr_sweep grid
+
+
+def pipeline_slices(sizes):
+    """(slice, seed, block) triples of a synthetic batch's expanding windows."""
     frame = generate_synthetic(7, 200, 3)
     features = TimeSeriesFrame(
         frame.dates, {k: c for k, c in frame.columns.items() if k != "vol_index"})
     feats = engineer(features, {k for k in frame.names if k.startswith("volume")})
     ds = sequence(feats, log_diff(frame.column("vol_index")[len(frame) - len(feats):]))
+    return [(ds.slice(0, n), grids.derive_seed(3, "val", n), ds.blocks[n]) for n in sizes]
+
+
+def test_pipeline_slices_match_two_array_loop(monkeypatch):
+    """Scaled and noised expanding slices of a synthetic batch, n = 10..126,
+    solved in lockstep under the nine grid states of perfbench's svr_sweep."""
     grid = grids.enumerate_grid("svr")
-    states = [grid[k] for k in (0, 4, 8, 17, 24, 28, 33, 37, 41)]
+    states = [grid[k] for k in SWEEP_STATES]
     fits = []
 
-    def both(X, y, params):
-        fits.append((fit_svr(X, y, params), two_array_fit_svr(X, y, params)))
-        return fits[-1][0]
+    def both(Xs, ys, params):
+        models = fit_svr_slices(Xs, ys, params)
+        fits.extend((m, two_array_fit_svr(X, y, params)) for m, X, y in zip(models, Xs, ys))
+        return models
 
-    monkeypatch.setattr(grids, "fit_svr", both)
-    sizes = (*range(10, 126, 8), 126)
-    for n in sizes:
-        grids.forecast("svr", ds.slice(0, n), grids.derive_seed(3, "val", n), None, states,
-                       ds.blocks[n])
-    assert len(fits) == len(sizes) * len(states)
+    monkeypatch.setattr(grids, "fit_svr_slices", both)
+    slices = pipeline_slices((*range(10, 126, 8), 126))
+    assert len(slices) > svr.HANDOFF and slice_runs(len(t) for t, _, _ in slices) == [16]
+    grids.forecast("svr", slices, None, states)
+    assert len(fits) == len(slices) * len(states)
     for got, want in fits:
         assert_same_fit(got, want)
+
+
+def assert_same_bits(got, want):
+    for name in ("beta", "alpha", "alpha_star"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (repr(got.bias), repr(got.gamma)) == (repr(want.bias), repr(want.gamma))
+    assert (got.converged, got.n_passes) == (want.converged, want.n_passes)
+    assert [repr(v) for v in got.objective_history] == [
+        repr(v) for v in want.objective_history]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(2, 70), min_size=1, max_size=60),
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(1, 3),
+    rounded=st.booleans(),
+    kernel=st.sampled_from(["poly", "rbf", "sigmoid"]),
+    gamma=st.sampled_from(["scale", "auto"]) | st.floats(0.05, 2.0),
+    epsilon=st.sampled_from([0.0, 0.05, 0.15]),
+    C=st.sampled_from([0.1, 1.0, 3.0]),
+    tol=st.sampled_from([1e-3, 1e-6]),
+    handoff=st.sampled_from([0, 1, None]),  # None: more than the slice count
+    max_passes=st.sampled_from([1, 2, svr.MAX_PASSES]),
+)
+def test_lockstep_equals_one_fit_per_slice(sizes, seed, width, rounded, kernel, gamma,
+                                           epsilon, C, tol, handoff, max_passes):
+    """Slices of mixed sizes, with ties and duplicated rows when rounded;
+    the hand-off before the first step, with one slice left, or never; and
+    fits cut after one or two passes."""
+    rng = np.random.default_rng(seed)
+    Xs = [rng.normal(size=(n, width)) for n in sizes]
+    ys = [rng.normal(size=n) for n in sizes]
+    if rounded:
+        Xs, ys = [np.round(X, 1) for X in Xs], [np.round(0.5 * y, 1) for y in ys]
+    p = SvrParams(kernel=kernel, gamma=gamma, epsilon=epsilon, C=C)
+    with mock.patch.object(svr, "HANDOFF", len(sizes) + 1 if handoff is None else handoff), \
+            mock.patch.object(svr, "MAX_PASSES", max_passes):
+        got = fit_svr_slices(Xs, ys, p, tol)
+        want = [fit_svr(X, y, p, tol) for X, y in zip(Xs, ys)]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
+
+
+@pytest.mark.parametrize("handoff", [0, 1, 2, 5])
+def test_lockstep_pass_that_cannot_move(monkeypatch, handoff):
+    """A violation of 0 never meets a negative tol, so a pass can end on a
+    step that cannot move (t <= 0); the fit then stops if that pass made no
+    update.  Flat targets with epsilon 0 stop in pass 1.  The rounded
+    slices stop after passes that moved, so the stopping test reads each
+    pass's progress, in lockstep and after a hand-off."""
+    monkeypatch.setattr(svr, "HANDOFF", handoff)
+    Xs, ys = [np.random.default_rng(1).normal(size=(4, 2))], [np.full(4, 0.25)]
+    for seed in (3, 6, 7, 8):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        Xs.append(np.round(rng.normal(size=(n, 2)), 1))
+        ys.append(np.round(rng.normal(size=n), 1))
+    p = SvrParams(kernel="rbf", gamma=0.5, epsilon=0.0, C=1.0)
+    want = [fit_svr(X, y, p, tol=-1e-3) for X, y in zip(Xs, ys)]
+    assert [(w.n_passes, w.converged) for w in want] == [
+        (1, False), (6, False), (8, False), (3, False), (2, False)]
+    for got, w in zip(fit_svr_slices(Xs, ys, p, tol=-1e-3), want):
+        assert_same_bits(got, w)
+
+
+def test_runs_of_one_slice_forecast_the_same(monkeypatch):
+    grid = grids.enumerate_grid("svr")
+    states = [grid[k] for k in SWEEP_STATES]
+    slices = pipeline_slices(range(10, 40, 3))
+    want = grids.forecast("svr", slices, None, states)
+    monkeypatch.setattr(svr, "STACK_BYTES", 1)
+    assert slice_runs(len(t) for t, _, _ in slices) == [1] * len(slices)
+    assert repr(grids.forecast("svr", slices, None, states)) == repr(want)
+
+
+def test_slice_runs_fit_the_stack_budget(monkeypatch):
+    monkeypatch.setattr(svr, "STACK_BYTES", 3 * 20 * 20 * 8)
+    # 10, 20, 20 pad to 3 x 20 x 20; 30 alone is over budget, a run of one
+    assert slice_runs([10, 20, 20, 30, 5, 5]) == [3, 1, 2]
+    assert slice_runs([10, 10, 30]) == [2, 1]  # 3 x 30 x 30 is over budget
+    assert slice_runs([]) == []
+
+
+def test_non_finite_kernel_raises_as_slice_by_slice(monkeypatch):
+    """The rbf state fails on the later slice and the poly state on the
+    earlier one: fitting state by state meets the rbf failure first, but
+    the error must be the poly one that fitting slice by slice meets."""
+    data = planted_signal_data(n=120)
+    batch = build_tasks(data, "svr", window=63, horizon=1, s=5, root_seed=0)[0].batch
+    grid = grids.enumerate_grid("svr")
+    states = [grid[20], grid[0]]  # rbf, then poly
+    assert [s.values[0][1] for s in states] == ["rbf", "poly"]
+    slices = [(batch.slice(0, n), n, batch.blocks[n]) for n in (12, 20)]
+    original = svr.kernel_matrix
+
+    def overflowing(A, B, params, gamma):
+        K = original(A, B, params, gamma)
+        if A is B and (params.kernel, len(A)) in {("rbf", 20), ("poly", 12)}:
+            K[0, 0] = np.inf
+        return K
+
+    monkeypatch.setattr(svr, "kernel_matrix", overflowing)
+    with pytest.raises(FitError) as want:
+        for item in slices:
+            grids.forecast("svr", [item], None, states)
+    with pytest.raises(FitError) as got:
+        grids.forecast("svr", slices, None, states)
+    assert str(want.value).startswith("poly kernel matrix has non-finite entries")
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_svr_sweep_validation_peak_memory():
+    """One svr_sweep-shaped validation (400 days x 3 series, W=63, its nine
+    states): the run of 53 slices holds their noised rows (1.4 MB) and
+    padded kernel stack (1.6 MB); the peak measured 4.1 MB."""
+    cfg = parse_config({"data": {"synthetic": {"seed": 3, "n_days": 400, "n_series": 3}},
+                        "horizon": 1})
+    grid = [grids.enumerate_grid("svr")[k] for k in SWEEP_STATES]
+    task = build_tasks(cli._engineer(cfg), "svr", 63, horizon=1, s=5, root_seed=3,
+                       grid=grid)[0]
+    tracemalloc.start()
+    try:
+        validate_params(task.batch, "svr", grid, task.seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.6e6
 
 
 class TestPredict:

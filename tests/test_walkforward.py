@@ -86,8 +86,8 @@ def state_major_validation(batch, kind, grid, seed, options=None):
     for state in grid:
         errors = []
         for v in range(MIN_VALIDATION_SEED, len(batch)):
-            [(pred, _)] = forecast(kind, batch.slice(0, v), derive_seed(seed, "val", v),
-                                   options, [state], batch.blocks[v])
+            [[(pred, _)]] = forecast(kind, [(batch.slice(0, v), derive_seed(seed, "val", v),
+                                             batch.blocks[v])], options, [state])
             errors.append(abs(pred - batch.targets[v]))
         maes.append(float(np.mean(errors)))
     return maes
@@ -199,7 +199,7 @@ class TestRunBatch:
         def broken(*args, **kwargs):
             raise TwoArgError(7, "solver broke")
 
-        monkeypatch.setattr(grids, "fit_svr", broken)
+        monkeypatch.setattr(grids, "fit_svr_slices", broken)
         data = planted_signal_data(n=120)
         task = build_tasks(data, "svr", window=63, horizon=1, s=5, root_seed=0,
                            grid=enumerate_grid("svr")[:1])[0]
@@ -260,7 +260,7 @@ class TestWorkerPool:
         def broken(*args, **kwargs):
             raise LocalError(7, "solver broke")
 
-        monkeypatch.setattr(grids, "fit_svr", broken)
+        monkeypatch.setattr(grids, "fit_svr_slices", broken)
         data = planted_signal_data(n=120)
         with pytest.raises(LocalError) as info:
             run_experiment(data, "svr", 63, horizon=3, s=5, root_seed=0,
@@ -274,10 +274,11 @@ class TestWorkerPool:
         failing = set(data.dates[-4:][1::2])  # the second and fourth test dates
         original = walkforward.forecast
 
-        def broken(kind, batch, *args):
+        def broken(kind, slices, *args):
+            [(batch, _, _)] = slices  # the refit's one slice
             if data.dates[data.dates.index(batch.target_dates[-1]) + 1] in failing:
                 raise TwoArgError(3, "bad date")
-            return original(kind, batch, *args)
+            return original(kind, slices, *args)
 
         monkeypatch.setattr(walkforward, "forecast", broken)
         with pytest.raises(TwoArgError) as info:
