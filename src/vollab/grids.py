@@ -1,12 +1,11 @@
 """Common regressor contract: one table describes every model kind.
 
 `MODELS` holds, per kind, its hyperparameter grid axes, the
-`model_options` section it reads with the keys allowed there, its fit,
-and optionally what the fits of one training slice share (a key under
-which states fit identically, and per-slice data every fit is handed) or
-how a fit that solves one state on many slices at once splits them.
-Grid enumeration order is the documented cartesian order of the axis
-lists, last axis fastest.  Adding a model kind is one table entry.
+`model_options` section it reads with the keys allowed there, and its
+fit, which gets every training slice and state and shares what its
+solver can.  Grid enumeration order is the documented cartesian order of
+the axis lists, last axis fastest.  Adding a model kind is one table
+entry.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
-from .errors import UsageError, VollabError
+from .errors import UsageError, VollabError, is_int
 from .features import add_uniform_noise, apply_scaler, fit_scaler
 from .gbdt import GbdtParams, GbdtSlice, fit_gbdt, predict_gbdt
 from .net import NetConfig, predict as net_predict, train as net_train
@@ -56,17 +55,37 @@ class ParamState:
         return cls(tuple((k, given[k]) for k in axes))
 
 
-# A fit takes the scaled, noised training slice, the state, the fit's seed,
-# its kind's model_options section and the scaled block to forecast, and,
-# for a kind with a prepare, that slice's prepared data; it returns
-# (forecast, internal validation MAE or nan).  A kind with runs fits one
-# state on a run of slices at once instead: it takes their noised slices,
-# the state and their scaled blocks, and returns one such pair per slice.
-# The solvers are looked up as module globals when a fit runs, so a tracer
-# that rebinds them sees the calls.
+# A fit takes its kind's model_options section, the states and the
+# (training slice, seed, block to forecast) triples, and returns, per
+# slice, one (forecast, internal validation MAE or nan) per state, in state
+# order.  It scales and noises each slice, and scales its block, once
+# (_scaled), and all its states' fits share them and must not modify them.
+# A failing fit raises what fitting slice by slice, each under every state
+# in order, raises first.  The solvers are looked up as module globals when
+# a fit runs, so a tracer that rebinds them sees the calls.
 
 
-def _fit_svr(trains, state, blocks):
+def _fit_svr(section, states, slices):
+    """Fit state by state on each run of slices (slice_runs), scaled per run;
+    a failing run is refitted slice by slice to raise that order's error."""
+    out = []
+    for count in slice_runs([len(train) for train, _, _ in slices]):
+        run, slices = slices[:count], slices[count:]
+        trains, blocks = zip(*(_scaled(*item) for item in run))
+        try:
+            out += zip(*[_svr_run(trains, state, blocks) for state in states])
+        except Exception as exc:
+            error = exc
+        else:
+            continue
+        for train, block in zip(trains, blocks):
+            for state in states:
+                _svr_run([train], state, [block])
+        raise error
+    return [list(fits) for fits in out]
+
+
+def _svr_run(trains, state, blocks):
     models = fit_svr_slices([t.flat() for t in trains], [t.targets for t in trains],
                             SvrParams(**dict(state.values)))
     return [(float(predict_svr(m, b.ravel())), float("nan")) for m, b in zip(models, blocks)]
@@ -93,17 +112,38 @@ def _gbdt_key(state, n):
             values["max_depth"] if 0 <= values["max_depth"] < L - 1 else None)
 
 
-def _fit_gbdt(train, state, seed, options, block, prepared):
-    params = GbdtParams(**_gbdt_values(state, len(train)), **options,
-                        seed=derive_seed(seed, "gbdt"))
-    model = fit_gbdt(train.flat(), train.targets, params, prepared)
-    return float(predict_gbdt(model, block.ravel())), float("nan")
+def _fit_gbdt(section, states, slices):
+    """Fit each slice once per distinct _gbdt_key, every fit handed the
+    slice's one GbdtSlice; the key memo lasts one slice."""
+    out = []
+    for train, seed, block in slices:
+        train, block = _scaled(train, seed, block)
+        prepared = GbdtSlice(train.flat())
+        keys = [_gbdt_key(state, len(train)) for state in states]
+        fits = {}  # key -> (forecast, nan)
+        for key, state in zip(keys, states):
+            if key not in fits:
+                params = GbdtParams(**_gbdt_values(state, len(train)), **section,
+                                    seed=derive_seed(seed, "gbdt"))
+                model = fit_gbdt(train.flat(), train.targets, params, prepared)
+                fits[key] = float(predict_gbdt(model, block.ravel())), float("nan")
+        out.append([fits[key] for key in keys])
+    return out
 
 
-def _fit_net(train, state, seed, options, block):
-    config = NetConfig(**{**options, "seed": derive_seed(seed, "net") % (2**31)})
-    result = net_train(config, (train.blocks, train.targets))
-    return float(net_predict(result.params, block[None, :, :], config)[0]), result.best_val_mae
+def _fit_net(section, states, slices):
+    """Train one net per state on each slice."""
+    out = []
+    for train, seed, block in slices:
+        train, block = _scaled(train, seed, block)
+        config = NetConfig(**{**section, "seed": derive_seed(seed, "net") % (2**31)})
+        fits = []
+        for _ in states:
+            result = net_train(config, (train.blocks, train.targets))
+            fits.append((float(net_predict(result.params, block[None, :, :], config)[0]),
+                         result.best_val_mae))
+        out.append(fits)
+    return out
 
 
 @dataclass(frozen=True)
@@ -116,9 +156,6 @@ class ModelKind:
     options_type: type | None = None  # what that section's keys configure
     keys: frozenset = frozenset()  # the keys allowed in that section
     fit: Callable | None = None
-    key: Callable | None = None  # (state, n_rows) -> states with equal keys share a fit
-    prepare: Callable | None = None  # noised slice -> data handed to each of its fits
-    runs: Callable | None = None  # slice row counts -> lengths of the runs a fit takes
 
 
 MODELS = {
@@ -130,7 +167,6 @@ MODELS = {
             "epsilon": (0.05, 0.1, 0.15),
         },
         fit=_fit_svr,
-        runs=slice_runs,
     ),
     "gbdt": ModelKind(
         axes={
@@ -143,8 +179,6 @@ MODELS = {
         options_type=GbdtParams,
         keys=frozenset({"rounds", "learning_rate"}),
         fit=_fit_gbdt,
-        key=_gbdt_key,
-        prepare=lambda train: GbdtSlice(train.flat()),
     ),
     "attn_gru": ModelKind(
         section="net",
@@ -179,7 +213,7 @@ def resolve_grid(kind: str, entries) -> list[ParamState]:
         raise UsageError(f"the {kind} grid must be a non-empty list")
     out = []
     for item in entries:
-        if isinstance(item, int):
+        if is_int(item):
             if not 0 <= item < len(full):
                 raise UsageError(
                     f"grid index {item} out of range for {kind} (size {len(full)})"
@@ -231,47 +265,11 @@ def forecast(kind: str, slices, options: dict | None,
              states) -> list[list[tuple[float, float]]]:
     """Fit each training slice under each state and forecast its block.
 
-    `slices` holds (training slice, seed, block to forecast) triples.  Each
-    slice is scaled, then noised, and its block scaled, once; every state's
-    fit shares them, and the kind's prepared data, and must not modify
-    them.  A kind without runs fits slice by slice, and states with equal
-    kind keys share one fit; what a slice prepared is freed with it.  A
-    kind with runs fits state by state on each run of slices.  Either way a
-    failing fit raises what fitting slice by slice, each under every state
-    in order, raises first.  Returns, per slice, one (forecast, internal
-    validation MAE or nan) per state, in state order.
+    `slices` holds (training slice, seed, block to forecast) triples; the
+    kind's fit gets them all, with every state.  Returns, per slice, one
+    (forecast, internal validation MAE or nan) per state, in state order.
     """
     m = model_kind(kind)
     if m.fit is None:
         return [[(0.0, float("nan"))] * len(states) for _ in slices]
-    section = (options or {}).get(m.section, {})
-    if m.runs is None:
-        return [_fit_slice(m, section, states, *item) for item in slices]
-    out = []
-    for count in m.runs([len(train) for train, _, _ in slices]):
-        run, slices = slices[:count], slices[count:]
-        trains, blocks = zip(*(_scaled(*item) for item in run))
-        try:
-            per_state = [m.fit(trains, state, blocks) for state in states]
-        except Exception as exc:
-            error = exc
-        else:
-            out += [list(fits) for fits in zip(*per_state)]
-            continue
-        for train, block in zip(trains, blocks):  # raise what slice by slice raises first
-            for state in states:
-                m.fit([train], state, [block])
-        raise error
-    return out
-
-
-def _fit_slice(m: ModelKind, section, states, train, seed, block):
-    noised, scaled = _scaled(train, seed, block)
-    shared = () if m.prepare is None else (m.prepare(noised),)
-    keys = (range(len(states)) if m.key is None
-            else [m.key(state, len(noised)) for state in states])
-    fits = {}  # key -> (forecast, MAE), freed with the slice
-    for key, state in zip(keys, states):
-        if key not in fits:
-            fits[key] = m.fit(noised, state, seed, section, scaled, *shared)
-    return [fits[key] for key in keys]
+    return m.fit((options or {}).get(m.section, {}), states, slices)

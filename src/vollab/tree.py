@@ -143,9 +143,8 @@ def best_split(X, y, features, min_samples_leaf: int):
     threshold of every feature is scored at once from running sums over the
     stably sorted columns.  Candidates rank in feature order, thresholds
     ascending, and a later one replaces the kept one only if its gain is
-    larger by more than tie_tol, so near-equal gains keep the lower feature,
-    then the lower threshold.  Each replacement is a strict running maximum
-    of the gains, so the rule visits only those positions.
+    larger by more than tie_tol (_kept), so near-equal gains keep the lower
+    feature, then the lower threshold.
 
     X is the node's rows, or its presorted columns: a pair (xs, ys) whose
     row r holds the values of feature sorted(features)[r] in stable
@@ -186,13 +185,20 @@ def best_split(X, y, features, min_samples_leaf: int):
     if cand.size == 0:
         return None
     g = gains.ravel()[cand]
+    b = _kept(g, tie_tol)
+    r, i = divmod(int(cand[b]), hi - lo)
+    i += lo
+    return g[b], fs[r], (xs[r, i] + xs[r, i + 1]) / 2.0
+
+
+def _kept(g, tie_tol) -> int:
+    """Index of the gain in g that best_split's tie_tol rule keeps; each
+    replacement is a strict running maximum, so it visits only those."""
     b = 0
     for p in ((g[1:] > np.maximum.accumulate(g)[:-1]).nonzero()[0] + 1).tolist():
         if g[p] > g[b] + tie_tol:
             b = p
-    r, i = divmod(int(cand[b]), hi - lo)
-    i += lo
-    return g[b], fs[r], (xs[r, i] + xs[r, i + 1]) / 2.0
+    return b
 
 
 def feature_draw(m: int, seed: int) -> np.ndarray:
@@ -357,12 +363,7 @@ def _batched_split(X, ranks, y, rows, counts, features, parent, min_samples_leaf
     top = G[np.arange(N), best]
     tie_tol = 1e-10 * np.maximum(1.0, parent)
     for r in np.flatnonzero((G >= (top - tie_tol)[:, None]).argmax(axis=1) < best):
-        g = G[r]
-        b = 0
-        for p in np.flatnonzero(g[1:] > np.maximum.accumulate(g)[:-1]).tolist():
-            if g[p + 1] > g[b] + tie_tol[r]:
-                b = p + 1
-        best[r] = b
+        best[r] = _kept(G[r], tie_tol[r])
     node = np.arange(N)
     r, i = np.divmod(best, P)
     i += lo

@@ -80,7 +80,7 @@ class TestConfigChecks:
         assert resolve_grid("svr", [3, text]) == [
             enumerate_grid("svr")[3], ParamState.from_text("svr", text)
         ]
-        for bad in ([], [45], [1.5], ["kernel=rbf"], 3):
+        for bad in ([], [45], [1.5], ["kernel=rbf"], 3, [True]):
             with pytest.raises(UsageError):
                 resolve_grid("svr", bad)
 
@@ -166,6 +166,24 @@ class TestFitModel:
         assert len(results) == n_states
 
 
+    @pytest.mark.parametrize("kind, picks", [("svr", [0, 22, 44]), ("gbdt", [0, 40, 80]),
+                                             ("attn_gru", [0, 0])])
+    def test_many_slices_forecast_as_one_slice_and_state_at_a_time(self, kind, picks):
+        # each kind's fit gets every slice and state at once; its results are
+        # those of fitting slice by slice, each under every state in order
+        data = planted_signal_data(n=120)
+        batch = build_tasks(data, kind, window=63, horizon=1, s=5, root_seed=0)[0].batch
+        opts = {"gbdt": {"rounds": 2},
+                "net": {"conv_channels": 4, "heads": 2, "head_size": 2, "fcl1_units": 4,
+                        "gru1_units": 4, "gru2_units": 2, "epochs": 1}}
+        states = [enumerate_grid(kind)[i] for i in picks]
+        slices = [(batch.slice(0, v), 7 + v, batch.blocks[v]) for v in (30, 41, 52)]
+        got = forecast(kind, slices, opts, states)
+        want = [[forecast(kind, [item], opts, [s])[0][0] for s in states] for item in slices]
+        assert repr(got) == repr(want)
+        assert forecast(kind, [], opts, states) == []
+
+
 class TestSharedFits:
     """gbdt states with equal keys share one fit per slice."""
 
@@ -173,11 +191,11 @@ class TestSharedFits:
     def test_validation_fits_of_a_full_grid_task(self, window, fits):
         # one fit per distinct key on each slice of the expanding validation:
         # 81 states on each of window - 10 slices before the key
-        key, grid = MODELS["gbdt"].key, enumerate_grid("gbdt")
+        key, grid = grids._gbdt_key, enumerate_grid("gbdt")
         assert sum(len({key(s, n) for s in grid}) for n in range(10, window)) == fits
 
     def test_key_reads_each_limit_only_where_it_binds(self):
-        key = MODELS["gbdt"].key
+        key = grids._gbdt_key
         state = {s.to_text(): s for s in enumerate_grid("gbdt")}
 
         def at(leaves, min_data, max_depth, fraction, n):

@@ -154,7 +154,7 @@ def test_one_fit_gbdt_call_per_distinct_key(monkeypatch):
     monkeypatch.setattr(grids, "fit_gbdt", recording)
     [results] = grids.forecast("gbdt", [(train, 3, batch.blocks[50])], {"gbdt": {"rounds": 2}},
                                grid)
-    keys = [grids.MODELS["gbdt"].key(s, 50) for s in grid]
+    keys = [grids._gbdt_key(s, 50) for s in grid]
     first = {k: i for i, k in reversed(list(enumerate(keys)))}  # each key's first state
     assert len(calls) == len(first) < len(grid)
     assert len({id(args[3]) for args in calls}) == 1 and isinstance(calls[0][3], GbdtSlice)
