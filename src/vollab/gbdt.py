@@ -5,18 +5,24 @@ trees are grown on the sign of the current residual (the MAE gradient),
 then every leaf's value is replaced by the median residual of the rows
 it contains, which is the leaf-wise MAE minimizer.  Shrinkage and seeded
 row/column subsampling follow the ensemble parameters.
+
+fit_gbdt boosts one ensemble tree by tree.  fit_gbdt_slices boosts many
+fits on many training slices in lockstep, round by round, with the same
+bits: in each round the trees of many fits grow in one batched search
+(tree.grow_trees).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import VollabError, check_int, check_real
-from .tree import (RegressionTree, TreeLimits, feature_draw, fit_regression_tree, predict_tree,
-                   presort)
+from .tree import (RegressionTree, TreeLimits, descend, feature_draw, fit_regression_tree,
+                   grow_trees, presort, rank_columns)
 
 
 @dataclass(frozen=True)
@@ -93,12 +99,9 @@ class GbdtSlice:
         return taken[:rounds]
 
 
-def fit_gbdt(X, y, params: GbdtParams, prepared: GbdtSlice | None = None) -> GbdtModel:
-    """Fit the ensemble.  prepared, a GbdtSlice of X, shares its presort and
-    draws with other fits on X; without it the fit makes its own."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    n, m = X.shape
+def _check(X, y, params: GbdtParams) -> None:
+    """fit_gbdt's checks of its inputs, in its order."""
+    n = len(X)
     if len(y) != n:
         raise VollabError("X and y must have matching lengths")
     if n < 2 * params.min_data:
@@ -113,6 +116,19 @@ def fit_gbdt(X, y, params: GbdtParams, prepared: GbdtSlice | None = None) -> Gbd
     # last, where the base score can miss it, and a bag can too
     if np.isnan(y).any():
         raise VollabError("targets must not be nan")
+
+
+def _bag_size(params: GbdtParams, n: int) -> int:
+    return min(n, max(2 * params.min_data, int(params.bagging_fraction * n)))
+
+
+def fit_gbdt(X, y, params: GbdtParams, prepared: GbdtSlice | None = None) -> GbdtModel:
+    """Fit the ensemble.  prepared, a GbdtSlice of X, shares its presort and
+    draws with other fits on X; without it the fit makes its own."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    _check(X, y, params)
+    n = len(y)
     if prepared is None:
         prepared = GbdtSlice(X)
     elif not (prepared.X.shape == X.shape and np.array_equal(prepared.X, X)):
@@ -126,7 +142,7 @@ def fit_gbdt(X, y, params: GbdtParams, prepared: GbdtSlice | None = None) -> Gbd
         min_samples_leaf=params.min_data,
         min_gain=params.min_gain,
     )
-    k = min(n, max(2 * params.min_data, int(params.bagging_fraction * n)))
+    k = _bag_size(params, n)
     for perm, tree_seed, draw in prepared.draws(params.seed, bagging, params.rounds):
         sub = np.sort(perm[:k]) if bagging else np.arange(n)
         resid = y[sub] - F[sub]
@@ -147,10 +163,195 @@ def fit_gbdt(X, y, params: GbdtParams, prepared: GbdtSlice | None = None) -> Gbd
 
 
 def predict_gbdt(model: GbdtModel, X) -> np.ndarray | float:
+    """base_score plus learning_rate times each tree's leaf value, added
+    tree by tree; every tree is descended at once."""
     x = np.asarray(X, dtype=float)
     single = x.ndim == 1
     x2 = np.atleast_2d(x)
     out = np.full(len(x2), model.base_score)
-    for tree in model.trees:
-        out += model.params.learning_rate * predict_tree(tree, x2)
+    trees = model.trees
+    if trees:
+        m = trees[0].n_features
+        if x2.shape[1] != m:
+            raise VollabError(f"expected {m} features, got {x2.shape[1]}")
+        # the trees' node arrays side by side, each child id shifted by its
+        # tree's first node id
+        sizes = np.array([len(t.feature) for t in trees])
+        first = sizes.cumsum() - sizes
+        shift = np.repeat(first, sizes)
+        left, right = (np.concatenate([getattr(t, a) for t in trees]) + shift
+                       for a in ("left", "right"))
+        n = len(x2)
+        leaf = descend(np.concatenate([t.feature for t in trees]),
+                       np.concatenate([t.threshold for t in trees]), left, right, x2,
+                       np.repeat(first, n), np.tile(np.arange(n), len(trees)))
+        steps = model.params.learning_rate * np.concatenate([t.value for t in trees])[leaf]
+        # cumsum adds row after row, so each tree's step lands in tree order
+        out = np.cumsum(np.vstack((out, steps.reshape(len(trees), n))), axis=0)[-1]
     return float(out[0]) if single else out
+
+
+# The bytes of one fit_gbdt_slices stack (rows x features float64) that
+# slice_runs allows, and the fewest slices that fit_gbdt_slices boosts
+# faster than fit_gbdt does one by one; both are measured in CHANGES.md.
+STACK_BYTES = 8 << 20
+LOCKSTEP_SLICES = 8
+
+
+def slice_runs(sizes, width: int) -> list[int]:
+    """Split training slices of the given row counts, in order, into runs of
+    consecutive slices whose stacked rows (rows x width float64) fit
+    STACK_BYTES; a slice over budget alone is a run of one.  Returns the run
+    lengths."""
+    runs, count, rows = [], 0, 0
+    for n in sizes:
+        if count and (rows + n) * width * 8 > STACK_BYTES:
+            runs.append(count)
+            count, rows = 0, 0
+        count, rows = count + 1, rows + n
+    return runs + [count] if count else runs
+
+
+class _Group:
+    """Fits boosted together: at most one per slice, all with one feature
+    count, leaves, max_depth, min_gain, learning_rate and rounds.  Holds the
+    fits' rows of the stack, their running predictions F and their block
+    forecasts."""
+
+    def __init__(self, fits, stack, Y, offsets, sizes, bases):
+        s = np.array([f[0] for f in fits])
+        params = [f[2] for f in fits]
+        p = params[0]
+        self.fits, self.slices, self.p = fits, s, p
+        self.limits = TreeLimits(max_leaves=p.leaves, max_depth=p.max_depth, min_gain=p.min_gain)
+        self.msl = np.array([q.min_data for q in params])
+        n = sizes[s]
+        self.k = np.array([_bag_size(q, c) if q.bagging_fraction < 1.0 else c
+                           for q, c in zip(params, n.tolist())])
+        T, total = len(fits), n.sum()
+        tree = np.repeat(np.arange(T), n)
+        self.rows = np.arange(total) - (n.cumsum() - n)[tree] + offsets[s][tree]
+        self.bag_size = self.k[tree]
+        self.Y, self.F, self.Fb = Y[self.rows], bases[s][tree], bases[s]
+        # the fits' rows, then their blocks (stack row N + s): the pairs each
+        # tree descends
+        self.pairs = np.concatenate((self.rows, len(Y) + s))
+        self.tree = np.concatenate((tree, np.arange(T)))  # each pair's tree
+        width = self.k.max()
+        self.R = np.full((T, width), len(stack) - 1, dtype=np.int32)
+        self.at = np.arange(width) < self.k[:, None]
+        self.n_features = max(1, math.ceil(p.feature_fraction * stack.shape[1]))
+
+    def boost(self, stack, ranks, place, draws) -> None:
+        """One round: grow each fit's tree on its bag, set its leaves to the
+        median in-bag residuals and add it to F and the forecast."""
+        sel = np.flatnonzero(place[self.rows] < self.bag_size)  # each bag, ascending
+        bag = self.rows[sel]
+        resid = self.Y[sel] - self.F[sel]
+        y = np.zeros(len(stack))
+        y[bag] = np.sign(resid)
+        self.R[self.at] = bag
+        feature, threshold, left, right, value, _, _ = grow_trees(
+            stack, ranks, y, self.R, self.k,
+            np.sort(draws[self.slices, :self.n_features], axis=1), self.limits, self.msl)
+        # the trees side by side: tree t's node j is node t * size + j
+        size = feature.shape[1]
+        shift = (np.arange(len(feature)) * size)[:, None]
+        leaf = descend(feature.ravel(), threshold.ravel(), (left + shift).ravel(),
+                       (right + shift).ravel(), stack, self.tree * size, self.pairs)
+        # fit_gbdt's leaf medians for every tree at once: one stable sort of
+        # the residuals by (tree, leaf, residual)
+        in_bag = leaf[sel]
+        ranked = resid[np.lexsort((resid, in_bag))]
+        counts = np.bincount(in_bag)
+        j = counts.nonzero()[0]
+        value = value.ravel()
+        value[j] = _medians(ranked, counts[j])
+        step = self.p.learning_rate * value[leaf]
+        self.F += step[:len(self.rows)]
+        self.Fb += step[len(self.rows):]
+
+
+def fit_gbdt_slices(sizes, slices) -> list[list[float]]:
+    """float(predict_gbdt(fit_gbdt(X, y, p), block)) for each (X, y, block,
+    params) of slices and each p of params, boosted in lockstep.
+
+    sizes[s] is slice s's row count.  The slices are taken one at a time, in
+    order, and each is checked as fit_gbdt checks it (and its block as
+    predict_gbdt does) and copied into one stack before the next is taken,
+    so the first invalid slice raises what fit_gbdt raises on it.  The
+    params of one slice share its seed and bagging, so its fits share one
+    stream of round draws, as on one GbdtSlice.
+
+    A fit is one (slice, p).  Fits are grouped so that a group holds at most
+    one fit per slice and one (feature count, leaves, max_depth, min_gain,
+    learning_rate, rounds); one target vector over the stack then serves
+    the whole group.  In round r the r-th trees of a group grow together
+    (tree.grow_trees), each with its fit's min_data, bag and feature draw;
+    the leaf medians, the running predictions and the block forecasts are
+    array operations over the group (_Group.boost).  A slice whose targets
+    could overflow a running prediction, where fit_gbdt can fail mid-fit on
+    a nan residual, fits through fit_gbdt in its turn instead.
+    """
+    sizes = np.asarray(sizes, dtype=int)
+    N, S = int(sizes.sum()), len(sizes)
+    offsets = sizes.cumsum() - sizes
+    out, fits, streams = [], [], {}
+    bases = np.zeros(S)
+    stack = Y = None  # the slices' rows, then their blocks, then a padding row
+    for s, (X, y, block, params) in enumerate(slices):
+        if not params:
+            out.append([])
+            continue
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        y = np.asarray(y, dtype=float)
+        block = np.asarray(block, dtype=float).ravel()
+        for p in params:
+            _check(X, y, p)
+        n, m = X.shape
+        if len(block) != m:
+            raise VollabError(f"expected {m} features, got {len(block)}")
+        if n != sizes[s]:
+            raise VollabError(f"slice {s} has {n} rows, not {sizes[s]}")
+        # a round at most doubles max |F| and adds max |y|: under this bound
+        # no residual, nor the sum of two, reaches inf
+        rounds = max(p.rounds for p in params)
+        if not np.abs(y).max() <= math.ldexp(np.finfo(float).max, -rounds - 2):
+            out.append([float(predict_gbdt(fit_gbdt(X, y, p), block)) for p in params])
+            continue
+        if len({(p.seed, p.bagging_fraction < 1.0) for p in params}) > 1:
+            raise VollabError("the fits of one slice must share its seed and bagging")
+        if stack is None:
+            stack, Y = np.zeros((N + S + 1, m)), np.zeros(N)
+            stack[-1] = np.inf  # sorts after every real value
+        stack[offsets[s]:offsets[s] + n], stack[N + s], Y[offsets[s]:offsets[s] + n] = X, block, y
+        bases[s] = _medians(np.sort(y), np.array([n]))[0]
+        streams[s] = _round_draws(params[0].seed, n, m, params[0].bagging_fraction < 1.0)
+        fits += [(s, i, p) for i, p in enumerate(params)]
+        out.append([None] * len(params))
+    if not fits:
+        return out
+    groups, seen = {}, {}
+    for s, i, p in fits:
+        cls = (max(1, math.ceil(p.feature_fraction * m)), p.leaves, p.max_depth, p.min_gain,
+               p.learning_rate, p.rounds)
+        seen[s, cls] = nth = seen.get((s, cls), -1) + 1
+        groups.setdefault((cls, nth), []).append((s, i, p))
+    groups = [_Group(g, stack, Y, offsets, sizes, bases) for g in groups.values()]
+    ranks = rank_columns(stack)
+    # each row's place in its slice's round permutation: the bag of k rows
+    # is the rows placed below k, which are sort(perm[:k]) in row order
+    place = np.zeros(N, dtype=np.intp)
+    draws = np.zeros((S, m), dtype=np.intp)
+    for r in range(max(g.p.rounds for g in groups)):
+        for s, stream in streams.items():
+            perm, _, draws[s] = next(stream)
+            if perm is not None:
+                place[offsets[s] + perm] = np.arange(len(perm))
+        for g in groups:
+            if r < g.p.rounds:
+                g.boost(stack, ranks, place, draws)
+    for g in groups:
+        for (s, i, _), forecast in zip(g.fits, g.Fb.tolist()):
+            out[s][i] = forecast
+    return out

@@ -16,7 +16,9 @@ from typing import Callable
 
 from .errors import UsageError, VollabError, is_int
 from .features import add_uniform_noise, apply_scaler, fit_scaler
-from .gbdt import GbdtParams, GbdtSlice, fit_gbdt, predict_gbdt
+from .gbdt import (LOCKSTEP_SLICES, GbdtParams, GbdtSlice, fit_gbdt, fit_gbdt_slices,
+                   predict_gbdt)
+from .gbdt import slice_runs as gbdt_slice_runs
 from .net import NetConfig, predict as net_predict, train as net_train
 from .svr import SvrParams, fit_svr_slices, predict_svr, slice_runs
 
@@ -112,22 +114,64 @@ def _gbdt_key(state, n):
             values["max_depth"] if 0 <= values["max_depth"] < L - 1 else None)
 
 
-def _fit_gbdt(section, states, slices):
-    """Fit each slice once per distinct _gbdt_key, every fit handed the
-    slice's one GbdtSlice; the key memo lasts one slice."""
+def _gbdt_params(section, states, n, seed):
+    """Each state's _gbdt_key on n rows, and the GbdtParams of the first
+    state of each distinct key."""
+    keys = [_gbdt_key(state, n) for state in states]
+    params = {}
+    for key, state in zip(keys, states):
+        if key not in params:
+            params[key] = GbdtParams(**_gbdt_values(state, n), **section,
+                                     seed=derive_seed(seed, "gbdt"))
+    return keys, params
+
+
+def _gbdt_slice(section, states, train, seed, block):
+    """One slice's fits with fit_gbdt, one per distinct _gbdt_key, every fit
+    handed the slice's one GbdtSlice."""
+    train, block = _scaled(train, seed, block)
+    keys, params = _gbdt_params(section, states, len(train), seed)
+    prepared = GbdtSlice(train.flat())
+    fits = {key: (float(predict_gbdt(fit_gbdt(train.flat(), train.targets, p, prepared),
+                                     block.ravel())), float("nan"))
+            for key, p in params.items()}
+    return [fits[key] for key in keys]
+
+
+def _gbdt_lockstep(section, states, run):
+    """The run's fits, one per slice and distinct _gbdt_key, boosted in
+    lockstep (fit_gbdt_slices); each slice is scaled when the lockstep
+    takes it, so only the stack holds every slice's rows."""
+    keys = []
+
+    def taken():
+        for train, seed, block in run:
+            train, block = _scaled(train, seed, block)
+            k, params = _gbdt_params(section, states, len(train), seed)
+            keys.append(k)
+            yield train.flat(), train.targets, block.ravel(), list(params.values())
+
+    forecasts = fit_gbdt_slices([len(train) for train, _, _ in run], taken())
     out = []
-    for train, seed, block in slices:
-        train, block = _scaled(train, seed, block)
-        prepared = GbdtSlice(train.flat())
-        keys = [_gbdt_key(state, len(train)) for state in states]
-        fits = {}  # key -> (forecast, nan)
-        for key, state in zip(keys, states):
-            if key not in fits:
-                params = GbdtParams(**_gbdt_values(state, len(train)), **section,
-                                    seed=derive_seed(seed, "gbdt"))
-                model = fit_gbdt(train.flat(), train.targets, params, prepared)
-                fits[key] = float(predict_gbdt(model, block.ravel())), float("nan")
-        out.append([fits[key] for key in keys])
+    for k, row in zip(keys, forecasts):
+        fits = dict(zip(dict.fromkeys(k), ((f, float("nan")) for f in row)))
+        out.append([fits[key] for key in k])
+    return out
+
+
+def _fit_gbdt(section, states, slices):
+    """Boost each run of slices (gbdt_slice_runs) in lockstep, or, for a run
+    of fewer than LOCKSTEP_SLICES slices (a refit is one), fit slice by
+    slice."""
+    out = []
+    sizes = [len(train) for train, _, _ in slices]
+    width = slices[0][0].flat().shape[1] if slices else 0
+    for count in gbdt_slice_runs(sizes, width):
+        run, slices = slices[:count], slices[count:]
+        if count < LOCKSTEP_SLICES:
+            out += [_gbdt_slice(section, states, *item) for item in run]
+        else:
+            out += _gbdt_lockstep(section, states, run)
     return out
 
 

@@ -1,16 +1,17 @@
 """Regression trees grown leaf-wise (best gain first) with mean-valued leaves.
 
 Two growers share one rule.  fit_regression_tree grows one tree and scores
-each node with best_split; the boosting engine uses it.  fit_forest grows
-many trees in lockstep for the random-forest feature selector and scores
-all the leaves one growth step opens in one batched search; each of its
-trees equals fit_regression_tree's on the same sample, bit for bit.  The
-rule: splits scan the midpoints between sorted unique feature values; the
-gain is the reduction in total squared error; thresholds route
-strictly-less to the left; a node's candidates rank by feature, then
-threshold, and a later one wins only if its gain is larger by more than a
-rounding tolerance; among expandable leaves the larger gain wins, then the
-lower leaf id.
+each node with best_split; a lone boosting fit uses it.  grow_trees grows
+many trees in lockstep and scores all the leaves one growth step opens in
+one batched search; each of its trees equals fit_regression_tree's on the
+same sample, bit for bit.  The random-forest feature selector grows its
+forest through it (fit_forest), and so does the boosting lockstep, one
+round of many fits at a time.  The rule: splits scan the midpoints between
+sorted unique feature values; the gain is the reduction in total squared
+error; thresholds route strictly-less to the left; a node's candidates rank
+by feature, then threshold, and a later one wins only if its gain is larger
+by more than a rounding tolerance; among expandable leaves the larger gain
+wins, then the lower leaf id.
 """
 
 from __future__ import annotations
@@ -81,15 +82,8 @@ class RegressionTree:
             raise VollabError(
                 f"expected {self.n_features} features, got {X.shape[1]}"
             )
-        feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
-        node = np.zeros(len(X), dtype=int)
-        live = np.arange(len(X) if feature[0] >= 0 else 0)  # rows not yet at a leaf
-        while live.size:
-            j = node[live]
-            j = np.where(X[live, feature[j]] < threshold[j], left[j], right[j])
-            node[live] = j
-            live = live[feature[j] >= 0]
-        return node
+        return descend(self.feature, self.threshold, self.left, self.right, X,
+                       np.zeros(len(X), dtype=int), np.arange(len(X)))
 
     def set_leaf_values(self, leaf_ids, values) -> None:
         for j, v in zip(leaf_ids, values):
@@ -115,6 +109,20 @@ class RegressionTree:
             }
 
         return json.dumps(render(0), indent=1)
+
+
+def descend(feature, threshold, left, right, X, roots, rows) -> np.ndarray:
+    """The leaf that row rows[p] of X reaches from node roots[p], for every
+    pair p.  The node arrays may hold many trees side by side: left and
+    right index the same arrays.  All pairs descend one level per step."""
+    node = np.array(roots)
+    live = np.flatnonzero(feature[node] >= 0)  # pairs not yet at a leaf
+    while live.size:
+        j = node[live]
+        j = np.where(X[rows[live], feature[j]] < threshold[j], left[j], right[j])
+        node[live] = j
+        live = live[feature[j] >= 0]
+    return node
 
 
 def predict_tree(tree: RegressionTree, X) -> np.ndarray:
@@ -325,37 +333,61 @@ def _sums(y, rows, counts):
     return total, sse
 
 
-def _batched_split(X, ranks, y, rows, counts, features, parent, min_samples_leaf):
+def _batched_split(X, ranks, y, rows, counts, features, parent, msl):
     """best_split of many nodes at once: (gain, feature, threshold) arrays,
     gain -inf where a node has no split.
 
     Node r's rows are rows[r, :counts[r]], padded with the index of a row of
-    +inf features and 0 target.  Columns are sorted by their ranks (ranks[f]
-    orders X[:, f] with ties equal), so a stable argsort keeps every node's
-    own rows in best_split's order and the padding after them; the gains
-    are best_split's expression on the same running sums.
+    +inf features and 0 target, and its split must leave msl[r] rows on each
+    side.  Columns are sorted by their ranks (ranks[f] orders X[:, f] with
+    ties equal), then by position, so every node's own rows come in
+    best_split's stable order and the padding after them; the gains are
+    best_split's expression on the same running sums.
     """
     N, L = rows.shape
     k = features.shape[1]
-    lo = min_samples_leaf - 1
-    P = L - 2 * min_samples_leaf + 1  # split positions lo .. lo + P - 1
-    keys = ranks.take(features[:, :, None] * ranks.shape[1] + rows[:, None, :])
-    order = keys.argsort(axis=2, kind="stable")
-    # gathers along the last axis by flat index: row (node, feature) of keys
-    # starts at (node * k + feature) * L, row node of y[rows] at node * L
-    keys = keys.take(order + np.arange(N * k).reshape(N, k, 1) * L)
-    ys = y[rows].take(order + np.arange(N).reshape(N, 1, 1) * L)
-    sy, sq = ys.cumsum(axis=2), (ys * ys).cumsum(axis=2)
-    last = np.arange(N), slice(None), counts - 1
+    lo = int(msl.min()) - 1
+    P = L - 2 * lo - 1  # split positions lo .. lo + P - 1
+    # rank, then position, in one integer: the keys are distinct, so a plain
+    # sort gives the stable order, which their low bits then hold
+    bits = (L - 1).bit_length()
+    wide = np.int32 if ranks.shape[1] << bits < 2**31 else np.int64
+    keys = ranks.take(features[:, :, None] * ranks.shape[1] + rows[:, None, :]).astype(wide)
+    keys <<= bits
+    keys |= np.arange(L, dtype=wide)
+    keys.sort(axis=2)
+    order = keys & ((1 << bits) - 1)
+    keys >>= bits
     nl = np.arange(lo + 1, lo + P + 1)
     nr = counts[:, None] - nl
-    valid = nr >= min_samples_leaf
+    valid = (nl >= msl[:, None]) & (nr >= msl[:, None])
     nr = np.where(valid, nr, 1)[:, None, :]
-    sl, ql = sy[..., lo:lo + P], sq[..., lo:lo + P]
-    sr, qr = sy[last][..., None] - sl, sq[last][..., None] - ql
-    gains = parent[:, None, None] - ((ql - sl * sl / nl) + (qr - sr * sr / nr))
     cand = valid[:, None, :] & (keys[..., lo:lo + P] != keys[..., lo + 1:lo + P + 1])
-    G = np.where(cand, gains, -np.inf).reshape(N, k * P)
+    del keys
+    # order by flat index into rows: row node starts at node * L
+    order += (np.arange(N, dtype=order.dtype) * L)[:, None, None]
+    sy = y[rows].take(order)
+    sq = sy * sy
+    sy.cumsum(axis=2, out=sy)
+    sq.cumsum(axis=2, out=sq)
+    # gains = parent - ((ql - sl * sl / nl) + (qr - sr * sr / nr)), one
+    # step at a time in that order, sr and qr overwriting sl and ql
+    last = np.arange(N), slice(None), counts - 1
+    total_s, total_q = sy[last][..., None], sq[last][..., None]
+    sl, ql = sy[..., lo:lo + P], sq[..., lo:lo + P]
+    G = sl * sl
+    G /= nl
+    np.subtract(ql, G, out=G)
+    sr = np.subtract(total_s, sl, out=sl)
+    qr = np.subtract(total_q, ql, out=ql)
+    sr *= sr
+    sr /= nr
+    np.subtract(qr, sr, out=qr)
+    G += qr
+    del sy, sq, sl, ql, sr, qr
+    np.subtract(parent[:, None, None], G, out=G)
+    G[~cand] = -np.inf
+    G = G.reshape(N, k * P)
     # best_split's running-maximum rule keeps the first argmax unless an
     # earlier candidate comes within tie_tol of the maximum; those nodes
     # take the rule itself
@@ -367,56 +399,44 @@ def _batched_split(X, ranks, y, rows, counts, features, parent, min_samples_leaf
     node = np.arange(N)
     r, i = np.divmod(best, P)
     i += lo
-    below, above = rows[node, order[node, r, i]], rows[node, order[node, r, i + 1]]
+    below, above = rows.ravel()[order[node, r, i]], rows.ravel()[order[node, r, i + 1]]
     f = features[node, r]
     return G[node, best], f, (X[below, f] + X[above, f]) / 2.0
 
 
-def fit_forest(X, y, samples, seeds, limits: TreeLimits | None = None,
-               feature_subset: float = 1.0) -> list[RegressionTree]:
-    """Grow one tree per (sample, seed) pair, all in lockstep.
+def rank_columns(X) -> np.ndarray:
+    """ranks[f] orders X[:, f] with ties equal (each value's index among the
+    column's sorted unique values), in the narrowest unsigned type."""
+    ranks = np.empty(X.shape[::-1], dtype=np.min_scalar_type(len(X) - 1))
+    for f, c in enumerate(X.T):
+        ranks[f] = np.unique(c, return_inverse=True)[1]
+    return ranks
 
-    Tree t equals fit_regression_tree(X[samples[t]], y[samples[t]], limits,
-    feature_subset, seeds[t]) node for node and bit for bit: the same
-    feature draw, the same growth rule (the frontier leaf of maximal gain,
-    then the lower id) and the same split rule as best_split.  Each step,
-    every tree that can still grow splits its best leaf, and all the new
+
+def grow_trees(X, ranks, y, R, sizes, draws, limits: TreeLimits, msl) -> tuple:
+    """Grow one tree per row of R, all in lockstep.  Returns the node arrays
+    (feature, threshold, left, right, value, n_samples, gain), one row per
+    tree, with fit_regression_tree's node ids.
+
+    Tree t grows on rows R[t, :sizes[t]] of X and y, searches the sorted
+    features draws[t], and keeps at least msl[t] rows a leaf; limits gives
+    the other bounds, the same for every tree.  The last row of X is
+    padding: +inf features and target 0; it fills R past each size.  ranks
+    is rank_columns(X).  Each step, every tree that can still grow splits
+    its best leaf (maximal gain, then the lower id), and all the new
     children of all the trees are scored by one batched search
-    (_batched_split).  X is checked to be finite once, over all its rows.
+    (_batched_split), so tree t equals fit_regression_tree's on its rows,
+    draw and min_samples_leaf node for node and bit for bit.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if (X.ndim != 2 or len(X) != len(y) or len(seeds) != len(samples)
-            or any(len(s) == 0 for s in samples)):
-        raise VollabError("fit_forest needs matching X and y and a seed per non-empty sample")
-    for s in samples:
-        if not np.abs(y[s]).sum() <= _MAX_ABS_SUM:
-            raise VollabError("targets and (sum of |y|) ** 2 must be finite")
-    if not np.isfinite(X).all():
-        raise VollabError("features must be finite")
-    limits = limits or TreeLimits()
-    msl = limits.min_samples_leaf
-    n, m = X.shape
-    T = len(samples)
-    k = min(m, max(1, math.ceil(feature_subset * m)))
-    draws = np.array([np.sort(feature_draw(m, s)[:k]) for s in seeds])
-    # row n is the padding: +inf features sort after every real value
-    X = np.vstack((X, np.full(m, np.inf)))
-    y = np.append(y, 0.0)
-    ranks = np.array([np.unique(c, return_inverse=True)[1] for c in X.T],
-                     dtype=np.min_scalar_type(n))
-    sizes = np.array([len(s) for s in samples])
-    width = sizes.max()
-    # int32 sample rows and leaf ids: they count at most n + 1 rows and
-    # 2 * width - 1 nodes
-    R = np.full((T, width), n, dtype=np.int32)  # each tree's sample, padded
-    at = np.arange(width) < sizes[:, None]
-    R[at] = np.concatenate(samples)
-    leaf = np.where(at, np.int32(0), np.int32(-1))  # the leaf holding each sample position
-
-    size = 2 * min(limits.max_leaves, width) - 1
+    n = len(X) - 1  # the padding row
+    T, width = R.shape
+    k = draws.shape[1]
+    # the leaf holding each sample position
+    leaf = np.where(np.arange(width) < sizes[:, None], np.int32(0), np.int32(-1))
+    # a leaf keeps msl rows, so a tree has at most width // msl leaves
+    size = 2 * min(limits.max_leaves, max(1, width // int(msl.min()))) - 1
     # int32 node ids, features, depths and counts: each is below n + size
-    # or m; the trees get fit_regression_tree's int64 copies
+    # or the feature count
     feature, left, right, depth = np.full((4, T, size), -1, dtype=np.int32)
     threshold, value, gain = np.zeros((3, T, size))
     n_samples = np.zeros((T, size), dtype=np.int32)
@@ -429,7 +449,7 @@ def fit_forest(X, y, samples, seeds, limits: TreeLimits | None = None,
         value[trees, ids], n_samples[trees, ids], depth[trees, ids] = total / counts, counts, depths
         if not expand:
             return
-        go = counts >= 2 * msl
+        go = counts >= 2 * msl[trees]
         if limits.max_depth >= 0:
             go &= depths < limits.max_depth
         go = np.flatnonzero(go)
@@ -444,7 +464,7 @@ def fit_forest(X, y, samples, seeds, limits: TreeLimits | None = None,
             start += len(chunk)
             t, j = trees[chunk], ids[chunk]
             g, f, thr = _batched_split(X, ranks, y, rows[chunk, :counts[chunk[-1]]], counts[chunk],
-                                       draws[t], sse[chunk], msl)
+                                       draws[t], sse[chunk], msl[t])
             ok = g >= limits.min_gain
             t, j = t[ok], j[ok]
             open_gain[t, j], open_feature[t, j], open_threshold[t, j] = g[ok], f[ok], thr[ok]
@@ -478,8 +498,43 @@ def fit_forest(X, y, samples, seeds, limits: TreeLimits | None = None,
         count += 2
         add_leaves(np.concatenate((t, t)), np.repeat([count - 2, count - 1], len(t)), rows,
                    counts, np.tile(depth[t, j] + 1, 2), (count + 1) // 2 < limits.max_leaves)
-    arrays = (feature, threshold, left, right, value, n_samples, gain)
-    n_nodes = 1 + 2 * (feature >= 0).sum(axis=1)  # a split adds two nodes
+    return feature, threshold, left, right, value, n_samples, gain
+
+
+def fit_forest(X, y, samples, seeds, limits: TreeLimits | None = None,
+               feature_subset: float = 1.0) -> list[RegressionTree]:
+    """Grow one tree per (sample, seed) pair, all in lockstep (grow_trees).
+
+    Tree t equals fit_regression_tree(X[samples[t]], y[samples[t]], limits,
+    feature_subset, seeds[t]) node for node and bit for bit: the same
+    feature draw, the same growth rule and the same split rule as
+    best_split.  X is checked to be finite once, over all its rows.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if (X.ndim != 2 or len(X) != len(y) or len(seeds) != len(samples)
+            or any(len(s) == 0 for s in samples)):
+        raise VollabError("fit_forest needs matching X and y and a seed per non-empty sample")
+    for s in samples:
+        if not np.abs(y[s]).sum() <= _MAX_ABS_SUM:
+            raise VollabError("targets and (sum of |y|) ** 2 must be finite")
+    if not np.isfinite(X).all():
+        raise VollabError("features must be finite")
+    limits = limits or TreeLimits()
+    n, m = X.shape
+    T = len(samples)
+    k = min(m, max(1, math.ceil(feature_subset * m)))
+    draws = np.array([np.sort(feature_draw(m, s)[:k]) for s in seeds])
+    # row n is the padding: +inf features sort after every real value
+    X = np.vstack((X, np.full(m, np.inf)))
+    sizes = np.array([len(s) for s in samples])
+    # int32 sample rows: they count at most n + 1 rows
+    R = np.full((T, sizes.max()), n, dtype=np.int32)  # each tree's sample, padded
+    R[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(samples)
+    arrays = grow_trees(X, rank_columns(X), np.append(y, 0.0), R, sizes, draws, limits,
+                        np.full(T, limits.min_samples_leaf))
+    n_nodes = 1 + 2 * (arrays[0] >= 0).sum(axis=1)  # a split adds two nodes
+    # the trees get fit_regression_tree's int64 copies
     return [RegressionTree(*(a[i, :c].astype(int if a.dtype == np.int32 else float)
                              for a in arrays), m)
             for i, c in enumerate(n_nodes.tolist())]

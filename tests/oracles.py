@@ -510,6 +510,17 @@ def median_loop_fit_gbdt(X, y, params):
     return model
 
 
+def per_tree_predict_gbdt(model, X):
+    """predict_gbdt as one apply per tree: base_score plus learning_rate
+    times each tree's leaf value, added tree after tree."""
+    x = np.asarray(X, dtype=float)
+    x2 = np.atleast_2d(x)
+    out = np.full(len(x2), model.base_score)
+    for tree in model.trees:
+        out += model.params.learning_rate * tree.value[tree.apply(x2)]
+    return float(out[0]) if x.ndim == 1 else out
+
+
 # ---------------------------------------------------------------- metrics
 
 def dm_oracle(e1, e2, h=1, loss="squared"):

@@ -1,13 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import median_loop_fit_gbdt
+from oracles import median_loop_fit_gbdt, per_tree_predict_gbdt
+from vollab import cli, gbdt
+from vollab.config import parse_config
 from vollab.errors import VollabError
-from vollab.gbdt import GbdtModel, GbdtParams, GbdtSlice, fit_gbdt, predict_gbdt
+from vollab.gbdt import (GbdtModel, GbdtParams, GbdtSlice, fit_gbdt, fit_gbdt_slices,
+                         predict_gbdt, slice_runs)
 from vollab.grids import _gbdt_values, enumerate_grid
 from vollab.tree import predict_tree
+from vollab.walkforward import build_tasks, validate_params
 
 
 def staged_train_mae(model: GbdtModel, X, y):
@@ -254,6 +260,117 @@ class TestSharedSlice:
         fit_gbdt(X, y, p, GbdtSlice(X.copy()))
 
 
+def lockstep_case(rng, sizes, width, tied, signed_zeros, bagging):
+    """Slices of the given row counts and their fits.  Each fit takes one of
+    a few shapes (leaves, max_depth, feature_fraction, min_gain, rounds),
+    so fits of many slices share a group, with min_data drawn per fit; a
+    slice may take one shape twice."""
+    shapes = [(int(rng.integers(2, 6)), int(rng.choice([-1, 1, 2])),
+               float(rng.choice([0.5, 1.0])), float(rng.choice([0.0, 0.01])),
+               int(rng.integers(1, 7))) for _ in range(2)]
+    slices = []
+    for n in sizes:
+        X = rng.normal(size=(n, width))
+        if tied:
+            X = np.round(X)
+        X[:, -1] = X[:, 0]  # a duplicated column, or the one column
+        y = rng.normal(size=n)
+        if signed_zeros:  # mostly +0.0 and -0.0 targets: residuals of either sign
+            y = np.where(rng.random(n) < 0.7, rng.choice([-0.0, 0.0], n), np.round(y))
+        seed = int(rng.integers(0, 2**63 - 1))
+        params = [GbdtParams(leaves=leaves, max_depth=depth, feature_fraction=fraction,
+                             min_gain=gain, rounds=rounds, learning_rate=0.3,
+                             min_data=int(rng.integers(1, n // 2 + 1)),
+                             bagging_fraction=0.9 if bagging else 1.0, seed=seed)
+                  for leaves, depth, fraction, gain, rounds in
+                  (shapes[int(i)] for i in rng.integers(0, 2, size=rng.integers(1, 4)))]
+        slices.append((X, y, rng.normal(size=width), params))
+    return slices
+
+
+class TestLockstep:
+    """fit_gbdt_slices forecasts as fit_gbdt and predict_gbdt do, fit by fit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(6, 130), min_size=1, max_size=40),
+           seed=st.integers(0, 2**32 - 1), width=st.integers(1, 4), tied=st.booleans(),
+           signed_zeros=st.booleans(), bagging=st.booleans())
+    def test_equals_fit_gbdt_per_fit(self, sizes, seed, width, tied, signed_zeros, bagging):
+        slices = lockstep_case(np.random.default_rng(seed), sizes, width, tied, signed_zeros,
+                               bagging)
+        want = [[repr(float(predict_gbdt(fit_gbdt(X, y, p), block))) for p in params]
+                for X, y, block, params in slices]
+        got = fit_gbdt_slices(sizes, iter(slices))
+        assert [[repr(f) for f in row] for row in got] == want
+
+    def test_slices_are_taken_and_checked_in_order(self, rng):
+        # slice 1's nan stops the lockstep before it takes slice 2
+        slices = lockstep_case(rng, [20, 30, 25], 3, False, False, True)
+        slices[1][0][4, 2] = np.nan
+        taken = []
+
+        def lazily():
+            for item in slices:
+                taken.append(len(item[1]))
+                yield item
+
+        with pytest.raises(VollabError, match="features must be finite"):
+            fit_gbdt_slices([20, 30, 25], lazily())
+        assert taken == [20, 30]
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.inf, None), (1e308, None), (np.nan, "targets must not be nan")])
+    def test_targets_that_could_overflow_fit_one_by_one(self, rng, bad, message):
+        # a running prediction could overflow on such targets, and fit_gbdt
+        # can then fail mid-fit: that slice fits through fit_gbdt
+        slices = lockstep_case(rng, [30, 40, 35], 2, False, False, True)
+        slices[1][1][3] = bad
+        if message:
+            with pytest.raises(VollabError, match=message):
+                fit_gbdt_slices([30, 40, 35], iter(slices))
+            return
+        want = [[repr(float(predict_gbdt(fit_gbdt(X, y, p), block))) for p in params]
+                for X, y, block, params in slices]
+        got = fit_gbdt_slices([30, 40, 35], iter(slices))
+        assert [[repr(f) for f in row] for row in got] == want
+
+    def test_one_slice_fits_share_its_seed_and_bagging(self, rng):
+        X, y = rng.normal(size=(20, 2)), rng.normal(size=20)
+        for other in ({"seed": 1}, {"bagging_fraction": 1.0}):
+            params = [GbdtParams(min_data=3, rounds=2), GbdtParams(min_data=3, rounds=2, **other)]
+            with pytest.raises(VollabError, match="share its seed and bagging"):
+                fit_gbdt_slices([20], iter([(X, y, X[0], params)]))
+
+    def test_block_width_checked(self, rng):
+        X, y = rng.normal(size=(20, 2)), rng.normal(size=20)
+        with pytest.raises(VollabError, match="expected 2 features, got 3"):
+            fit_gbdt_slices([20], iter([(X, y, np.ones(3), [GbdtParams(min_data=3)])]))
+
+    def test_slice_runs_fit_the_stack_budget(self, monkeypatch):
+        monkeypatch.setattr(gbdt, "STACK_BYTES", 100 * 10 * 8)  # 100 rows of 10 features
+        assert slice_runs([40, 60, 1, 150, 30, 30, 30], 10) == [2, 1, 1, 3]
+        assert slice_runs([], 10) == []
+
+
+def test_gbdt_sweep_validation_peak_memory():
+    """One gbdt_sweep-shaped validation (400 days x 3 series, W=63, states
+    0/40/80, 5 rounds): the lockstep's stack of the 53 slices' rows and
+    blocks (1.4 MB), their column ranks (0.35 MB) and one batched search;
+    the peak measured 3.70 MB."""
+    cfg = parse_config({"data": {"synthetic": {"seed": 3, "n_days": 400, "n_series": 3}},
+                        "horizon": 1})
+    grid = [enumerate_grid("gbdt")[k] for k in (0, 40, 80)]
+    task = build_tasks(cli._engineer(cfg), "gbdt", 63, horizon=1, s=5, root_seed=3,
+                       grid=grid)[0]
+    tracemalloc.start()
+    try:
+        validate_params(task.batch, "gbdt", grid, task.seed, {"gbdt": {"rounds": 5}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.1e6
+
+
 class TestNonExtrapolation:
     def test_output_bound_holds_far_outside_range(self, rng):
         for _ in range(10):
@@ -285,6 +402,28 @@ class TestPredict:
         m = fit_gbdt(X, rng.normal(size=30), SMALL)
         assert isinstance(predict_gbdt(m, X[0]), float)
         assert predict_gbdt(m, X[0]) == pytest.approx(predict_gbdt(m, X[:1])[0])
+
+    @pytest.mark.parametrize("rows", [1, 40])
+    def test_equals_one_apply_per_tree(self, rng, rows):
+        X = np.round(rng.normal(size=(60, 3)), 1)
+        y = rng.normal(size=60)
+        grown = fit_gbdt(X, y, GbdtParams(leaves=6, min_data=2, rounds=40, learning_rate=0.3,
+                                          seed=4))
+        stumps = fit_gbdt(X, y, GbdtParams(min_gain=1e9, min_data=2, rounds=5))
+        assert all(t.n_leaves == 1 for t in stumps.trees)
+        # a row on each threshold of each split, which goes right
+        at = []
+        for tree in grown.trees:
+            for j in np.flatnonzero(tree.feature >= 0):
+                row = X[len(at) % 60].copy()
+                row[tree.feature[j]] = tree.threshold[j]
+                at.append(row)
+        assert len(at) >= rows
+        for model in (grown, stumps):
+            for Z in (X[:rows], rng.normal(size=(rows, 3)), np.array(at[:rows])):
+                assert (repr(predict_gbdt(model, Z).tolist())
+                        == repr(per_tree_predict_gbdt(model, Z).tolist()))
+                assert repr(predict_gbdt(model, Z[0])) == repr(per_tree_predict_gbdt(model, Z[0]))
 
     def test_feature_width_checked(self, rng):
         X = rng.normal(size=(30, 2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import planted_signal_data
-from vollab import grids
+from vollab import gbdt, grids
 from vollab.config import parse_config
 from vollab.errors import UsageError, VollabError
 from vollab.grids import (
@@ -182,6 +182,71 @@ class TestFitModel:
         want = [[forecast(kind, [item], opts, [s])[0][0] for s in states] for item in slices]
         assert repr(got) == repr(want)
         assert forecast(kind, [], opts, states) == []
+
+
+class TestGbdtLockstep:
+    """A validation's many slices are boosted in lockstep; each result is the
+    one-slice fit's, and an error is the one fitting slice by slice meets."""
+
+    @staticmethod
+    def slices(count):
+        data = planted_signal_data(n=120)
+        batch = build_tasks(data, "gbdt", window=63, horizon=1, s=5, root_seed=0)[0].batch
+        return [(batch.slice(0, v), 3 * v, batch.blocks[v]) for v in range(14, 14 + 3 * count, 3)]
+
+    @pytest.mark.parametrize("count, lockstep", [(grids.LOCKSTEP_SLICES - 1, 0),
+                                                 (grids.LOCKSTEP_SLICES, 1), (12, 1)])
+    def test_runs_of_enough_slices_forecast_as_one_slice_at_a_time(self, monkeypatch, count,
+                                                                   lockstep):
+        calls = []
+        original = grids.fit_gbdt_slices
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(grids, "fit_gbdt_slices", counted)
+        opts = {"gbdt": {"rounds": 3, "learning_rate": 0.2}}
+        states = [enumerate_grid("gbdt")[i] for i in (0, 13, 40, 41, 80)]
+        slices = self.slices(count)
+        got = forecast("gbdt", slices, opts, states)
+        assert len(calls) == lockstep
+        want = [forecast("gbdt", [item], opts, states)[0] for item in slices]
+        assert repr(got) == repr(want)
+
+    def test_runs_split_at_the_stack_budget(self, monkeypatch):
+        slices = self.slices(12)
+        opts = {"gbdt": {"rounds": 2}}
+        states = [enumerate_grid("gbdt")[i] for i in (0, 40)]
+        want = forecast("gbdt", slices, opts, states)
+        monkeypatch.setattr(gbdt, "STACK_BYTES", 15 * 8 * 200)  # 200 rows of 15 features
+        # a lockstep run of 8 slices, then 4 fitted one by one
+        assert gbdt.slice_runs([len(t) for t, _, _ in slices], 15) == [8, 4]
+        assert repr(forecast("gbdt", slices, opts, states)) == repr(want)
+
+    def test_first_failing_slice_raises(self, monkeypatch):
+        # slice 2 has a nan feature (fit_gbdt's error) and slice 4 a constant
+        # one (the scaler's): taking each slice's check before scaling the
+        # next raises slice 2's, as fitting slice by slice does
+        monkeypatch.setattr(grids, "LOCKSTEP_SLICES", 2)
+        slices = self.slices(5)
+        train, seed, block = slices[2]
+        blocks = train.blocks.copy()
+        blocks[4, 2, 1] = np.nan
+        slices[2] = train.with_blocks(blocks), seed, block
+        train, seed, block = slices[4]
+        blocks = train.blocks.copy()
+        blocks[:, :, 0] = 1.0
+        slices[4] = train.with_blocks(blocks), seed, block
+        opts = {"gbdt": {"rounds": 2}}
+        states = enumerate_grid("gbdt")[:2]
+        with pytest.raises(VollabError) as want:
+            for item in slices:
+                forecast("gbdt", [item], opts, states)
+        with pytest.raises(VollabError) as got:
+            forecast("gbdt", slices, opts, states)
+        assert str(want.value) == "features must be finite"
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 class TestSharedFits:
