@@ -6,10 +6,11 @@ then every leaf's value is replaced by the median residual of the rows
 it contains, which is the leaf-wise MAE minimizer.  Shrinkage and seeded
 row/column subsampling follow the ensemble parameters.
 
-fit_gbdt boosts one ensemble tree by tree.  fit_gbdt_slices boosts many
-fits on many training slices in lockstep, round by round, with the same
-bits: in each round the trees of many fits grow in one batched search
-(tree.grow_trees).
+fit_gbdt boosts one ensemble tree by tree.  fit_gbdt_slices takes many
+fits on many training slices and, given enough slices, boosts them in
+lockstep, round by round, with the same bits: in each round the trees of
+many fits grow in one batched search (tree.grow_trees).  Given fewer, it
+fits each through fit_gbdt.
 """
 
 from __future__ import annotations
@@ -79,26 +80,6 @@ def _round_draws(seed: int, n: int, m: int, bagging: bool):
         yield perm, tree_seed, feature_draw(m, tree_seed)
 
 
-class GbdtSlice:
-    """What every fit_gbdt on one feature matrix can share: one stable
-    presort of its columns, and each seed's round draws, which the first
-    fit with that seed takes and later fits replay.  It holds no per-round
-    bag or sorted root: a fit filters those from the presort."""
-
-    def __init__(self, X):
-        self.X = np.atleast_2d(np.asarray(X, dtype=float))
-        self.order, self.values = presort(self.X)
-        self._draws = {}  # (seed, bagging) -> (the seed's draw stream, the draws taken)
-
-    def draws(self, seed: int, bagging: bool, rounds: int) -> list:
-        """The first rounds of the seed's round draws, the memo's first."""
-        if (seed, bagging) not in self._draws:
-            self._draws[seed, bagging] = _round_draws(seed, *self.X.shape, bagging), []
-        stream, taken = self._draws[seed, bagging]
-        taken.extend(itertools.islice(stream, max(0, rounds - len(taken))))
-        return taken[:rounds]
-
-
 def _check(X, y, params: GbdtParams) -> None:
     """fit_gbdt's checks of its inputs, in its order."""
     n = len(X)
@@ -122,18 +103,15 @@ def _bag_size(params: GbdtParams, n: int) -> int:
     return min(n, max(2 * params.min_data, int(params.bagging_fraction * n)))
 
 
-def fit_gbdt(X, y, params: GbdtParams, prepared: GbdtSlice | None = None) -> GbdtModel:
-    """Fit the ensemble.  prepared, a GbdtSlice of X, shares its presort and
-    draws with other fits on X; without it the fit makes its own."""
+def fit_gbdt(X, y, params: GbdtParams) -> GbdtModel:
+    """Fit the ensemble: every tree's nodes filter one stable presort of X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     _check(X, y, params)
-    n = len(y)
-    if prepared is None:
-        prepared = GbdtSlice(X)
-    elif not (prepared.X.shape == X.shape and np.array_equal(prepared.X, X)):
-        raise VollabError("the prepared slice holds other rows than X")
+    n, m = X.shape
+    order, values = presort(X)
     bagging = params.bagging_fraction < 1.0
+    draws = list(itertools.islice(_round_draws(params.seed, n, m, bagging), params.rounds))
     model = GbdtModel(params, float(_medians(np.sort(y), np.array([n]))[0]))
     F = np.full(n, model.base_score)
     limits = TreeLimits(
@@ -143,12 +121,12 @@ def fit_gbdt(X, y, params: GbdtParams, prepared: GbdtSlice | None = None) -> Gbd
         min_gain=params.min_gain,
     )
     k = _bag_size(params, n)
-    for perm, tree_seed, draw in prepared.draws(params.seed, bagging, params.rounds):
+    for perm, tree_seed, draw in draws:
         sub = np.sort(perm[:k]) if bagging else np.arange(n)
         resid = y[sub] - F[sub]
         tree = fit_regression_tree(X[sub], np.sign(resid), limits, params.feature_fraction,
                                    tree_seed, draw=draw,
-                                   presorted=(prepared.order, prepared.values, sub))
+                                   presorted=(order, values, sub))
         # MAE-exact leaf values: the median of each leaf's in-bag residuals,
         # read off one sort of the residuals by (leaf, residual)
         leaf = tree.apply(X)
@@ -281,7 +259,7 @@ def fit_gbdt_slices(sizes, slices) -> list[list[float]]:
     predict_gbdt does) and copied into one stack before the next is taken,
     so the first invalid slice raises what fit_gbdt raises on it.  The
     params of one slice share its seed and bagging, so its fits share one
-    stream of round draws, as on one GbdtSlice.
+    stream of round draws.
 
     A fit is one (slice, p).  Fits are grouped so that a group holds at most
     one fit per slice and one (feature count, leaves, max_depth, min_gain,
@@ -289,9 +267,10 @@ def fit_gbdt_slices(sizes, slices) -> list[list[float]]:
     the whole group.  In round r the r-th trees of a group grow together
     (tree.grow_trees), each with its fit's min_data, bag and feature draw;
     the leaf medians, the running predictions and the block forecasts are
-    array operations over the group (_Group.boost).  A slice whose targets
-    could overflow a running prediction, where fit_gbdt can fail mid-fit on
-    a nan residual, fits through fit_gbdt in its turn instead.
+    array operations over the group (_Group.boost).  In a call of fewer
+    than LOCKSTEP_SLICES slices, and for a slice whose targets could
+    overflow a running prediction (where fit_gbdt can fail mid-fit on a nan
+    residual), each (slice, p) fits through fit_gbdt in its turn instead.
     """
     sizes = np.asarray(sizes, dtype=int)
     N, S = int(sizes.sum()), len(sizes)
@@ -315,8 +294,8 @@ def fit_gbdt_slices(sizes, slices) -> list[list[float]]:
             raise VollabError(f"slice {s} has {n} rows, not {sizes[s]}")
         # a round at most doubles max |F| and adds max |y|: under this bound
         # no residual, nor the sum of two, reaches inf
-        rounds = max(p.rounds for p in params)
-        if not np.abs(y).max() <= math.ldexp(np.finfo(float).max, -rounds - 2):
+        bound = math.ldexp(np.finfo(float).max, -max(p.rounds for p in params) - 2)
+        if S < LOCKSTEP_SLICES or not np.abs(y).max() <= bound:
             out.append([float(predict_gbdt(fit_gbdt(X, y, p), block)) for p in params])
             continue
         if len({(p.seed, p.bagging_fraction < 1.0) for p in params}) > 1:

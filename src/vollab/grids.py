@@ -16,8 +16,7 @@ from typing import Callable
 
 from .errors import UsageError, VollabError, is_int
 from .features import add_uniform_noise, apply_scaler, fit_scaler
-from .gbdt import (LOCKSTEP_SLICES, GbdtParams, GbdtSlice, fit_gbdt, fit_gbdt_slices,
-                   predict_gbdt)
+from .gbdt import GbdtParams, fit_gbdt_slices
 from .gbdt import slice_runs as gbdt_slice_runs
 from .net import NetConfig, predict as net_predict, train as net_train
 from .svr import SvrParams, fit_svr_slices, predict_svr, slice_runs
@@ -69,21 +68,20 @@ class ParamState:
 
 def _fit_svr(section, states, slices):
     """Fit state by state on each run of slices (slice_runs), scaled per run;
-    a failing run is refitted slice by slice to raise that order's error."""
+    a run whose scaling or fits fail is redone slice by slice to raise that
+    order's error."""
     out = []
     for count in slice_runs([len(train) for train, _, _ in slices]):
         run, slices = slices[:count], slices[count:]
-        trains, blocks = zip(*(_scaled(*item) for item in run))
         try:
+            trains, blocks = zip(*(_scaled(*item) for item in run))
             out += zip(*[_svr_run(trains, state, blocks) for state in states])
-        except Exception as exc:
-            error = exc
-        else:
-            continue
-        for train, block in zip(trains, blocks):
-            for state in states:
-                _svr_run([train], state, [block])
-        raise error
+        except Exception:
+            for item in run:
+                train, block = _scaled(*item)
+                for state in states:
+                    _svr_run([train], state, [block])
+            raise
     return [list(fits) for fits in out]
 
 
@@ -126,52 +124,29 @@ def _gbdt_params(section, states, n, seed):
     return keys, params
 
 
-def _gbdt_slice(section, states, train, seed, block):
-    """One slice's fits with fit_gbdt, one per distinct _gbdt_key, every fit
-    handed the slice's one GbdtSlice."""
-    train, block = _scaled(train, seed, block)
-    keys, params = _gbdt_params(section, states, len(train), seed)
-    prepared = GbdtSlice(train.flat())
-    fits = {key: (float(predict_gbdt(fit_gbdt(train.flat(), train.targets, p, prepared),
-                                     block.ravel())), float("nan"))
-            for key, p in params.items()}
-    return [fits[key] for key in keys]
+def _fit_gbdt(section, states, slices):
+    """One fit_gbdt_slices call for each run of slices (gbdt_slice_runs), one
+    fit per slice and distinct _gbdt_key; each slice is scaled when the call
+    takes it, so only the lockstep's stack holds every scaled slice."""
+    keys = []  # each taken slice's key per state
 
-
-def _gbdt_lockstep(section, states, run):
-    """The run's fits, one per slice and distinct _gbdt_key, boosted in
-    lockstep (fit_gbdt_slices); each slice is scaled when the lockstep
-    takes it, so only the stack holds every slice's rows."""
-    keys = []
-
-    def taken():
+    def taken(run):
         for train, seed, block in run:
             train, block = _scaled(train, seed, block)
             k, params = _gbdt_params(section, states, len(train), seed)
             keys.append(k)
             yield train.flat(), train.targets, block.ravel(), list(params.values())
 
-    forecasts = fit_gbdt_slices([len(train) for train, _, _ in run], taken())
-    out = []
-    for k, row in zip(keys, forecasts):
-        fits = dict(zip(dict.fromkeys(k), ((f, float("nan")) for f in row)))
-        out.append([fits[key] for key in k])
-    return out
-
-
-def _fit_gbdt(section, states, slices):
-    """Boost each run of slices (gbdt_slice_runs) in lockstep, or, for a run
-    of fewer than LOCKSTEP_SLICES slices (a refit is one), fit slice by
-    slice."""
-    out = []
+    forecasts = []
     sizes = [len(train) for train, _, _ in slices]
     width = slices[0][0].flat().shape[1] if slices else 0
     for count in gbdt_slice_runs(sizes, width):
         run, slices = slices[:count], slices[count:]
-        if count < LOCKSTEP_SLICES:
-            out += [_gbdt_slice(section, states, *item) for item in run]
-        else:
-            out += _gbdt_lockstep(section, states, run)
+        forecasts += fit_gbdt_slices([len(train) for train, _, _ in run], taken(run))
+    out = []
+    for k, row in zip(keys, forecasts):
+        fits = dict(zip(dict.fromkeys(k), ((f, float("nan")) for f in row)))
+        out.append([fits[key] for key in k])
     return out
 
 

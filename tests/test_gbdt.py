@@ -9,8 +9,8 @@ from oracles import median_loop_fit_gbdt, per_tree_predict_gbdt
 from vollab import cli, gbdt
 from vollab.config import parse_config
 from vollab.errors import VollabError
-from vollab.gbdt import (GbdtModel, GbdtParams, GbdtSlice, fit_gbdt, fit_gbdt_slices,
-                         predict_gbdt, slice_runs)
+from vollab.gbdt import (GbdtModel, GbdtParams, fit_gbdt, fit_gbdt_slices, predict_gbdt,
+                         slice_runs)
 from vollab.grids import _gbdt_values, enumerate_grid
 from vollab.tree import predict_tree
 from vollab.walkforward import build_tasks, validate_params
@@ -213,8 +213,8 @@ class TestLeafValues:
 
 
 class TestSharedSlice:
-    """Fits on one GbdtSlice share its presort and replay its draws, and each
-    equals the oracle's fit, which sorts at every node and draws afresh."""
+    """Every fit on one slice, whatever its state and seed, equals the
+    oracle's fit, which sorts at every node."""
 
     @pytest.mark.parametrize("n", [12, 40, 62, 125])
     def test_every_grid_state_equals_its_plain_fit(self, rng, n):
@@ -222,42 +222,17 @@ class TestSharedSlice:
         X[:, ::3] = np.round(X[:, ::3])  # tied values
         X[:, 1] = X[:, 4]  # a duplicated column
         y = rng.normal(size=n)
-        shared = GbdtSlice(X)
-        # two seeds take turns on the one slice, as a memo keyed by
-        # anything less than the seed would not survive
         seeds = rng.integers(0, 2**63 - 1, size=2).tolist()
         for i, state in enumerate(enumerate_grid("gbdt")):
             p = GbdtParams(**_gbdt_values(state, n), rounds=3, learning_rate=0.3,
                            seed=seeds[i % 2])
-            same_trees(fit_gbdt(X, y, p, shared), median_loop_fit_gbdt(X, y, p), X)
+            same_trees(fit_gbdt(X, y, p), median_loop_fit_gbdt(X, y, p), X)
 
     def test_without_bagging(self, rng):
         X, y = rng.normal(size=(50, 6)), rng.normal(size=50)
-        shared = GbdtSlice(X)
-        for fraction in (1.0, 0.9, 1.0):  # the two draw streams of one seed
+        for fraction in (1.0, 0.9):  # without bagging, then with it
             p = GbdtParams(leaves=6, min_data=3, rounds=4, bagging_fraction=fraction, seed=2)
-            same_trees(fit_gbdt(X, y, p, shared), median_loop_fit_gbdt(X, y, p), X)
-
-    def test_later_fits_replay_the_draws(self, rng, monkeypatch):
-        X, y = rng.normal(size=(40, 5)), rng.normal(size=40)
-        p = GbdtParams(min_data=5, rounds=3)
-        want = fit_gbdt(X, y, p)
-        shared = GbdtSlice(X)
-        fit_gbdt(X, y, GbdtParams(min_data=3, rounds=4), shared)  # four rounds' draws
-
-        def no_draw(*args):
-            raise AssertionError("a replayed round draws nothing")
-
-        monkeypatch.setattr(np.random, "PCG64", no_draw)
-        same_trees(fit_gbdt(X, y, p, shared), want, X)
-
-    def test_slice_prepared_for_other_rows_refused(self, rng):
-        X, y = rng.normal(size=(30, 3)), rng.normal(size=30)
-        p = GbdtParams(min_data=3, rounds=1)
-        for other in (X[:-1], X + 1.0, X[:, :2]):
-            with pytest.raises(VollabError, match="prepared slice"):
-                fit_gbdt(X, y, p, GbdtSlice(other))
-        fit_gbdt(X, y, p, GbdtSlice(X.copy()))
+            same_trees(fit_gbdt(X, y, p), median_loop_fit_gbdt(X, y, p), X)
 
 
 def lockstep_case(rng, sizes, width, tied, signed_zeros, bagging):
@@ -290,6 +265,13 @@ def lockstep_case(rng, sizes, width, tied, signed_zeros, bagging):
 
 class TestLockstep:
     """fit_gbdt_slices forecasts as fit_gbdt and predict_gbdt do, fit by fit."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def lockstep_every_call(self):
+        # a call of fewer than LOCKSTEP_SLICES slices would fit through fit_gbdt
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gbdt, "LOCKSTEP_SLICES", 1)
+            yield
 
     @settings(max_examples=150, deadline=None)
     @given(sizes=st.lists(st.integers(6, 130), min_size=1, max_size=40),

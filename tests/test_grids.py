@@ -184,38 +184,71 @@ class TestFitModel:
         assert forecast(kind, [], opts, states) == []
 
 
+def slices_of(kind, count):
+    """count training slices (windows 14, 17, ...) of a W=63 batch."""
+    data = planted_signal_data(n=120)
+    batch = build_tasks(data, kind, window=63, horizon=1, s=5, root_seed=0)[0].batch
+    return [(batch.slice(0, v), 3 * v, batch.blocks[v]) for v in range(14, 14 + 3 * count, 3)]
+
+
+def failing_slices(kind):
+    """Five slices: slice 2 has a nan feature (the fit's error) and slice 4 a
+    constant one (the scaler's).  Fitting slice by slice meets slice 2's."""
+    slices = slices_of(kind, 5)
+    for s, cells, value in ((2, (4, 2, 1), np.nan), (4, np.s_[:, :, 0], 1.0)):
+        train, seed, block = slices[s]
+        blocks = train.blocks.copy()
+        blocks[cells] = value
+        slices[s] = train.with_blocks(blocks), seed, block
+    return slices
+
+
+def assert_first_failing_slice_raises(kind, states, opts, message):
+    slices = failing_slices(kind)
+    with pytest.raises(VollabError) as want:
+        for item in slices:
+            forecast(kind, [item], opts, states)
+    with pytest.raises(VollabError) as got:
+        forecast(kind, slices, opts, states)
+    assert str(want.value) == message
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_svr_first_failing_slice_raises():
+    # one run of the five slices: scaling them all before fitting any would
+    # raise slice 4's scaler error first
+    assert_first_failing_slice_raises("svr", enumerate_grid("svr")[:2], None,
+                                      "fit_svr inputs must be finite")
+
+
 class TestGbdtLockstep:
     """A validation's many slices are boosted in lockstep; each result is the
     one-slice fit's, and an error is the one fitting slice by slice meets."""
 
-    @staticmethod
-    def slices(count):
-        data = planted_signal_data(n=120)
-        batch = build_tasks(data, "gbdt", window=63, horizon=1, s=5, root_seed=0)[0].batch
-        return [(batch.slice(0, v), 3 * v, batch.blocks[v]) for v in range(14, 14 + 3 * count, 3)]
-
-    @pytest.mark.parametrize("count, lockstep", [(grids.LOCKSTEP_SLICES - 1, 0),
-                                                 (grids.LOCKSTEP_SLICES, 1), (12, 1)])
+    @pytest.mark.parametrize("count, lockstep", [(gbdt.LOCKSTEP_SLICES - 1, 0),
+                                                 (gbdt.LOCKSTEP_SLICES, 1), (12, 1)])
     def test_runs_of_enough_slices_forecast_as_one_slice_at_a_time(self, monkeypatch, count,
                                                                    lockstep):
         calls = []
-        original = grids.fit_gbdt_slices
+        original = gbdt.grow_trees
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(grids, "fit_gbdt_slices", counted)
+        monkeypatch.setattr(gbdt, "grow_trees", counted)
         opts = {"gbdt": {"rounds": 3, "learning_rate": 0.2}}
         states = [enumerate_grid("gbdt")[i] for i in (0, 13, 40, 41, 80)]
-        slices = self.slices(count)
+        slices = slices_of("gbdt", count)
         got = forecast("gbdt", slices, opts, states)
-        assert len(calls) == lockstep
+        assert bool(calls) == lockstep
+        calls.clear()
         want = [forecast("gbdt", [item], opts, states)[0] for item in slices]
+        assert not calls
         assert repr(got) == repr(want)
 
     def test_runs_split_at_the_stack_budget(self, monkeypatch):
-        slices = self.slices(12)
+        slices = slices_of("gbdt", 12)
         opts = {"gbdt": {"rounds": 2}}
         states = [enumerate_grid("gbdt")[i] for i in (0, 40)]
         want = forecast("gbdt", slices, opts, states)
@@ -225,28 +258,13 @@ class TestGbdtLockstep:
         assert repr(forecast("gbdt", slices, opts, states)) == repr(want)
 
     def test_first_failing_slice_raises(self, monkeypatch):
-        # slice 2 has a nan feature (fit_gbdt's error) and slice 4 a constant
-        # one (the scaler's): taking each slice's check before scaling the
-        # next raises slice 2's, as fitting slice by slice does
-        monkeypatch.setattr(grids, "LOCKSTEP_SLICES", 2)
-        slices = self.slices(5)
-        train, seed, block = slices[2]
-        blocks = train.blocks.copy()
-        blocks[4, 2, 1] = np.nan
-        slices[2] = train.with_blocks(blocks), seed, block
-        train, seed, block = slices[4]
-        blocks = train.blocks.copy()
-        blocks[:, :, 0] = 1.0
-        slices[4] = train.with_blocks(blocks), seed, block
-        opts = {"gbdt": {"rounds": 2}}
-        states = enumerate_grid("gbdt")[:2]
-        with pytest.raises(VollabError) as want:
-            for item in slices:
-                forecast("gbdt", [item], opts, states)
-        with pytest.raises(VollabError) as got:
-            forecast("gbdt", slices, opts, states)
-        assert str(want.value) == "features must be finite"
-        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        # taking each slice's check before scaling the next raises slice 2's
+        # error, in a lockstep run and in a run too short for one
+        for lockstep_slices in (2, gbdt.LOCKSTEP_SLICES):
+            monkeypatch.setattr(gbdt, "LOCKSTEP_SLICES", lockstep_slices)
+            assert_first_failing_slice_raises("gbdt", enumerate_grid("gbdt")[:2],
+                                              {"gbdt": {"rounds": 2}},
+                                              "features must be finite")
 
 
 class TestSharedFits:

@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vollab.gbdt
 import vollab.svr
 import vollab.tree
 from conftest import planted_signal_data
 from oracles import median_loop_fit_gbdt, walk_apply
 from vollab import grids
-from vollab.gbdt import GbdtParams, GbdtSlice, fit_gbdt
+from vollab.gbdt import GbdtParams, fit_gbdt
 from vollab.svr import SvrParams, fit_svr
 from vollab.tree import TreeLimits, fit_regression_tree
 from vollab.walkforward import build_tasks
@@ -100,7 +101,7 @@ def test_one_best_split_call_per_candidate_leaf(monkeypatch, rng):
 
 
 def test_presorted_searches_make_the_same_calls_and_cells(monkeypatch, rng):
-    """On a shared slice each candidate leaf still makes one positional
+    """In a presorted fit each candidate leaf still makes one positional
     `best_split` call, with the y rows, features and min_samples_leaf of a
     fit that sorts at every node, so `tree.best_split.*` counts the same; its
     first argument is the leaf's presorted columns, or None where the leaf
@@ -115,7 +116,7 @@ def test_presorted_searches_make_the_same_calls_and_cells(monkeypatch, rng):
     monkeypatch.setattr(vollab.tree, "best_split", recording)
     X, y = np.round(rng.normal(size=(90, 8)), 1), rng.normal(size=90)
     p = GbdtParams(leaves=12, min_data=4, rounds=6, learning_rate=0.3, seed=9)
-    for fit in (median_loop_fit_gbdt, lambda *args: fit_gbdt(*args, GbdtSlice(X))):
+    for fit in (median_loop_fit_gbdt, fit_gbdt):
         calls.append([])
         fit(X, y, p)
     plain, presorted = calls
@@ -137,27 +138,25 @@ def test_presorted_searches_make_the_same_calls_and_cells(monkeypatch, rng):
 
 
 def test_one_fit_gbdt_call_per_distinct_key(monkeypatch):
-    """`gbdt.fit_gbdt.calls` counts one fit per distinct key of a slice, each
-    handed the slice's one GbdtSlice; every state of a key gets its fit's
-    forecast."""
+    """`gbdt.fit_gbdt.calls` counts one fit per distinct key of a slice; every
+    state of a key gets its fit's forecast."""
     data = planted_signal_data(n=120)
     batch = build_tasks(data, "gbdt", window=63, horizon=1, s=5, root_seed=0)[0].batch
     train = batch.slice(0, 50)
     grid = grids.enumerate_grid("gbdt")
     calls = []
-    fit = grids.fit_gbdt
+    fit = vollab.gbdt.fit_gbdt
 
     def recording(*args):
         calls.append(args)
         return fit(*args)
 
-    monkeypatch.setattr(grids, "fit_gbdt", recording)
+    monkeypatch.setattr(vollab.gbdt, "fit_gbdt", recording)
     [results] = grids.forecast("gbdt", [(train, 3, batch.blocks[50])], {"gbdt": {"rounds": 2}},
                                grid)
     keys = [grids._gbdt_key(s, 50) for s in grid]
     first = {k: i for i, k in reversed(list(enumerate(keys)))}  # each key's first state
     assert len(calls) == len(first) < len(grid)
-    assert len({id(args[3]) for args in calls}) == 1 and isinstance(calls[0][3], GbdtSlice)
     for args, i in zip(calls, sorted(first.values())):
         values = grids._gbdt_values(grid[i], 50)
         assert {k: getattr(args[2], k) for k in values} == values
