@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import VollabError, check_int, check_real
 from .tree import (RegressionTree, TreeLimits, descend, feature_draw, fit_regression_tree,
-                   grow_trees, presort, rank_columns)
+                   grow_trees, rank_columns)
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,12 @@ def _bag_size(params: GbdtParams, n: int) -> int:
 
 
 def fit_gbdt(X, y, params: GbdtParams) -> GbdtModel:
-    """Fit the ensemble: every tree's nodes filter one stable presort of X."""
+    """Fit the ensemble: every tree's nodes search one ranking of X's columns."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     _check(X, y, params)
     n, m = X.shape
-    order, values = presort(X)
+    ranks = rank_columns(X)
     bagging = params.bagging_fraction < 1.0
     draws = list(itertools.islice(_round_draws(params.seed, n, m, bagging), params.rounds))
     model = GbdtModel(params, float(_medians(np.sort(y), np.array([n]))[0]))
@@ -125,8 +125,7 @@ def fit_gbdt(X, y, params: GbdtParams) -> GbdtModel:
         sub = np.sort(perm[:k]) if bagging else np.arange(n)
         resid = y[sub] - F[sub]
         tree = fit_regression_tree(X[sub], np.sign(resid), limits, params.feature_fraction,
-                                   tree_seed, draw=draw,
-                                   presorted=(order, values, sub))
+                                   tree_seed, draw=draw, ranked=(X, ranks, sub))
         # MAE-exact leaf values: the median of each leaf's in-bag residuals,
         # read off one sort of the residuals by (leaf, residual)
         leaf = tree.apply(X)

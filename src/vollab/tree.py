@@ -1,15 +1,16 @@
 """Regression trees grown leaf-wise (best gain first) with mean-valued leaves.
 
-Two growers share one rule.  fit_regression_tree grows one tree and scores
-each node with best_split; a lone boosting fit uses it.  grow_trees grows
-many trees in lockstep and scores all the leaves one growth step opens in
-one batched search; each of its trees equals fit_regression_tree's on the
-same sample, bit for bit.  The random-forest feature selector grows its
-forest through it (fit_forest), and so does the boosting lockstep, one
-round of many fits at a time.  The rule: splits scan the midpoints between
-sorted unique feature values; the gain is the reduction in total squared
-error; thresholds route strictly-less to the left; a node's candidates rank
-by feature, then threshold, and a later one wins only if its gain is larger
+Two growers share one split search, _batched_split.  fit_regression_tree
+grows one tree and scores each node with best_split, a one-node batched
+search; a lone boosting fit uses it.  grow_trees grows many trees in
+lockstep and scores all the leaves one growth step opens in one batched
+search; each of its trees equals fit_regression_tree's on the same sample,
+bit for bit.  The random-forest feature selector grows its forest through
+it (fit_forest), and so does the boosting lockstep, one round of many fits
+at a time.  The rule: splits scan the midpoints between sorted unique
+feature values; the gain is the reduction in total squared error;
+thresholds route strictly-less to the left; a node's candidates rank by
+feature, then threshold, and a later one wins only if its gain is larger
 by more than a rounding tolerance; among expandable leaves the larger gain
 wins, then the lower leaf id.
 """
@@ -136,72 +137,35 @@ def _sse(y: np.ndarray) -> float:
     return float((d * d).sum())
 
 
-def presort(X) -> tuple[np.ndarray, np.ndarray]:
-    """Each column of X in stable ascending order, as (order, values): row f
-    of order is X[:, f].argsort(kind="stable"), and values[f] = X[order[f], f]."""
-    cols = np.asarray(X, dtype=float).T
-    order = cols.argsort(axis=1, kind="stable")
-    return order, np.take_along_axis(cols, order, axis=1)
-
-
 def best_split(X, y, features, min_samples_leaf: int):
     """Best (gain, feature, threshold) over the given feature indices.
 
-    Returns None when no split satisfies the leaf-size constraint.  Every
-    threshold of every feature is scored at once from running sums over the
-    stably sorted columns.  Candidates rank in feature order, thresholds
-    ascending, and a later one replaces the kept one only if its gain is
-    larger by more than tie_tol (_kept), so near-equal gains keep the lower
+    Returns None when no split satisfies the leaf-size constraint.  The node
+    is scored as a one-node _batched_split: candidates rank in feature
+    order, thresholds ascending, and near-equal gains keep the lower
     feature, then the lower threshold.
 
-    X is the node's rows, or its presorted columns: a pair (xs, ys) whose
-    row r holds the values of feature sorted(features)[r] in stable
-    ascending order and y in that order.  X is not read when y has fewer
-    than 2 * min_samples_leaf rows.
+    X is the node's rows, which are ranked here, or a ranked tuple (Z,
+    ranks, zy, rows): the node's rows are Z[rows] with targets zy[rows] ==
+    y, and ranks is rank_columns(Z).  X is not read when y has fewer than
+    2 * min_samples_leaf rows.
     """
     if min_samples_leaf < 1:
         raise VollabError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
     n = len(y)
-    if n < 2 * min_samples_leaf:
-        return None
-    parent = _sse(y)
-    # two candidates inducing the same row partition have mathematically equal
-    # gains; the running-sum arithmetic separates them by rounding noise of
-    # order eps * parent, so ties are judged at a tolerance on that scale
-    tie_tol = 1e-10 * max(1.0, parent)
     fs = sorted(features)
-    k = len(fs)
-    if isinstance(X, tuple):
-        xs, ys = X
-    else:
-        cols = X.T[fs]  # one row per feature, scanned in this order
-        order = cols.argsort(axis=1, kind="stable")
-        xs = cols[np.arange(k)[:, None], order]
-        ys = y[order]
-    # running sums of y (the first k rows), then of y * y (the last k)
-    run = np.concatenate((ys, ys * ys)).cumsum(axis=1)
-    # split after position i (left = first i+1 rows) for i in [lo, hi)
-    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
-    nl = np.arange(lo + 1, hi + 1)
-    nr = n - nl
-    left = run[:, lo:hi]
-    right = run[:, -1:] - left
-    sl, ql, sr, qr = left[:k], left[k:], right[:k], right[k:]
-    gains = parent - ((ql - sl * sl / nl) + (qr - sr * sr / nr))
-    # flat positions, feature-major, where the sorted value changes
-    cand = (xs[:, lo:hi] != xs[:, lo + 1:hi + 1]).ravel().nonzero()[0]
-    if cand.size == 0:
+    if n < 2 * min_samples_leaf or not fs:
         return None
-    g = gains.ravel()[cand]
-    b = _kept(g, tie_tol)
-    r, i = divmod(int(cand[b]), hi - lo)
-    i += lo
-    return g[b], fs[r], (xs[r, i] + xs[r, i + 1]) / 2.0
+    Z, ranks, zy, rows = X if isinstance(X, tuple) else (X, rank_columns(X), y, np.arange(n))
+    g, f, thr = _batched_split(Z, ranks, zy, rows[None], np.array([n]), np.array([fs]),
+                               np.array([_sse(y)]), np.array([min_samples_leaf]))
+    return None if g[0] == -np.inf else (g[0], int(f[0]), thr[0])
 
 
 def _kept(g, tie_tol) -> int:
-    """Index of the gain in g that best_split's tie_tol rule keeps; each
-    replacement is a strict running maximum, so it visits only those."""
+    """Index of the gain in g that the tie_tol rule keeps: a later candidate
+    replaces the kept one only if its gain is larger by more than tie_tol.
+    Each replacement is a strict running maximum, so it visits only those."""
     b = 0
     for p in ((g[1:] > np.maximum.accumulate(g)[:-1]).nonzero()[0] + 1).tolist():
         if g[p] > g[b] + tie_tol:
@@ -214,21 +178,9 @@ def feature_draw(m: int, seed: int) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(seed)).permutation(m)
 
 
-def _restrict(order, values, size, rows, ids):
-    """Presorted columns (order, values) over row ids in range(size), cut to
-    the given rows and renumbered: rows[i] becomes ids[i].  Every row of
-    order holds the same rows, so each keeps as many entries."""
-    local = np.full(size, -1)
-    local[rows] = ids
-    at = local[order]
-    keep = at >= 0
-    k = len(order)
-    return at[keep].reshape(k, -1), values[keep].reshape(k, -1)
-
-
 def fit_regression_tree(
     X, y, limits: TreeLimits | None = None, feature_subset: float = 1.0, seed: int = 0,
-    *, draw=None, presorted=None,
+    *, draw=None, ranked=None,
 ) -> RegressionTree:
     """Grow a regression tree, expanding at each step the frontier leaf whose
     best split has maximal gain.
@@ -239,18 +191,15 @@ def fit_regression_tree(
     rf_importance draw it from [0, 2**63 - 1).  A caller that holds that
     permutation passes it as draw.  X must be finite.
 
-    presorted = (order, values, rows) says X is Z[rows] for distinct,
-    ascending rows of a matrix Z with presort(Z) == (order, values).  Each
-    node's search then reads sorted columns filtered from its parent's (the
-    root's from Z's, by rows) instead of sorting its own: a stable argsort
-    of ascending rows is the stable order of all rows, filtered, so the
-    tree is the same.
+    ranked = (Z, ranks, rows) says X is Z[rows] for distinct rows of a
+    matrix Z with rank_columns(Z) == ranks; without it X is ranked here.
+    Each node's search reads its rows of Z (best_split's ranked form).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
         raise VollabError("fit_regression_tree needs matching, non-empty X and y")
-    # (sum of |y|) ** 2 bounds every running sum best_split forms and each
+    # (sum of |y|) ** 2 bounds every running sum a split search forms and each
     # sl * sl, so while it is finite no split gain is inf or nan
     if not np.abs(y).sum() <= _MAX_ABS_SUM:  # false for nan and inf too
         raise VollabError("targets and (sum of |y|) ** 2 must be finite")
@@ -267,44 +216,32 @@ def fit_regression_tree(
     feature, left, right = np.full((3, size), -1)
     threshold, value, gain = np.zeros((3, size))
     n_samples = np.zeros(size, dtype=int)
-    # leaf id -> (gain, feature, threshold, rows, depth, presorted columns)
+    Z, ranks, sample = ranked or (X, rank_columns(X), np.arange(n))
+    zy = np.zeros(len(Z))
+    zy[sample] = y
+    # leaf id -> (gain, feature, threshold, rows, depth)
     frontier: dict[int, tuple] = {}
 
-    def add_leaf(j, rows, depth, expand, parent):
-        """parent: the presorted columns of the leaf's parent, None at the
-        root; a leaf too small to split filters none."""
+    def add_leaf(j, rows, depth, expand):
         ys = y[rows]
         value[j], n_samples[j] = ys.sum() / len(rows), len(rows)
         if expand and (limits.max_depth < 0 or depth < limits.max_depth):
-            cols = None
-            if presorted is None:
-                x = X[rows]
-            elif len(rows) < 2 * msl:
-                x = None
-            else:
-                if parent is None:  # Z's columns, cut to X's rows
-                    order, values, sample = presorted
-                    cols = _restrict(order[features], values[features], order.shape[1],
-                                     sample, rows)
-                else:
-                    cols = _restrict(*parent, n, rows, rows)
-                x = cols[1], y[cols[0]]
-            sp = best_split(x, ys, features, msl)
+            sp = best_split((Z, ranks, zy, sample[rows]), ys, features, msl)
             if sp is not None and sp[0] >= limits.min_gain:
-                frontier[j] = (*sp, rows, depth, cols)
+                frontier[j] = (*sp, rows, depth)
 
-    add_leaf(0, np.arange(n), 0, True, None)
+    add_leaf(0, np.arange(n), 0, True)
     count = 1  # nodes so far; a tree with c nodes has (c + 1) // 2 leaves
     while frontier and (count + 1) // 2 < limits.max_leaves:
         j = min(frontier, key=lambda j: (-frontier[j][0], j))  # max gain, then lower id
-        g, f, thr, rows, depth, cols = frontier.pop(j)
+        g, f, thr, rows, depth = frontier.pop(j)
         mask = X[rows, f] < thr
         feature[j], threshold[j], gain[j] = f, thr, g
         left[j], right[j] = count, count + 1
         count += 2
         expand = (count + 1) // 2 < limits.max_leaves  # children of the last split stay unsearched
-        add_leaf(count - 2, rows[mask], depth + 1, expand, cols)
-        add_leaf(count - 1, rows[~mask], depth + 1, expand, cols)
+        add_leaf(count - 2, rows[mask], depth + 1, expand)
+        add_leaf(count - 1, rows[~mask], depth + 1, expand)
     arrays = (feature, threshold, left, right, value, n_samples, gain)
     return RegressionTree(*(a[:count].copy() for a in arrays), m)
 
@@ -334,15 +271,17 @@ def _sums(y, rows, counts):
 
 
 def _batched_split(X, ranks, y, rows, counts, features, parent, msl):
-    """best_split of many nodes at once: (gain, feature, threshold) arrays,
-    gain -inf where a node has no split.
+    """The best split of many nodes at once: (gain, feature, threshold)
+    arrays, gain -inf where a node has no split.
 
-    Node r's rows are rows[r, :counts[r]], padded with the index of a row of
-    +inf features and 0 target, and its split must leave msl[r] rows on each
-    side.  Columns are sorted by their ranks (ranks[f] orders X[:, f] with
-    ties equal), then by position, so every node's own rows come in
-    best_split's stable order and the padding after them; the gains are
-    best_split's expression on the same running sums.
+    Node r's rows are rows[r, :counts[r]] and its split must leave msl[r]
+    rows on each side.  Padding appears only when the nodes' counts differ:
+    each shorter node is filled out with the index of a row of +inf
+    features and 0 target.  Columns are sorted by their ranks (ranks[f]
+    orders X[:, f] with ties equal), then by position, so every node's own
+    rows come in stable sorted order and the padding after them.  The gain
+    of a split is the reduction in squared error, from running sums of y
+    and y * y along that order.
     """
     N, L = rows.shape
     k = features.shape[1]
@@ -388,7 +327,10 @@ def _batched_split(X, ranks, y, rows, counts, features, parent, msl):
     np.subtract(parent[:, None, None], G, out=G)
     G[~cand] = -np.inf
     G = G.reshape(N, k * P)
-    # best_split's running-maximum rule keeps the first argmax unless an
+    # two candidates inducing the same row partition have mathematically equal
+    # gains; the running-sum arithmetic separates them by rounding noise of
+    # order eps * parent, so ties are judged at a tolerance on that scale.
+    # The running-maximum rule (_kept) keeps the first argmax unless an
     # earlier candidate comes within tie_tol of the maximum; those nodes
     # take the rule itself
     best = G.argmax(axis=1)

@@ -94,18 +94,19 @@ def test_one_best_split_call_per_candidate_leaf(monkeypatch, rng):
     for j, (args, kwargs, result) in enumerate(calls):
         rows = [i for i, p in enumerate(paths) if j in p]
         assert kwargs == {} and len(args) == 4
-        np.testing.assert_array_equal(args[0], X[rows])
+        Z, _, zy, zrows = args[0]
+        np.testing.assert_array_equal(Z[zrows], X[rows])
+        np.testing.assert_array_equal(zy[zrows], y[rows])
         np.testing.assert_array_equal(args[1], y[rows])
         assert list(args[2]) == list(features) and args[3] == 8
         assert cells(args, kwargs, result) == len(rows) * 2
 
 
-def test_presorted_searches_make_the_same_calls_and_cells(monkeypatch, rng):
-    """In a presorted fit each candidate leaf still makes one positional
-    `best_split` call, with the y rows, features and min_samples_leaf of a
-    fit that sorts at every node, so `tree.best_split.*` counts the same; its
-    first argument is the leaf's presorted columns, or None where the leaf
-    is too small to split."""
+def test_ranked_searches_make_the_same_calls_and_cells(monkeypatch, rng):
+    """fit_gbdt's trees search rows of one ranking of X, yet each candidate
+    leaf still makes one positional `best_split` call, with the y rows,
+    features and min_samples_leaf of a fit whose every tree ranks its own
+    bag, so `tree.best_split.*` counts the same."""
     calls = []
     search = vollab.tree.best_split
 
@@ -119,22 +120,16 @@ def test_presorted_searches_make_the_same_calls_and_cells(monkeypatch, rng):
     for fit in (median_loop_fit_gbdt, fit_gbdt):
         calls.append([])
         fit(X, y, p)
-    plain, presorted = calls
+    plain, ranked = calls
     cells = load_launch()._best_split_cells
-    assert len(plain) == len(presorted) > 6 * 3
-    assert any(args[0] is None for args, _ in presorted)
-    for (want, _), (got, kwargs) in zip(plain, presorted):
+    assert len(plain) == len(ranked) > 6 * 3
+    assert any(len(args[1]) < 2 * args[3] for args, _ in ranked)
+    for (want, _), (got, kwargs) in zip(plain, ranked):
         assert kwargs == {} and len(got) == 4
         assert got[1].tobytes() == want[1].tobytes() and got[2:] == want[2:]
         assert cells(got, kwargs, None) == cells(want, {}, None)
-        if len(got[1]) < 2 * got[3]:
-            assert got[0] is None
-            continue
-        cols = want[0].T[sorted(want[2])]
-        order = cols.argsort(axis=1, kind="stable")
-        xs, ys = got[0]
-        np.testing.assert_array_equal(xs, np.take_along_axis(cols, order, axis=1))
-        np.testing.assert_array_equal(ys, want[1][order])
+        (Z, _, _, rows), (W, _, _, wrows) = got[0], want[0]
+        np.testing.assert_array_equal(Z[rows], W[wrows])
 
 
 def test_one_fit_gbdt_call_per_distinct_key(monkeypatch):

@@ -23,7 +23,7 @@ from vollab.tree import (
     fit_forest,
     fit_regression_tree,
     predict_tree,
-    presort,
+    rank_columns,
 )
 
 
@@ -90,6 +90,12 @@ def split_cases(draw):
     return X, y, features, draw(st.integers(1, 12))
 
 
+# tied feature values whose rows' targets sum to other bits in another order:
+# the gain is the scan's only if tied rows keep their row order
+TIED_ROWS = (np.array([[0.0], [1.0], [0.0], [1.0], [0.0], [2.0], [1.0], [0.0], [2.0], [1.0]]),
+             np.array([0.3, 1.7, 0.1, 1.1, 0.7, 2.9, 1.3, 0.2, 3.3, 0.9]), [0], 1)
+
+
 class TestBestSplit:
     def test_matches_exhaustive_oracle(self, rng):
         for _ in range(30):
@@ -97,14 +103,19 @@ class TestBestSplit:
             m = int(rng.integers(1, 5))
             X = rng.normal(size=(n, m))
             y = rng.normal(size=n)
-            got = best_split(X, y, range(m), 2)
-            want = exhaustive_best_split(X, y, np.arange(n), range(m), 2)
-            if want is None:
-                assert got is None
-            else:
-                assert got[1] == want[1]
-                assert got[2] == pytest.approx(want[2], abs=1e-12)
-                assert got[0] == pytest.approx(want[0], rel=1e-9, abs=1e-9)
+            # no feature finds no split; an unsorted list with a repeated
+            # index searches the sorted one
+            unsorted = [*rng.permutation(m).tolist(), m - 1]
+            for features in (range(m), [], unsorted):
+                got = best_split(X, y, features, 2)
+                want = exhaustive_best_split(X, y, np.arange(n), features, 2)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got[1] == want[1]
+                    assert got[2] == pytest.approx(want[2], abs=1e-12)
+                    assert got[0] == pytest.approx(want[0], rel=1e-9, abs=1e-9)
+            assert best_split(X, y, unsorted, 2) == best_split(X, y, range(m), 2)
 
     def test_threshold_is_midpoint(self):
         X = np.array([[1.0], [3.0], [10.0], [12.0]])
@@ -141,6 +152,7 @@ class TestBestSplit:
             assert f == 0
 
     @given(split_cases())
+    @example(TIED_ROWS)
     @settings(max_examples=300, deadline=None)
     def test_equals_the_threshold_scan(self, case):
         got, want = best_split(*case), scan_best_split(*case)
@@ -345,32 +357,28 @@ def same_node_arrays(got, want):
     assert got.to_json() == want.to_json()
 
 
-class TestPresortedSearch:
-    """A search on presorted columns, and a growth that filters them, equal
-    the sorting ones: on ascending rows a stable argsort is the stable
-    order of all rows, filtered."""
+class TestRankedSearch:
+    """A search on rows of a ranked matrix, and a growth that searches them,
+    equal the ones that rank the node's own rows: ranks order a column as
+    its values do, with ties equal, and ties keep the node's row order."""
 
-    @given(split_cases())
+    @given(split_cases(), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_best_split_on_presorted_columns(self, case):
-        X, y, features, msl = case
-        order, values = presort(X)
-        fs = sorted(features)
-        got = best_split((values[fs], y[order[fs]]), y, features, msl)
-        want = best_split(X, y, features, msl)
+    def test_best_split_on_ranked_rows(self, case, seed, ascending):
+        Z, zy, features, msl = case
+        r = np.random.default_rng(seed)
+        rows = r.permutation(len(Z))[:r.integers(1, len(Z) + 1)]
+        if ascending:
+            rows.sort()
+        got = best_split((Z, rank_columns(Z), zy, rows), zy[rows], features, msl)
+        want = best_split(Z[rows], zy[rows], features, msl)
         assert repr(got) == repr(want)
-
-    def test_presort_is_stable(self):
-        X = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, -1.0], [0.0, 0.0]])
-        order, values = presort(X)
-        assert order.tolist() == [[1, 3, 0, 2], [2, 0, 1, 3]]
-        assert values.tolist() == [[0.0, 0.0, 1.0, 1.0], [-1.0, 0.0, 0.0, 0.0]]
 
     @given(growth_cases(), st.integers(0, 2**32 - 1), st.sampled_from([0.4, 0.9, 1.0]))
     @settings(max_examples=300, deadline=None)
-    def test_presorted_growth(self, case, seed, kept):
-        """The tree of Z[rows] grown from presort(Z), with the searches it
-        makes, equals the sorting growth's, on every node array."""
+    def test_ranked_growth(self, case, seed, kept):
+        """The tree of Z[rows] grown from rank_columns(Z), with the searches
+        it makes, equals the growth that ranks X, on every node array."""
         Z, y, limits, fraction, tree_seed = case
         r = np.random.default_rng(seed)
         rows = np.flatnonzero(r.random(len(Z)) < kept)
@@ -383,13 +391,12 @@ class TestPresortedSearch:
             searches[-1].append((ys.tobytes(), list(features), min_samples_leaf))
             return search(x, ys, features, min_samples_leaf)
 
-        order, values = presort(Z)
+        ranked = (Z, rank_columns(Z), rows)
         trees = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(vollab.tree, "best_split", recording)
-            for kwargs in ({}, {"presorted": (order, values, rows)},
-                           {"presorted": (order, values, rows),
-                            "draw": feature_draw(Z.shape[1], tree_seed)}):
+            for kwargs in ({}, {"ranked": ranked},
+                           {"ranked": ranked, "draw": feature_draw(Z.shape[1], tree_seed)}):
                 searches.append([])
                 trees.append(fit_regression_tree(X, y, limits, fraction, tree_seed, **kwargs))
         for got in trees[1:]:
