@@ -9,8 +9,9 @@ row/column subsampling follow the ensemble parameters.
 fit_gbdt boosts one ensemble tree by tree.  fit_gbdt_slices takes many
 fits on many training slices and, given enough slices, boosts them in
 lockstep, round by round, with the same bits: in each round the trees of
-many fits grow in one batched search (tree.grow_trees).  Given fewer, it
-fits each through fit_gbdt.
+all its fits, whatever their limits, grow in one tree.grow_trees call,
+each on its own positions of one target vector.  Given fewer, it fits
+each through fit_gbdt.
 """
 
 from __future__ import annotations
@@ -190,47 +191,56 @@ def slice_runs(sizes, width: int) -> list[int]:
 
 
 class _Group:
-    """Fits boosted together: at most one per slice, all with one feature
-    count, leaves, max_depth, min_gain, learning_rate and rounds.  Holds the
-    fits' rows of the stack, their running predictions F and their block
-    forecasts."""
+    """The fits boosted together: every fit of the call with one rounds.  A
+    fit's sample is its slice's rows, laid side by side with the other fits'
+    in one target vector: position p is stack row rows[p].  Holds each
+    position's target Y and running prediction F, each fit's block
+    forecast Fb and its tree limits."""
 
     def __init__(self, fits, stack, Y, offsets, sizes, bases):
         s = np.array([f[0] for f in fits])
         params = [f[2] for f in fits]
-        p = params[0]
-        self.fits, self.slices, self.p = fits, s, p
-        self.limits = TreeLimits(max_leaves=p.leaves, max_depth=p.max_depth, min_gain=p.min_gain)
-        self.msl = np.array([q.min_data for q in params])
+        self.fits, self.slices, self.rounds = fits, s, params[0].rounds
+        m = stack.shape[1]
+        self.n_features = np.array([max(1, math.ceil(p.feature_fraction * m)) for p in params])
+        # grow_trees' per-tree max_leaves, max_depth, min_samples_leaf and min_gain
+        self.limits = [np.array(v) for v in
+                       zip(*((p.leaves, p.max_depth, p.min_data, p.min_gain) for p in params))]
         n = sizes[s]
         self.k = np.array([_bag_size(q, c) if q.bagging_fraction < 1.0 else c
                            for q, c in zip(params, n.tolist())])
         T, total = len(fits), n.sum()
         tree = np.repeat(np.arange(T), n)
         self.rows = np.arange(total) - (n.cumsum() - n)[tree] + offsets[s][tree]
+        self.row_of = np.append(self.rows, len(stack) - 1).astype(np.int32)  # then the padding
         self.bag_size = self.k[tree]
         self.Y, self.F, self.Fb = Y[self.rows], bases[s][tree], bases[s]
         # the fits' rows, then their blocks (stack row N + s): the pairs each
         # tree descends
         self.pairs = np.concatenate((self.rows, len(Y) + s))
         self.tree = np.concatenate((tree, np.arange(T)))  # each pair's tree
+        self.rate = np.array([p.learning_rate for p in params])[:, None]
         width = self.k.max()
-        self.R = np.full((T, width), len(stack) - 1, dtype=np.int32)
+        self.R = np.full((T, width), total, dtype=np.int32)
         self.at = np.arange(width) < self.k[:, None]
-        self.n_features = max(1, math.ceil(p.feature_fraction * stack.shape[1]))
+        self.unread = np.arange(self.n_features.max()) >= self.n_features[:, None]
 
     def boost(self, stack, ranks, place, draws) -> None:
         """One round: grow each fit's tree on its bag, set its leaves to the
         median in-bag residuals and add it to F and the forecast."""
         sel = np.flatnonzero(place[self.rows] < self.bag_size)  # each bag, ascending
-        bag = self.rows[sel]
         resid = self.Y[sel] - self.F[sel]
-        y = np.zeros(len(stack))
-        y[bag] = np.sign(resid)
-        self.R[self.at] = bag
+        y = np.zeros(len(self.row_of))
+        y[sel] = np.sign(resid)
+        self.R[self.at] = sel
+        # each tree's sorted prefix of its slice's draw, then the feature
+        # count m, which sorts after every feature
+        features = draws[self.slices, :self.n_features.max()]
+        features[self.unread] = draws.shape[1]
+        features.sort(axis=1)
         feature, threshold, left, right, value, _, _ = grow_trees(
-            stack, ranks, y, self.R, self.k,
-            np.sort(draws[self.slices, :self.n_features], axis=1), self.limits, self.msl)
+            stack, ranks, y, self.R, self.k, features, self.n_features, *self.limits,
+            self.row_of)
         # the trees side by side: tree t's node j is node t * size + j
         size = feature.shape[1]
         shift = (np.arange(len(feature)) * size)[:, None]
@@ -242,9 +252,9 @@ class _Group:
         ranked = resid[np.lexsort((resid, in_bag))]
         counts = np.bincount(in_bag)
         j = counts.nonzero()[0]
-        value = value.ravel()
-        value[j] = _medians(ranked, counts[j])
-        step = self.p.learning_rate * value[leaf]
+        value.ravel()[j] = _medians(ranked, counts[j])
+        # fit_gbdt's learning_rate * value, node by node
+        step = (self.rate * value).ravel()[leaf]
         self.F += step[:len(self.rows)]
         self.Fb += step[len(self.rows):]
 
@@ -257,19 +267,17 @@ def fit_gbdt_slices(sizes, slices) -> list[list[float]]:
     order, and each is checked as fit_gbdt checks it (and its block as
     predict_gbdt does) and copied into one stack before the next is taken,
     so the first invalid slice raises what fit_gbdt raises on it.  The
-    params of one slice share its seed and bagging, so its fits share one
-    stream of round draws.
+    params of every slice must share its seed and bagging, so its fits share
+    one stream of round draws.
 
-    A fit is one (slice, p).  Fits are grouped so that a group holds at most
-    one fit per slice and one (feature count, leaves, max_depth, min_gain,
-    learning_rate, rounds); one target vector over the stack then serves
-    the whole group.  In round r the r-th trees of a group grow together
-    (tree.grow_trees), each with its fit's min_data, bag and feature draw;
+    A fit is one (slice, p).  The fits of one rounds form a group (_Group),
+    and in round r the r-th trees of all its fits grow together in one
+    tree.grow_trees call, each with its fit's bag, feature draw and limits;
     the leaf medians, the running predictions and the block forecasts are
-    array operations over the group (_Group.boost).  In a call of fewer
-    than LOCKSTEP_SLICES slices, and for a slice whose targets could
-    overflow a running prediction (where fit_gbdt can fail mid-fit on a nan
-    residual), each (slice, p) fits through fit_gbdt in its turn instead.
+    array operations over the group.  In a call of fewer than
+    LOCKSTEP_SLICES slices, and for a slice whose targets could overflow a
+    running prediction (where fit_gbdt can fail mid-fit on a nan residual),
+    each (slice, p) fits through fit_gbdt in its turn instead.
     """
     sizes = np.asarray(sizes, dtype=int)
     N, S = int(sizes.sum()), len(sizes)
@@ -291,14 +299,14 @@ def fit_gbdt_slices(sizes, slices) -> list[list[float]]:
             raise VollabError(f"expected {m} features, got {len(block)}")
         if n != sizes[s]:
             raise VollabError(f"slice {s} has {n} rows, not {sizes[s]}")
+        if len({(p.seed, p.bagging_fraction < 1.0) for p in params}) > 1:
+            raise VollabError("the fits of one slice must share its seed and bagging")
         # a round at most doubles max |F| and adds max |y|: under this bound
         # no residual, nor the sum of two, reaches inf
         bound = math.ldexp(np.finfo(float).max, -max(p.rounds for p in params) - 2)
         if S < LOCKSTEP_SLICES or not np.abs(y).max() <= bound:
             out.append([float(predict_gbdt(fit_gbdt(X, y, p), block)) for p in params])
             continue
-        if len({(p.seed, p.bagging_fraction < 1.0) for p in params}) > 1:
-            raise VollabError("the fits of one slice must share its seed and bagging")
         if stack is None:
             stack, Y = np.zeros((N + S + 1, m)), np.zeros(N)
             stack[-1] = np.inf  # sorts after every real value
@@ -309,25 +317,22 @@ def fit_gbdt_slices(sizes, slices) -> list[list[float]]:
         out.append([None] * len(params))
     if not fits:
         return out
-    groups, seen = {}, {}
-    for s, i, p in fits:
-        cls = (max(1, math.ceil(p.feature_fraction * m)), p.leaves, p.max_depth, p.min_gain,
-               p.learning_rate, p.rounds)
-        seen[s, cls] = nth = seen.get((s, cls), -1) + 1
-        groups.setdefault((cls, nth), []).append((s, i, p))
-    groups = [_Group(g, stack, Y, offsets, sizes, bases) for g in groups.values()]
+    by_rounds = {}
+    for fit in fits:
+        by_rounds.setdefault(fit[2].rounds, []).append(fit)
+    groups = [_Group(g, stack, Y, offsets, sizes, bases) for g in by_rounds.values()]
     ranks = rank_columns(stack)
     # each row's place in its slice's round permutation: the bag of k rows
     # is the rows placed below k, which are sort(perm[:k]) in row order
     place = np.zeros(N, dtype=np.intp)
     draws = np.zeros((S, m), dtype=np.intp)
-    for r in range(max(g.p.rounds for g in groups)):
+    for r in range(max(by_rounds)):
         for s, stream in streams.items():
             perm, _, draws[s] = next(stream)
             if perm is not None:
                 place[offsets[s] + perm] = np.arange(len(perm))
         for g in groups:
-            if r < g.p.rounds:
+            if r < g.rounds:
                 g.boost(stack, ranks, place, draws)
     for g in groups:
         for (s, i, _), forecast in zip(g.fits, g.Fb.tolist()):

@@ -5,9 +5,12 @@ grows one tree and scores each node with best_split, a one-node batched
 search; a lone boosting fit uses it.  grow_trees grows many trees in
 lockstep and scores all the leaves one growth step opens in one batched
 search; each of its trees equals fit_regression_tree's on the same sample,
-bit for bit.  The random-forest feature selector grows its forest through
-it (fit_forest), and so does the boosting lockstep, one round of many fits
-at a time.  The rule: splits scan the midpoints between sorted unique
+bit for bit.  A tree's sample there is a set of positions in one target
+vector, each mapped to a row of X, and each tree carries its own limits
+(leaves, depth, leaf size, gain and feature count).  The random-forest
+feature selector grows its forest through it (fit_forest, where a position
+is its row), and so does the boosting lockstep, one round of every fit at a
+time.  The rule: splits scan the midpoints between sorted unique
 feature values; the gain is the reduction in total squared error;
 thresholds route strictly-less to the left; a node's candidates rank by
 feature, then threshold, and a later one wins only if its gain is larger
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -157,8 +160,8 @@ def best_split(X, y, features, min_samples_leaf: int):
     if n < 2 * min_samples_leaf or not fs:
         return None
     Z, ranks, zy, rows = X if isinstance(X, tuple) else (X, rank_columns(X), y, np.arange(n))
-    g, f, thr = _batched_split(Z, ranks, zy, rows[None], np.array([n]), np.array([fs]),
-                               np.array([_sse(y)]), np.array([min_samples_leaf]))
+    g, f, thr = _batched_split(Z, ranks, zy[rows][None], rows[None], np.array([n]),
+                               np.array([fs]), np.array([_sse(y)]), np.array([min_samples_leaf]))
     return None if g[0] == -np.inf else (g[0], int(f[0]), thr[0])
 
 
@@ -255,9 +258,11 @@ _PAD_RATIO = 1.5
 
 def _sums(y, rows, counts):
     """Each node's target sum and squared error about its mean, with the bits
-    of fit_regression_tree's and _sse's 1-D sums: the nodes of one row count
-    are summed as the rows of one C-contiguous array (padding would change
-    the pairwise summation)."""
+    of fit_regression_tree's and _sse's 1-D sums: node r's targets are
+    y[rows[r, :counts[r]]], and the nodes of one row count are summed as the
+    rows of one C-contiguous array (padding would change the pairwise
+    summation), its deviations written in place.  A gather of every node's
+    padded rows at once raised the forest's peak RSS by 0.5 MB."""
     total, sse = np.empty((2, len(counts)))
     by_count = counts.argsort(kind="stable")
     starts = np.flatnonzero(np.diff(counts[by_count], prepend=-1))
@@ -265,23 +270,24 @@ def _sums(y, rows, counts):
         c = counts[at[0]]
         Y = y[rows[at, :c]]
         s = Y.sum(axis=1)
-        d = Y - (s / c)[:, None]
-        total[at], sse[at] = s, (d * d).sum(axis=1)
+        Y -= (s / c)[:, None]
+        Y *= Y
+        total[at], sse[at] = s, Y.sum(axis=1)
     return total, sse
 
 
-def _batched_split(X, ranks, y, rows, counts, features, parent, msl):
+def _batched_split(X, ranks, Y, rows, counts, features, parent, msl):
     """The best split of many nodes at once: (gain, feature, threshold)
     arrays, gain -inf where a node has no split.
 
-    Node r's rows are rows[r, :counts[r]] and its split must leave msl[r]
-    rows on each side.  Padding appears only when the nodes' counts differ:
-    each shorter node is filled out with the index of a row of +inf
-    features and 0 target.  Columns are sorted by their ranks (ranks[f]
-    orders X[:, f] with ties equal), then by position, so every node's own
-    rows come in stable sorted order and the padding after them.  The gain
-    of a split is the reduction in squared error, from running sums of y
-    and y * y along that order.
+    Node r's rows of X are rows[r, :counts[r]], their targets Y[r,
+    :counts[r]], and its split must leave msl[r] rows on each side.  Padding
+    appears only when the nodes' counts differ: each shorter node is filled
+    out with the index of a row of +inf features and a 0 target.  Columns
+    are sorted by their ranks (ranks[f] orders X[:, f] with ties equal),
+    then by position, so every node's own rows come in stable sorted order
+    and the padding after them.  The gain of a split is the reduction in
+    squared error, from running sums of Y and Y * Y along that order.
     """
     N, L = rows.shape
     k = features.shape[1]
@@ -305,7 +311,7 @@ def _batched_split(X, ranks, y, rows, counts, features, parent, msl):
     del keys
     # order by flat index into rows: row node starts at node * L
     order += (np.arange(N, dtype=order.dtype) * L)[:, None, None]
-    sy = y[rows].take(order)
+    sy = Y.take(order)
     sq = sy * sy
     sy.cumsum(axis=2, out=sy)
     sq.cumsum(axis=2, out=sq)
@@ -355,29 +361,36 @@ def rank_columns(X) -> np.ndarray:
     return ranks
 
 
-def grow_trees(X, ranks, y, R, sizes, draws, limits: TreeLimits, msl) -> tuple:
+def grow_trees(X, ranks, y, R, sizes, draws, n_features, max_leaves, max_depth,
+               min_samples_leaf, min_gain, row_of=None) -> tuple:
     """Grow one tree per row of R, all in lockstep.  Returns the node arrays
     (feature, threshold, left, right, value, n_samples, gain), one row per
     tree, with fit_regression_tree's node ids.
 
-    Tree t grows on rows R[t, :sizes[t]] of X and y, searches the sorted
-    features draws[t], and keeps at least msl[t] rows a leaf; limits gives
-    the other bounds, the same for every tree.  The last row of X is
-    padding: +inf features and target 0; it fills R past each size.  ranks
-    is rank_columns(X).  Each step, every tree that can still grow splits
-    its best leaf (maximal gain, then the lower id), and all the new
-    children of all the trees are scored by one batched search
-    (_batched_split), so tree t equals fit_regression_tree's on its rows,
-    draw and min_samples_leaf node for node and bit for bit.
+    A tree's sample is a set of positions in the target vector y: tree t
+    grows on positions R[t, :sizes[t]], whose rows of X are row_of[R[t,
+    :sizes[t]]] (the positions themselves when row_of is None).  Each tree
+    has its own limits, one array entry per tree: it searches the sorted
+    features draws[t, :n_features[t]], keeps at least min_samples_leaf[t]
+    positions a leaf, grows at most max_leaves[t] leaves and max_depth[t]
+    levels (-1 = unbounded), and opens a split only at a gain of
+    min_gain[t] or more.  The last position of y is padding: target 0,
+    mapped to the last row of X, which is +inf features; it fills R past
+    each size.  ranks is rank_columns(X).  Each step, every tree that can
+    still grow splits its best leaf (maximal gain, then the lower id), and
+    all the new children of all the trees are scored by batched searches
+    (_batched_split) of one feature count and similar row counts, so tree t
+    equals fit_regression_tree's on its rows, draw and limits node for node
+    and bit for bit.
     """
-    n = len(X) - 1  # the padding row
+    pad = len(y) - 1
     T, width = R.shape
-    k = draws.shape[1]
+    msl = min_samples_leaf
     # the leaf holding each sample position
     leaf = np.where(np.arange(width) < sizes[:, None], np.int32(0), np.int32(-1))
-    # a leaf keeps msl rows, so a tree has at most width // msl leaves
-    size = 2 * min(limits.max_leaves, max(1, width // int(msl.min()))) - 1
-    # int32 node ids, features, depths and counts: each is below n + size
+    # a leaf keeps msl[t] positions, so tree t has at most sizes[t] // msl[t] leaves
+    size = 2 * int(np.minimum(max_leaves, np.maximum(1, sizes // msl)).max()) - 1
+    # int32 node ids, features, depths and counts: each is below len(y) + size
     # or the feature count
     feature, left, right, depth = np.full((4, T, size), -1, dtype=np.int32)
     threshold, value, gain = np.zeros((3, T, size))
@@ -386,35 +399,38 @@ def grow_trees(X, ranks, y, R, sizes, draws, limits: TreeLimits, msl) -> tuple:
     open_feature = np.zeros((T, size), dtype=np.int32)
     open_threshold = np.zeros((T, size))
 
+    def rows_of(positions):
+        return positions if row_of is None else row_of[positions]
+
     def add_leaves(trees, ids, rows, counts, depths, expand):
         total, sse = _sums(y, rows, counts)
         value[trees, ids], n_samples[trees, ids], depth[trees, ids] = total / counts, counts, depths
-        if not expand:
-            return
-        go = counts >= 2 * msl[trees]
-        if limits.max_depth >= 0:
-            go &= depths < limits.max_depth
-        go = np.flatnonzero(go)
-        go = go[counts[go].argsort(kind="stable")]
+        bound = max_depth[trees]
+        go = np.flatnonzero(expand & (counts >= 2 * msl[trees]) & ((bound < 0) | (depths < bound)))
+        k = n_features[trees[go]]
+        order = np.lexsort((counts[go], k))  # by feature count, then row count
+        go, k = go[order], k[order]
         start = 0
-        while start < len(go):  # chunks of nodes of similar row counts
-            c = counts[go[start:]]
-            cells = np.arange(1, len(c) + 1) * c * k
+        while start < len(go):  # chunks of one feature count and similar row counts
+            kk = int(k[start])
+            c = counts[go[start:start + np.searchsorted(k[start:], kk, "right")]]
+            cells = np.arange(1, len(c) + 1) * c * kk
             stop = min(np.searchsorted(cells, _SEARCH_CELLS, "right"),
                        np.searchsorted(c, c[0] * _PAD_RATIO, "right"))
             chunk = go[start:start + max(1, stop)]
             start += len(chunk)
             t, j = trees[chunk], ids[chunk]
-            g, f, thr = _batched_split(X, ranks, y, rows[chunk, :counts[chunk[-1]]], counts[chunk],
-                                       draws[t], sse[chunk], msl[t])
-            ok = g >= limits.min_gain
+            at = rows[chunk, :counts[chunk[-1]]]
+            g, f, thr = _batched_split(X, ranks, y[at], rows_of(at), counts[chunk],
+                                       draws[t, :kk], sse[chunk], msl[t])
+            ok = g >= min_gain[t]
             t, j = t[ok], j[ok]
             open_gain[t, j], open_feature[t, j], open_threshold[t, j] = g[ok], f[ok], thr[ok]
 
     add_leaves(np.arange(T), np.zeros(T, dtype=int), R, sizes, np.zeros(T, dtype=int),
-               limits.max_leaves > 1)
+               max_leaves > 1)
     count = 1  # nodes of every tree still growing
-    while (count + 1) // 2 < limits.max_leaves:
+    while True:
         j = open_gain.argmax(axis=1)  # max gain, then the lower id
         t = np.flatnonzero(open_gain[np.arange(T), j] > -np.inf)
         if t.size == 0:
@@ -425,21 +441,25 @@ def grow_trees(X, ranks, y, R, sizes, draws, limits: TreeLimits, msl) -> tuple:
         left[t, j], right[t, j] = count, count + 1
         open_gain[t, j] = -np.inf
         Rt, here = R[t], leaf[t] == j[:, None]
-        goes_left = X[Rt, f[:, None]] < thr[:, None]
-        # the children, left then right, each with its rows in sample order
+        goes_left = X[rows_of(Rt), f[:, None]] < thr[:, None]
+        # the children, left then right, each with its positions in sample order
         side = np.concatenate((here & goes_left, here & ~goes_left))
         del here, goes_left
         node, pos = np.nonzero(side)
         leaf[t[node % len(t)], pos] = count + node // len(t)
         counts = np.bincount(node, minlength=len(side))
-        rows = np.full((len(side), counts.max()), n, dtype=np.int32)
+        rows = np.full((len(side), counts.max()), pad, dtype=np.int32)
         rows[node, np.arange(len(node)) - (counts.cumsum() - counts)[node]] = Rt[node % len(t), pos]
         # the step's masks and gathers are not read again: free them before
         # the children's search
         del Rt, side, node, pos
         count += 2
+        # a tree at its leaf limit splits no more: its children stay
+        # unsearched and its open leaves close
+        full = (count + 1) // 2 >= max_leaves[t]
+        open_gain[t[full]] = -np.inf
         add_leaves(np.concatenate((t, t)), np.repeat([count - 2, count - 1], len(t)), rows,
-                   counts, np.tile(depth[t, j] + 1, 2), (count + 1) // 2 < limits.max_leaves)
+                   counts, np.tile(depth[t, j] + 1, 2), np.tile(~full, 2))
     return feature, threshold, left, right, value, n_samples, gain
 
 
@@ -473,8 +493,9 @@ def fit_forest(X, y, samples, seeds, limits: TreeLimits | None = None,
     # int32 sample rows: they count at most n + 1 rows
     R = np.full((T, sizes.max()), n, dtype=np.int32)  # each tree's sample, padded
     R[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(samples)
-    arrays = grow_trees(X, rank_columns(X), np.append(y, 0.0), R, sizes, draws, limits,
-                        np.full(T, limits.min_samples_leaf))
+    # one limit per tree; a position is its row, and row n's target is 0
+    arrays = grow_trees(X, rank_columns(X), np.append(y, 0.0), R, sizes, draws,
+                        *(np.full(T, v) for v in (k, *astuple(limits))))
     n_nodes = 1 + 2 * (arrays[0] >= 0).sum(axis=1)  # a split adds two nodes
     # the trees get fit_regression_tree's int64 copies
     return [RegressionTree(*(a[i, :c].astype(int if a.dtype == np.int32 else float)

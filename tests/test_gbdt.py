@@ -237,14 +237,19 @@ class TestSharedSlice:
 
 def lockstep_case(rng, sizes, width, tied, signed_zeros, bagging):
     """Slices of the given row counts and their fits.  Each fit takes one of
-    a few shapes (leaves, max_depth, feature_fraction, min_gain, rounds),
-    so fits of many slices share a group, with min_data drawn per fit; a
-    slice may take one shape twice."""
-    shapes = [(int(rng.integers(2, 6)), int(rng.choice([-1, 1, 2])),
-               float(rng.choice([0.5, 1.0])), float(rng.choice([0.0, 0.01])),
-               int(rng.integers(1, 7))) for _ in range(2)]
+    three or four shapes (leaves, max_depth, feature_fraction, min_gain,
+    learning_rate) that differ in every one of them; two shapes share their
+    rounds and another has its own, so one round grows trees of many shapes
+    and a call boosts more than one rounds.  min_data is drawn per fit.
+    Slice 0 takes every shape, and each other slice one to three, a shape
+    possibly twice."""
+    count = int(rng.integers(3, 5))
+    few, many = rng.choice(np.arange(1, 7), size=2, replace=False).tolist()
+    shapes = list(zip(*(rng.permutation(values)[:count].tolist() for values in (
+        [2, 3, 4, 6], [-1, 0, 1, 2], [0.25, 0.5, 0.75, 1.0], [0.0, 0.01, 0.1, 0.5],
+        [0.1, 0.3, 0.5, 1.0], [few, few, many, many]))))
     slices = []
-    for n in sizes:
+    for s, n in enumerate(sizes):
         X = rng.normal(size=(n, width))
         if tied:
             X = np.round(X)
@@ -253,12 +258,14 @@ def lockstep_case(rng, sizes, width, tied, signed_zeros, bagging):
         if signed_zeros:  # mostly +0.0 and -0.0 targets: residuals of either sign
             y = np.where(rng.random(n) < 0.7, rng.choice([-0.0, 0.0], n), np.round(y))
         seed = int(rng.integers(0, 2**63 - 1))
+        taken = (rng.permutation(count) if s == 0
+                 else rng.integers(0, count, size=rng.integers(1, 4)))
         params = [GbdtParams(leaves=leaves, max_depth=depth, feature_fraction=fraction,
-                             min_gain=gain, rounds=rounds, learning_rate=0.3,
+                             min_gain=gain, learning_rate=rate, rounds=rounds,
                              min_data=int(rng.integers(1, n // 2 + 1)),
                              bagging_fraction=0.9 if bagging else 1.0, seed=seed)
-                  for leaves, depth, fraction, gain, rounds in
-                  (shapes[int(i)] for i in rng.integers(0, 2, size=rng.integers(1, 4)))]
+                  for leaves, depth, fraction, gain, rate, rounds in
+                  (shapes[int(i)] for i in taken)]
         slices.append((X, y, rng.normal(size=width), params))
     return slices
 
@@ -275,7 +282,7 @@ class TestLockstep:
 
     @settings(max_examples=150, deadline=None)
     @given(sizes=st.lists(st.integers(6, 130), min_size=1, max_size=40),
-           seed=st.integers(0, 2**32 - 1), width=st.integers(1, 4), tied=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), width=st.integers(1, 5), tied=st.booleans(),
            signed_zeros=st.booleans(), bagging=st.booleans())
     def test_equals_fit_gbdt_per_fit(self, sizes, seed, width, tied, signed_zeros, bagging):
         slices = lockstep_case(np.random.default_rng(seed), sizes, width, tied, signed_zeros,
@@ -323,6 +330,24 @@ class TestLockstep:
             with pytest.raises(VollabError, match="share its seed and bagging"):
                 fit_gbdt_slices([20], iter([(X, y, X[0], params)]))
 
+    def test_one_grow_trees_call_per_round_and_rounds(self, rng, monkeypatch):
+        # slice 0 of a case holds every shape: three or four shapes, two
+        # rounds values, one grow_trees call per round of each
+        calls = []
+        original = gbdt.grow_trees
+
+        def counted(*args):
+            calls.append(len(args[3]))  # the trees grown
+            return original(*args)
+
+        monkeypatch.setattr(gbdt, "grow_trees", counted)
+        slices = lockstep_case(rng, [30, 40, 35, 50], 4, False, False, True)
+        fits = [p for _, _, _, params in slices for p in params]
+        rounds = {p.rounds for p in fits}
+        fit_gbdt_slices([30, 40, 35, 50], iter(slices))
+        assert len(rounds) == 2 and len(calls) == sum(rounds)
+        assert sum(calls) == sum(p.rounds for p in fits)
+
     def test_block_width_checked(self, rng):
         X, y = rng.normal(size=(20, 2)), rng.normal(size=20)
         with pytest.raises(VollabError, match="expected 2 features, got 3"):
@@ -332,6 +357,17 @@ class TestLockstep:
         monkeypatch.setattr(gbdt, "STACK_BYTES", 100 * 10 * 8)  # 100 rows of 10 features
         assert slice_runs([40, 60, 1, 150, 30, 30, 30], 10) == [2, 1, 1, 3]
         assert slice_runs([], 10) == []
+
+
+@pytest.mark.parametrize("other", [{"seed": 1}, {"bagging_fraction": 1.0}])
+def test_every_slice_shares_its_seed_and_bagging(rng, other):
+    # at the default LOCKSTEP_SLICES a one-slice call fits through fit_gbdt,
+    # and it used to take mismatched seeds and bagging without a word
+    X, y = rng.normal(size=(20, 2)), rng.normal(size=20)
+    params = [GbdtParams(min_data=3, rounds=2), GbdtParams(min_data=3, rounds=2, **other)]
+    assert gbdt.LOCKSTEP_SLICES > 1
+    with pytest.raises(VollabError, match="share its seed and bagging"):
+        fit_gbdt_slices([20], iter([(X, y, X[0], params)]))
 
 
 def test_gbdt_sweep_validation_peak_memory():

@@ -145,9 +145,12 @@ class TestRankingAndSelect:
 
 
 def test_cli_sized_forest_peak_memory():
-    # the ranking of a benchmark-sized run (400 days x 3 series, horizon 4):
-    # 500 trees of 31 to 156 rows; int64 indexes, and each growth step's
-    # masks held through the children's search, took 10.1 MB
+    """The ranking of a benchmark-sized run (400 days x 3 series, horizon 4):
+    500 trees of 31 to 156 rows.  Its traced peak measured 5.89 MB, and it
+    sets the set-up's peak, so the bound is that plus 10 %: 6.48 MB.  A
+    forest whose trees each held their own target matrix measured 7.92 MB;
+    int64 indexes, with each growth step's masks held through the
+    children's search, 10.1 MB."""
     cfg = parse_config({"data": {"synthetic": {"seed": 3, "n_days": 400, "n_series": 3}},
                         "horizon": 4, "top_k": 10})
     data = cli._engineer(cfg)
@@ -157,4 +160,4 @@ def test_cli_sized_forest_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8.5e6
+    assert peak < 6.48e6

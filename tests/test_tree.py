@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from vollab.tree import (
     feature_draw,
     fit_forest,
     fit_regression_tree,
+    grow_trees,
     predict_tree,
     rank_columns,
 )
@@ -482,6 +485,71 @@ class TestLockstepForest:
         for samples, seeds in (([np.arange(0)], [0]), ([np.arange(10)], [0, 1])):
             with pytest.raises(VollabError, match="a seed per non-empty sample"):
                 fit_forest(X, y, samples, seeds)
+
+
+@st.composite
+def positioned_cases(draw):
+    """(X, samples, targets, limits, fractions, seeds): trees with their own
+    rows of one matrix (duplicates and tied values included), their own
+    targets and their own limits and feature fractions."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 8))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = r.normal(size=(n, m))
+    rounded = r.random(m) < 0.5  # tied thresholds
+    X[:, rounded] = np.round(X[:, rounded])
+    T = draw(st.integers(1, 8))
+    samples = [r.integers(0, n, size=r.integers(1, n + 1)) if r.random() < 0.5
+               else np.sort(r.permutation(n)[:r.integers(1, n + 1)]) for _ in range(T)]
+    target = draw(st.sampled_from(["normal", "sign", "rounded"]))
+    targets = [{"normal": r.normal(size=len(s)),
+                "sign": r.integers(-1, 2, size=len(s)).astype(float),
+                "rounded": np.round(r.normal(size=len(s)), 1)}[target] for s in samples]
+    limits = [TreeLimits(max_leaves=int(r.integers(1, 20)), max_depth=int(r.integers(-1, 5)),
+                         min_samples_leaf=int(r.integers(1, 8)),
+                         min_gain=float(r.choice([0.0, 1e-3, 0.5])))
+              for _ in range(T)]
+    fractions = r.choice([0.2, 0.5, 0.8, 1.0], size=T).tolist()
+    seeds = r.integers(0, 2**63 - 1, size=T).tolist()
+    return X, samples, targets, limits, fractions, seeds
+
+
+class TestPerTreeLimits:
+    @given(positioned_cases(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_grow_trees_equals_fit_regression_tree(self, case, seed):
+        """grow_trees, each tree on its own positions of one shuffled target
+        vector with its own limits and feature count, grows each tree as
+        fit_regression_tree does on that tree's rows and targets."""
+        X, samples, targets, limits, fractions, seeds = case
+        n, m = X.shape
+        T = len(samples)
+        sizes = np.array([len(s) for s in samples])
+        # tree t's i-th sample takes a shuffled position; the last is padding
+        place = np.random.default_rng(seed).permutation(sizes.sum())
+        positions = np.split(place, sizes.cumsum()[:-1])
+        y = np.zeros(sizes.sum() + 1)
+        row_of = np.full(sizes.sum() + 1, n, dtype=np.int32)
+        R = np.full((T, sizes.max()), sizes.sum(), dtype=np.int32)
+        for t, (pos, s, ys) in enumerate(zip(positions, samples, targets)):
+            y[pos], row_of[pos], R[t, :len(pos)] = ys, s, pos
+        k = np.array([max(1, math.ceil(f * m)) for f in fractions])
+        draws = np.full((T, m), m)
+        for t, tree_seed in enumerate(seeds):
+            draws[t, :k[t]] = np.sort(feature_draw(m, tree_seed)[:k[t]])
+        Xp = np.vstack((X, np.full(m, np.inf)))
+        per_tree = [np.array([getattr(lim, name) for lim in limits]) for name in
+                    ("max_leaves", "max_depth", "min_samples_leaf", "min_gain")]
+        arrays = grow_trees(Xp, rank_columns(Xp), y, R, sizes, draws, k, *per_tree, row_of)
+        for t in range(T):
+            want = fit_regression_tree(X[samples[t]], targets[t], limits[t], fractions[t],
+                                       seeds[t])
+            c = len(want.feature)
+            assert (arrays[0][t, c:] == -1).all()  # no node past the tree's own
+            got = RegressionTree(*(a[t, :c].astype(int if a.dtype == np.int32 else float)
+                                   for a in arrays), m)
+            same_node_arrays(got, want)
+            assert got.to_json() == want.to_json()
 
 
 class TestApplyAndGains:
