@@ -7,11 +7,11 @@ it contains, which is the leaf-wise MAE minimizer.  Shrinkage and seeded
 row/column subsampling follow the ensemble parameters.
 
 fit_gbdt boosts one ensemble tree by tree.  fit_gbdt_slices takes many
-fits on many training slices and, given enough slices, boosts them in
-lockstep, round by round, with the same bits: in each round the trees of
-all its fits, whatever their limits, grow in one tree.grow_trees call,
-each on its own positions of one target vector.  Given fewer, it fits
-each through fit_gbdt.
+fits of one rounds on many training slices and, given enough slices,
+boosts them in lockstep, round by round, with the same bits (_boost): in
+each round the trees of all its fits, whatever their limits, grow in one
+tree.grow_trees call, each on its own positions of one target vector.
+Given fewer, it fits each through fit_gbdt.
 """
 
 from __future__ import annotations
@@ -68,6 +68,16 @@ def _medians(ranked: np.ndarray, counts: np.ndarray) -> np.ndarray:
     # summing from +0.0: hence the + 0.0, which turns a -0.0 sum into +0.0
     pair = ranked[upper - 1 + odd] + np.where(odd, 0.0, ranked[upper]) + 0.0
     return pair / (2 - odd)
+
+
+def _leaf_medians(value: np.ndarray, leaf: np.ndarray, resid: np.ndarray) -> None:
+    """The MAE-exact leaf values: set value[j], for each leaf j that holds a
+    residual (resid[i] sits in leaf[i]), to the median of its residuals,
+    read off one stable sort of the residuals by (leaf, residual)."""
+    ranked = resid[np.lexsort((resid, leaf))]
+    counts = np.bincount(leaf)
+    j = counts.nonzero()[0]
+    value[j] = _medians(ranked, counts[j])
 
 
 def _round_draws(seed: int, n: int, m: int, bagging: bool):
@@ -127,14 +137,8 @@ def fit_gbdt(X, y, params: GbdtParams) -> GbdtModel:
         resid = y[sub] - F[sub]
         tree = fit_regression_tree(X[sub], np.sign(resid), limits, params.feature_fraction,
                                    tree_seed, draw=draw, ranked=(X, ranks, sub))
-        # MAE-exact leaf values: the median of each leaf's in-bag residuals,
-        # read off one sort of the residuals by (leaf, residual)
         leaf = tree.apply(X)
-        in_bag = leaf[sub]
-        ranked = resid[np.lexsort((resid, in_bag))]
-        counts = np.bincount(in_bag)
-        j = counts.nonzero()[0]
-        tree.value[j] = _medians(ranked, counts[j])
+        _leaf_medians(tree.value, leaf[sub], resid)
         model.trees.append(tree)
         F += params.learning_rate * tree.value[leaf]
     return model
@@ -190,73 +194,74 @@ def slice_runs(sizes, width: int) -> list[int]:
     return runs + [count] if count else runs
 
 
-class _Group:
-    """The fits boosted together: every fit of the call with one rounds.  A
-    fit's sample is its slice's rows, laid side by side with the other fits'
-    in one target vector: position p is stack row rows[p].  Holds each
-    position's target Y and running prediction F, each fit's block
-    forecast Fb and its tree limits."""
+def _boost(fits, stack, Y, offsets, sizes, bases, streams, rounds) -> list[float]:
+    """Boost the fits, (slice, index, params) triples, in lockstep for
+    rounds rounds and return each one's block forecast.
 
-    def __init__(self, fits, stack, Y, offsets, sizes, bases):
-        s = np.array([f[0] for f in fits])
-        params = [f[2] for f in fits]
-        self.fits, self.slices, self.rounds = fits, s, params[0].rounds
-        m = stack.shape[1]
-        self.n_features = np.array([max(1, math.ceil(p.feature_fraction * m)) for p in params])
-        # grow_trees' per-tree max_leaves, max_depth, min_samples_leaf and min_gain
-        self.limits = [np.array(v) for v in
-                       zip(*((p.leaves, p.max_depth, p.min_data, p.min_gain) for p in params))]
-        n = sizes[s]
-        self.k = np.array([_bag_size(q, c) if q.bagging_fraction < 1.0 else c
-                           for q, c in zip(params, n.tolist())])
-        T, total = len(fits), n.sum()
-        tree = np.repeat(np.arange(T), n)
-        self.rows = np.arange(total) - (n.cumsum() - n)[tree] + offsets[s][tree]
-        self.row_of = np.append(self.rows, len(stack) - 1).astype(np.int32)  # then the padding
-        self.bag_size = self.k[tree]
-        self.Y, self.F, self.Fb = Y[self.rows], bases[s][tree], bases[s]
-        # the fits' rows, then their blocks (stack row N + s): the pairs each
-        # tree descends
-        self.pairs = np.concatenate((self.rows, len(Y) + s))
-        self.tree = np.concatenate((tree, np.arange(T)))  # each pair's tree
-        self.rate = np.array([p.learning_rate for p in params])[:, None]
-        width = self.k.max()
-        self.R = np.full((T, width), total, dtype=np.int32)
-        self.at = np.arange(width) < self.k[:, None]
-        self.unread = np.arange(self.n_features.max()) >= self.n_features[:, None]
-
-    def boost(self, stack, ranks, place, draws) -> None:
-        """One round: grow each fit's tree on its bag, set its leaves to the
-        median in-bag residuals and add it to F and the forecast."""
-        sel = np.flatnonzero(place[self.rows] < self.bag_size)  # each bag, ascending
-        resid = self.Y[sel] - self.F[sel]
-        y = np.zeros(len(self.row_of))
+    A fit's sample is its slice's rows, laid side by side with the other
+    fits' in one target vector: position p is stack row rows[p].  In each
+    round the trees of all fits grow in one tree.grow_trees call, each with
+    its fit's bag, feature draw and limits; the leaf medians, the running
+    predictions F and the block forecasts Fb are array operations over all
+    fits."""
+    of = np.array([f[0] for f in fits])  # each fit's slice
+    params = [f[2] for f in fits]
+    N, m = len(Y), stack.shape[1]
+    n_features = np.array([max(1, math.ceil(p.feature_fraction * m)) for p in params])
+    # grow_trees' per-tree max_leaves, max_depth, min_samples_leaf and min_gain
+    limits = [np.array(v) for v in
+              zip(*((p.leaves, p.max_depth, p.min_data, p.min_gain) for p in params))]
+    n = sizes[of]
+    k = np.array([_bag_size(q, c) if q.bagging_fraction < 1.0 else c
+                  for q, c in zip(params, n.tolist())])
+    T, total = len(fits), n.sum()
+    tree = np.repeat(np.arange(T), n)
+    rows = np.arange(total) - (n.cumsum() - n)[tree] + offsets[of][tree]
+    row_of = np.append(rows, len(stack) - 1).astype(np.int32)  # then the padding
+    bag_size = k[tree]
+    target, F, Fb = Y[rows], bases[of][tree], bases[of]
+    # the fits' rows, then their blocks (stack row N + s): the pairs each
+    # tree descends, and each pair's tree
+    pairs = np.concatenate((rows, N + of))
+    tree = np.concatenate((tree, np.arange(T)))
+    rate = np.array([p.learning_rate for p in params])[:, None]
+    width = k.max()
+    R = np.full((T, width), total, dtype=np.int32)
+    at = np.arange(width) < k[:, None]
+    unread = np.arange(n_features.max()) >= n_features[:, None]
+    ranks = rank_columns(stack)
+    # each row's place in its slice's round permutation: the bag of k rows
+    # is the rows placed below k, which are sort(perm[:k]) in row order
+    place = np.zeros(N, dtype=np.intp)
+    draws = np.zeros((len(sizes), m), dtype=np.intp)
+    for _ in range(rounds):
+        for s, stream in streams.items():
+            perm, _, draws[s] = next(stream)
+            if perm is not None:
+                place[offsets[s] + perm] = np.arange(len(perm))
+        sel = np.flatnonzero(place[rows] < bag_size)  # each bag, ascending
+        resid = target[sel] - F[sel]
+        y = np.zeros(len(row_of))
         y[sel] = np.sign(resid)
-        self.R[self.at] = sel
+        R[at] = sel
         # each tree's sorted prefix of its slice's draw, then the feature
         # count m, which sorts after every feature
-        features = draws[self.slices, :self.n_features.max()]
-        features[self.unread] = draws.shape[1]
+        features = draws[of, :n_features.max()]
+        features[unread] = m
         features.sort(axis=1)
         feature, threshold, left, right, value, _, _ = grow_trees(
-            stack, ranks, y, self.R, self.k, features, self.n_features, *self.limits,
-            self.row_of)
+            stack, ranks, y, R, k, features, n_features, *limits, row_of)
         # the trees side by side: tree t's node j is node t * size + j
         size = feature.shape[1]
-        shift = (np.arange(len(feature)) * size)[:, None]
+        shift = (np.arange(T) * size)[:, None]
         leaf = descend(feature.ravel(), threshold.ravel(), (left + shift).ravel(),
-                       (right + shift).ravel(), stack, self.tree * size, self.pairs)
-        # fit_gbdt's leaf medians for every tree at once: one stable sort of
-        # the residuals by (tree, leaf, residual)
-        in_bag = leaf[sel]
-        ranked = resid[np.lexsort((resid, in_bag))]
-        counts = np.bincount(in_bag)
-        j = counts.nonzero()[0]
-        value.ravel()[j] = _medians(ranked, counts[j])
+                       (right + shift).ravel(), stack, tree * size, pairs)
+        _leaf_medians(value.ravel(), leaf[sel], resid)
         # fit_gbdt's learning_rate * value, node by node
-        step = (self.rate * value).ravel()[leaf]
-        self.F += step[:len(self.rows)]
-        self.Fb += step[len(self.rows):]
+        step = (rate * value).ravel()[leaf]
+        F += step[:total]
+        Fb += step[total:]
+    return Fb.tolist()
 
 
 def fit_gbdt_slices(sizes, slices) -> list[list[float]]:
@@ -268,23 +273,22 @@ def fit_gbdt_slices(sizes, slices) -> list[list[float]]:
     predict_gbdt does) and copied into one stack before the next is taken,
     so the first invalid slice raises what fit_gbdt raises on it.  The
     params of every slice must share its seed and bagging, so its fits share
-    one stream of round draws.
+    one stream of round draws, and every params of the call must share one
+    rounds.
 
-    A fit is one (slice, p).  The fits of one rounds form a group (_Group),
-    and in round r the r-th trees of all its fits grow together in one
-    tree.grow_trees call, each with its fit's bag, feature draw and limits;
-    the leaf medians, the running predictions and the block forecasts are
-    array operations over the group.  In a call of fewer than
-    LOCKSTEP_SLICES slices, and for a slice whose targets could overflow a
-    running prediction (where fit_gbdt can fail mid-fit on a nan residual),
-    each (slice, p) fits through fit_gbdt in its turn instead.
+    A fit is one (slice, p), and _boost boosts every fit of the call: in
+    round r the r-th trees of all fits grow together in one tree.grow_trees
+    call.  In a call of fewer than LOCKSTEP_SLICES slices, and for a slice
+    whose targets could overflow a running prediction (where fit_gbdt can
+    fail mid-fit on a nan residual), each (slice, p) fits through fit_gbdt
+    in its turn instead.
     """
     sizes = np.asarray(sizes, dtype=int)
     N, S = int(sizes.sum()), len(sizes)
     offsets = sizes.cumsum() - sizes
     out, fits, streams = [], [], {}
     bases = np.zeros(S)
-    stack = Y = None  # the slices' rows, then their blocks, then a padding row
+    stack = Y = rounds = None  # the slices' rows, then their blocks, then a padding row
     for s, (X, y, block, params) in enumerate(slices):
         if not params:
             out.append([])
@@ -301,9 +305,12 @@ def fit_gbdt_slices(sizes, slices) -> list[list[float]]:
             raise VollabError(f"slice {s} has {n} rows, not {sizes[s]}")
         if len({(p.seed, p.bagging_fraction < 1.0) for p in params}) > 1:
             raise VollabError("the fits of one slice must share its seed and bagging")
+        rounds = rounds or params[0].rounds
+        if any(p.rounds != rounds for p in params):
+            raise VollabError("the fits of one call must share their rounds")
         # a round at most doubles max |F| and adds max |y|: under this bound
         # no residual, nor the sum of two, reaches inf
-        bound = math.ldexp(np.finfo(float).max, -max(p.rounds for p in params) - 2)
+        bound = math.ldexp(np.finfo(float).max, -rounds - 2)
         if S < LOCKSTEP_SLICES or not np.abs(y).max() <= bound:
             out.append([float(predict_gbdt(fit_gbdt(X, y, p), block)) for p in params])
             continue
@@ -315,26 +322,8 @@ def fit_gbdt_slices(sizes, slices) -> list[list[float]]:
         streams[s] = _round_draws(params[0].seed, n, m, params[0].bagging_fraction < 1.0)
         fits += [(s, i, p) for i, p in enumerate(params)]
         out.append([None] * len(params))
-    if not fits:
-        return out
-    by_rounds = {}
-    for fit in fits:
-        by_rounds.setdefault(fit[2].rounds, []).append(fit)
-    groups = [_Group(g, stack, Y, offsets, sizes, bases) for g in by_rounds.values()]
-    ranks = rank_columns(stack)
-    # each row's place in its slice's round permutation: the bag of k rows
-    # is the rows placed below k, which are sort(perm[:k]) in row order
-    place = np.zeros(N, dtype=np.intp)
-    draws = np.zeros((S, m), dtype=np.intp)
-    for r in range(max(by_rounds)):
-        for s, stream in streams.items():
-            perm, _, draws[s] = next(stream)
-            if perm is not None:
-                place[offsets[s] + perm] = np.arange(len(perm))
-        for g in groups:
-            if r < g.rounds:
-                g.boost(stack, ranks, place, draws)
-    for g in groups:
-        for (s, i, _), forecast in zip(g.fits, g.Fb.tolist()):
+    if fits:
+        forecasts = _boost(fits, stack, Y, offsets, sizes, bases, streams, rounds)
+        for (s, i, _), forecast in zip(fits, forecasts):
             out[s][i] = forecast
     return out

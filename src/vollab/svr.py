@@ -11,7 +11,8 @@ MAX_PASSES passes.  The update loop runs over buffers allocated once per
 fit and refreshes only the two entries an update touches (see _smo); its
 iterates are bit for bit those of the plain formulas.  fit_svr_slices
 solves one state on many training slices in lockstep, and gives each
-slice exactly fit_svr's model.
+slice exactly the model the serial loop gives it; fit_svr is its
+one-slice call.
 """
 
 from __future__ import annotations
@@ -286,15 +287,10 @@ def fit_svr(X, y, params: SvrParams, tol: float = 1e-3) -> SvrModel:
     Each update raises the variable i with the largest lower bound on b by
     t and lowers the variable j with the smallest upper bound by t, where t
     is the Newton step on the violation, cut to keep both in their box.
-    The loop is _smo's.
+    The loop is _smo's: this is fit_svr_slices on one slice, which is at
+    most HANDOFF and so starts in _smo.  The model keeps copies of X and y.
     """
-    X, y, gamma, K = _checked_kernel(X, y, params)
-    n = len(y)
-    z, beta, f = np.zeros(2 * n), np.zeros(n), np.zeros(n)
-    history: list[float] = []
-    converged, passes = _smo(K, y, params.C, params.epsilon, tol, z, beta, f,
-                             1, max(2 * n, 10), False, history)
-    return _model(params, gamma, X.copy(), y.copy(), z, beta, f, converged, passes, history)
+    return fit_svr_slices([np.array(X, dtype=float)], [np.array(y, dtype=float)], params, tol)[0]
 
 
 def slice_runs(sizes) -> list[int]:
@@ -312,7 +308,7 @@ def slice_runs(sizes) -> list[int]:
 
 
 def fit_svr_slices(Xs, ys, params: SvrParams, tol: float = 1e-3) -> list[SvrModel]:
-    """fit_svr on each training slice (Xs[k], ys[k]), solved in lockstep.
+    """fit_svr's fit of each training slice (Xs[k], ys[k]), solved in lockstep.
 
     Every slice's signed dual z, beta, f, box, penalties and kernel rows sit
     in arrays padded to the longest slice; a padded variable has the box
@@ -321,9 +317,11 @@ def fit_svr_slices(Xs, ys, params: SvrParams, tol: float = 1e-3) -> list[SvrMode
     flat indexes, with t = 0 for a slice whose pass ends before its update.
     A pass's end (prune, objective, the stopping test) runs on each slice's
     unpadded views.  Once HANDOFF or fewer slices are live, each hands its
-    mid-pass state to _smo, which costs less per update on one slice.  The
-    models are bit for bit fit_svr's; slices are checked in order, so an
-    invalid slice raises what fit_svr raises on it.
+    mid-pass state to _smo, which costs less per update on one slice.  Each
+    model is bit for bit the one _smo reaches on its slice alone; slices are
+    checked in order, so the first invalid slice raises.  A model keeps its
+    slice's X and y, not copies, when they are already float arrays (X 2-D):
+    overwriting them afterwards changes its forecasts.
     """
     if len(Xs) != len(ys):
         raise VollabError("fit_svr_slices needs one target vector per slice")

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -236,18 +237,16 @@ class TestSharedSlice:
 
 
 def lockstep_case(rng, sizes, width, tied, signed_zeros, bagging):
-    """Slices of the given row counts and their fits.  Each fit takes one of
-    three or four shapes (leaves, max_depth, feature_fraction, min_gain,
-    learning_rate) that differ in every one of them; two shapes share their
-    rounds and another has its own, so one round grows trees of many shapes
-    and a call boosts more than one rounds.  min_data is drawn per fit.
-    Slice 0 takes every shape, and each other slice one to three, a shape
-    possibly twice."""
-    count = int(rng.integers(3, 5))
-    few, many = rng.choice(np.arange(1, 7), size=2, replace=False).tolist()
+    """Slices of the given row counts and their fits, all of one rounds.
+    Each fit takes one of three or four shapes (leaves, max_depth,
+    feature_fraction, min_gain, learning_rate) that differ in every one of
+    them, so one round grows trees of many shapes.  min_data is drawn per
+    fit.  Slice 0 takes every shape, and each other slice one to three, a
+    shape possibly twice."""
+    count, rounds = int(rng.integers(3, 5)), int(rng.integers(1, 7))
     shapes = list(zip(*(rng.permutation(values)[:count].tolist() for values in (
         [2, 3, 4, 6], [-1, 0, 1, 2], [0.25, 0.5, 0.75, 1.0], [0.0, 0.01, 0.1, 0.5],
-        [0.1, 0.3, 0.5, 1.0], [few, few, many, many]))))
+        [0.1, 0.3, 0.5, 1.0]))))
     slices = []
     for s, n in enumerate(sizes):
         X = rng.normal(size=(n, width))
@@ -264,7 +263,7 @@ def lockstep_case(rng, sizes, width, tied, signed_zeros, bagging):
                              min_gain=gain, learning_rate=rate, rounds=rounds,
                              min_data=int(rng.integers(1, n // 2 + 1)),
                              bagging_fraction=0.9 if bagging else 1.0, seed=seed)
-                  for leaves, depth, fraction, gain, rate, rounds in
+                  for leaves, depth, fraction, gain, rate in
                   (shapes[int(i)] for i in taken)]
         slices.append((X, y, rng.normal(size=width), params))
     return slices
@@ -330,9 +329,9 @@ class TestLockstep:
             with pytest.raises(VollabError, match="share its seed and bagging"):
                 fit_gbdt_slices([20], iter([(X, y, X[0], params)]))
 
-    def test_one_grow_trees_call_per_round_and_rounds(self, rng, monkeypatch):
-        # slice 0 of a case holds every shape: three or four shapes, two
-        # rounds values, one grow_trees call per round of each
+    def test_one_grow_trees_call_per_round(self, rng, monkeypatch):
+        # each round grows one tree of every fit, whatever its shape, in
+        # one grow_trees call
         calls = []
         original = gbdt.grow_trees
 
@@ -343,10 +342,19 @@ class TestLockstep:
         monkeypatch.setattr(gbdt, "grow_trees", counted)
         slices = lockstep_case(rng, [30, 40, 35, 50], 4, False, False, True)
         fits = [p for _, _, _, params in slices for p in params]
-        rounds = {p.rounds for p in fits}
         fit_gbdt_slices([30, 40, 35, 50], iter(slices))
-        assert len(rounds) == 2 and len(calls) == sum(rounds)
-        assert sum(calls) == sum(p.rounds for p in fits)
+        assert calls == [len(fits)] * fits[0].rounds
+
+    @pytest.mark.parametrize("within", [True, False])
+    def test_fits_share_their_rounds(self, rng, within):
+        # a second rounds on the last fit of slice 0, which holds three or
+        # four fits, or on every fit of slice 1
+        slices = lockstep_case(rng, [20, 30, 25], 3, False, False, True)
+        params = slices[0 if within else 1][3]
+        first = len(params) - 1 if within else 0
+        params[first:] = [dataclasses.replace(p, rounds=p.rounds + 1) for p in params[first:]]
+        with pytest.raises(VollabError, match="share their rounds"):
+            fit_gbdt_slices([20, 30, 25], iter(slices))
 
     def test_block_width_checked(self, rng):
         X, y = rng.normal(size=(20, 2)), rng.normal(size=20)
@@ -357,6 +365,16 @@ class TestLockstep:
         monkeypatch.setattr(gbdt, "STACK_BYTES", 100 * 10 * 8)  # 100 rows of 10 features
         assert slice_runs([40, 60, 1, 150, 30, 30, 30], 10) == [2, 1, 1, 3]
         assert slice_runs([], 10) == []
+
+
+def test_one_slice_call_shares_its_rounds(rng):
+    # at the default LOCKSTEP_SLICES a one-slice call fits through fit_gbdt,
+    # which would take each params' own rounds
+    X, y = rng.normal(size=(20, 2)), rng.normal(size=20)
+    params = [GbdtParams(min_data=3, rounds=2), GbdtParams(min_data=3, rounds=3)]
+    assert gbdt.LOCKSTEP_SLICES > 1
+    with pytest.raises(VollabError, match="share their rounds"):
+        fit_gbdt_slices([20], iter([(X, y, X[0], params)]))
 
 
 @pytest.mark.parametrize("other", [{"seed": 1}, {"bagging_fraction": 1.0}])

@@ -184,6 +184,18 @@ class TestFitSvr:
             predict_svr(m, q), qp_oracle_predict(X, a, s, bias, p, q), atol=1e-4
         )
 
+    def test_model_keeps_copies_of_the_training_arrays(self, rng):
+        # fit_svr_slices keeps the caller's float arrays; fit_svr copies them
+        X, y = rng.normal(size=(20, 2)), rng.normal(size=20)
+        p = SvrParams(kernel="rbf", gamma=0.5, epsilon=0.05)
+        m, shared = fit_svr(X, y, p), fit_svr_slices([X], [y], p)[0]
+        q = rng.normal(size=(5, 2))
+        want, before = repr(predict_svr(m, q).tolist()), predict_svr(shared, q)
+        X[:], y[:] = rng.normal(size=(20, 2)), rng.normal(size=20)
+        assert repr(predict_svr(m, q).tolist()) == want
+        assert np.shares_memory(shared.X, X) and np.shares_memory(shared.y, y)
+        assert not np.array_equal(predict_svr(shared, q), before)
+
     def test_input_validation(self):
         p = SvrParams(kernel="rbf", gamma=0.5)
         with pytest.raises(VollabError):
@@ -345,10 +357,13 @@ def test_lockstep_equals_one_fit_per_slice(sizes, seed, width, rounded, kernel, 
     if rounded:
         Xs, ys = [np.round(X, 1) for X in Xs], [np.round(0.5 * y, 1) for y in ys]
     p = SvrParams(kernel=kernel, gamma=gamma, epsilon=epsilon, C=C)
-    with mock.patch.object(svr, "HANDOFF", len(sizes) + 1 if handoff is None else handoff), \
-            mock.patch.object(svr, "MAX_PASSES", max_passes):
-        got = fit_svr_slices(Xs, ys, p, tol)
+    with mock.patch.object(svr, "MAX_PASSES", max_passes):
+        # fit_svr is a one-slice fit_svr_slices call: at the default HANDOFF
+        # it runs the serial loop alone
         want = [fit_svr(X, y, p, tol) for X, y in zip(Xs, ys)]
+        with mock.patch.object(svr, "HANDOFF",
+                               len(sizes) + 1 if handoff is None else handoff):
+            got = fit_svr_slices(Xs, ys, p, tol)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert_same_bits(g, w)
@@ -361,7 +376,6 @@ def test_lockstep_pass_that_cannot_move(monkeypatch, handoff):
     update.  Flat targets with epsilon 0 stop in pass 1.  The rounded
     slices stop after passes that moved, so the stopping test reads each
     pass's progress, in lockstep and after a hand-off."""
-    monkeypatch.setattr(svr, "HANDOFF", handoff)
     Xs, ys = [np.random.default_rng(1).normal(size=(4, 2))], [np.full(4, 0.25)]
     for seed in (3, 6, 7, 8):
         rng = np.random.default_rng(seed)
@@ -372,6 +386,7 @@ def test_lockstep_pass_that_cannot_move(monkeypatch, handoff):
     want = [fit_svr(X, y, p, tol=-1e-3) for X, y in zip(Xs, ys)]
     assert [(w.n_passes, w.converged) for w in want] == [
         (1, False), (6, False), (8, False), (3, False), (2, False)]
+    monkeypatch.setattr(svr, "HANDOFF", handoff)  # after the serial fits above
     for got, w in zip(fit_svr_slices(Xs, ys, p, tol=-1e-3), want):
         assert_same_bits(got, w)
 
