@@ -82,13 +82,12 @@ def _leaf_medians(value: np.ndarray, leaf: np.ndarray, resid: np.ndarray) -> Non
 
 def _round_draws(seed: int, n: int, m: int, bagging: bool):
     """Each boosting round's draws from PCG64(seed), forever: a permutation of
-    the n rows (None without bagging), the tree's seed, and that tree's
-    feature_draw of the m features."""
+    the n rows (None without bagging), then the tree's feature_draw of the m
+    features under a tree seed drawn from the stream."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     while True:
         perm = rng.permutation(n) if bagging else None
-        tree_seed = int(rng.integers(0, 2**63 - 1))
-        yield perm, tree_seed, feature_draw(m, tree_seed)
+        yield perm, feature_draw(m, int(rng.integers(0, 2**63 - 1)))
 
 
 def _check(X, y, params: GbdtParams) -> None:
@@ -114,6 +113,16 @@ def _bag_size(params: GbdtParams, n: int) -> int:
     return min(n, max(2 * params.min_data, int(params.bagging_fraction * n)))
 
 
+def _fit_key(p: GbdtParams, n: int) -> tuple:
+    """Params with equal keys fit identically on n rows.  Bags of k rows
+    with at least min_data rows a leaf grow at most L = k // min_data leaves,
+    and so at most L - 1 levels; a leaves or max_depth limit that no tree can
+    reach constrains nothing, and the key drops it."""
+    L = _bag_size(p, n) // p.min_data
+    return tuple({**vars(p), "leaves": p.leaves if p.leaves < L else None,
+                  "max_depth": p.max_depth if 0 <= p.max_depth < L - 1 else None}.values())
+
+
 def fit_gbdt(X, y, params: GbdtParams) -> GbdtModel:
     """Fit the ensemble: every tree's nodes search one ranking of X's columns."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -132,11 +141,11 @@ def fit_gbdt(X, y, params: GbdtParams) -> GbdtModel:
         min_gain=params.min_gain,
     )
     k = _bag_size(params, n)
-    for perm, tree_seed, draw in draws:
+    for perm, draw in draws:
         sub = np.sort(perm[:k]) if bagging else np.arange(n)
         resid = y[sub] - F[sub]
         tree = fit_regression_tree(X[sub], np.sign(resid), limits, params.feature_fraction,
-                                   tree_seed, draw=draw, ranked=(X, ranks, sub))
+                                   draw=draw, ranked=(X, ranks, sub))
         leaf = tree.apply(X)
         _leaf_medians(tree.value, leaf[sub], resid)
         model.trees.append(tree)
@@ -195,7 +204,7 @@ def slice_runs(sizes, width: int) -> list[int]:
 
 
 def _boost(fits, stack, Y, offsets, sizes, bases, streams, rounds) -> list[float]:
-    """Boost the fits, (slice, index, params) triples, in lockstep for
+    """Boost the fits, (slice, key, params) triples, in lockstep for
     rounds rounds and return each one's block forecast.
 
     A fit's sample is its slice's rows, laid side by side with the other
@@ -236,7 +245,7 @@ def _boost(fits, stack, Y, offsets, sizes, bases, streams, rounds) -> list[float
     draws = np.zeros((len(sizes), m), dtype=np.intp)
     for _ in range(rounds):
         for s, stream in streams.items():
-            perm, _, draws[s] = next(stream)
+            perm, draws[s] = next(stream)
             if perm is not None:
                 place[offsets[s] + perm] = np.arange(len(perm))
         sel = np.flatnonzero(place[rows] < bag_size)  # each bag, ascending
@@ -268,32 +277,39 @@ def fit_gbdt_slices(sizes, slices) -> list[list[float]]:
     """float(predict_gbdt(fit_gbdt(X, y, p), block)) for each (X, y, block,
     params) of slices and each p of params, boosted in lockstep.
 
-    sizes[s] is slice s's row count.  The slices are taken one at a time, in
-    order, and each is checked as fit_gbdt checks it (and its block as
-    predict_gbdt does) and copied into one stack before the next is taken,
-    so the first invalid slice raises what fit_gbdt raises on it.  The
-    params of every slice must share its seed and bagging, so its fits share
-    one stream of round draws, and every params of the call must share one
-    rounds.
+    sizes[s] is slice s's row count.  The params of a slice whose _fit_key
+    on its rows are equal fit identically, so each distinct key fits once,
+    in the order of its first params, and every params of the key gets that
+    fit's forecast.  The slices are taken one at a time, in order, and each
+    is checked under each distinct params as fit_gbdt checks it (and its
+    block as predict_gbdt does) and copied into one stack before the next
+    is taken, so the first invalid slice raises what fit_gbdt raises on it.
+    The params of every slice must share its seed and bagging, so its fits
+    share one stream of round draws, and every params of the call must
+    share one rounds.
 
-    A fit is one (slice, p), and _boost boosts every fit of the call: in
+    A fit is one (slice, key), and _boost boosts every fit of the call: in
     round r the r-th trees of all fits grow together in one tree.grow_trees
     call.  In a call of fewer than LOCKSTEP_SLICES slices, and for a slice
     whose targets could overflow a running prediction (where fit_gbdt can
-    fail mid-fit on a nan residual), each (slice, p) fits through fit_gbdt
-    in its turn instead.
+    fail mid-fit on a nan residual), each fit goes through fit_gbdt in its
+    turn instead.
     """
     sizes = np.asarray(sizes, dtype=int)
     N, S = int(sizes.sum()), len(sizes)
     offsets = sizes.cumsum() - sizes
-    out, fits, streams = [], [], {}
+    keys, fitted, fits, streams = [], {}, [], {}  # fitted: (slice, key) -> forecast
     bases = np.zeros(S)
     stack = Y = rounds = None  # the slices' rows, then their blocks, then a padding row
     for s, (X, y, block, params) in enumerate(slices):
-        if not params:
-            out.append([])
-            continue
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        keys.append([_fit_key(p, len(X)) for p in params])
+        if not params:
+            continue
+        distinct = {}  # each key's first params, in order
+        for key, p in zip(keys[s], params):
+            distinct.setdefault(key, p)
+        params = list(distinct.values())
         y = np.asarray(y, dtype=float)
         block = np.asarray(block, dtype=float).ravel()
         for p in params:
@@ -312,7 +328,8 @@ def fit_gbdt_slices(sizes, slices) -> list[list[float]]:
         # no residual, nor the sum of two, reaches inf
         bound = math.ldexp(np.finfo(float).max, -rounds - 2)
         if S < LOCKSTEP_SLICES or not np.abs(y).max() <= bound:
-            out.append([float(predict_gbdt(fit_gbdt(X, y, p), block)) for p in params])
+            for key, p in distinct.items():
+                fitted[s, key] = float(predict_gbdt(fit_gbdt(X, y, p), block))
             continue
         if stack is None:
             stack, Y = np.zeros((N + S + 1, m)), np.zeros(N)
@@ -320,10 +337,8 @@ def fit_gbdt_slices(sizes, slices) -> list[list[float]]:
         stack[offsets[s]:offsets[s] + n], stack[N + s], Y[offsets[s]:offsets[s] + n] = X, block, y
         bases[s] = _medians(np.sort(y), np.array([n]))[0]
         streams[s] = _round_draws(params[0].seed, n, m, params[0].bagging_fraction < 1.0)
-        fits += [(s, i, p) for i, p in enumerate(params)]
-        out.append([None] * len(params))
+        fits += [(s, key, p) for key, p in distinct.items()]
     if fits:
         forecasts = _boost(fits, stack, Y, offsets, sizes, bases, streams, rounds)
-        for (s, i, _), forecast in zip(fits, forecasts):
-            out[s][i] = forecast
-    return out
+        fitted.update(((s, key), f) for (s, key, _), f in zip(fits, forecasts))
+    return [[fitted[s, key] for key in row] for s, row in enumerate(keys)]

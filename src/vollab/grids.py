@@ -2,10 +2,11 @@
 
 `MODELS` holds, per kind, its hyperparameter grid axes, the
 `model_options` section it reads with the keys allowed there, and its
-fit, which gets every training slice and state and shares what its
-solver can.  Grid enumeration order is the documented cartesian order of
-the axis lists, last axis fastest.  Adding a model kind is one table
-entry.
+fit, which gets every training slice and state and returns one forecast
+per state; what fits can share is the solver's rule (gbdt merges states
+whose limits cannot bind).  Grid enumeration order is the documented
+cartesian order of the axis lists, last axis fastest.  Adding a model
+kind is one table entry.
 """
 
 from __future__ import annotations
@@ -98,44 +99,19 @@ def _gbdt_values(state, n):
     return values
 
 
-def _gbdt_key(state, n):
-    """States with equal keys fit identically on n rows: every fit of a slice
-    draws the same bags and trees, bags of k rows with at least md rows a
-    leaf grow at most L leaves, and so at most L - 1 levels; a leaves or
-    max_depth limit that no tree can reach constrains nothing."""
-    values = _gbdt_values(state, n)
-    md = values["min_data"]
-    k = min(n, max(2 * md, int(GbdtParams.bagging_fraction * n)))
-    L = k // md
-    return (md, values["feature_fraction"],
-            values["leaves"] if L > values["leaves"] else None,
-            values["max_depth"] if 0 <= values["max_depth"] < L - 1 else None)
-
-
-def _gbdt_params(section, states, n, seed):
-    """Each state's _gbdt_key on n rows, and the GbdtParams of the first
-    state of each distinct key."""
-    keys = [_gbdt_key(state, n) for state in states]
-    params = {}
-    for key, state in zip(keys, states):
-        if key not in params:
-            params[key] = GbdtParams(**_gbdt_values(state, n), **section,
-                                     seed=derive_seed(seed, "gbdt"))
-    return keys, params
-
-
 def _fit_gbdt(section, states, slices):
-    """One fit_gbdt_slices call for each run of slices (gbdt_slice_runs), one
-    fit per slice and distinct _gbdt_key; each slice is scaled when the call
-    takes it, so only the lockstep's stack holds every scaled slice."""
-    keys = []  # each taken slice's key per state
+    """One fit_gbdt_slices call for each run of slices (gbdt_slice_runs), with
+    every state's GbdtParams on each slice: one forecast per state, where
+    states whose params fit alike on a slice share one fit.  Each slice is
+    scaled when the call takes it, so only the lockstep's stack holds every
+    scaled slice."""
 
     def taken(run):
         for train, seed, block in run:
             train, block = _scaled(train, seed, block)
-            k, params = _gbdt_params(section, states, len(train), seed)
-            keys.append(k)
-            yield train.flat(), train.targets, block.ravel(), list(params.values())
+            n, seed = len(train), derive_seed(seed, "gbdt")
+            yield train.flat(), train.targets, block.ravel(), [
+                GbdtParams(**_gbdt_values(state, n), **section, seed=seed) for state in states]
 
     forecasts = []
     sizes = [len(train) for train, _, _ in slices]
@@ -143,11 +119,7 @@ def _fit_gbdt(section, states, slices):
     for count in gbdt_slice_runs(sizes, width):
         run, slices = slices[:count], slices[count:]
         forecasts += fit_gbdt_slices([len(train) for train, _, _ in run], taken(run))
-    out = []
-    for k, row in zip(keys, forecasts):
-        fits = dict(zip(dict.fromkeys(k), ((f, float("nan")) for f in row)))
-        out.append([fits[key] for key in k])
-    return out
+    return [[(f, float("nan")) for f in row] for row in forecasts]
 
 
 def _fit_net(section, states, slices):

@@ -149,9 +149,9 @@ def best_split(X, y, features, min_samples_leaf: int):
     feature, then the lower threshold.
 
     X is the node's rows, which are ranked here, or a ranked tuple (Z,
-    ranks, zy, rows): the node's rows are Z[rows] with targets zy[rows] ==
-    y, and ranks is rank_columns(Z).  X is not read when y has fewer than
-    2 * min_samples_leaf rows.
+    ranks, rows): the node's rows are Z[rows], with targets y, and ranks is
+    rank_columns(Z).  X is not read when y has fewer than 2 *
+    min_samples_leaf rows.
     """
     if min_samples_leaf < 1:
         raise VollabError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
@@ -159,8 +159,8 @@ def best_split(X, y, features, min_samples_leaf: int):
     fs = sorted(features)
     if n < 2 * min_samples_leaf or not fs:
         return None
-    Z, ranks, zy, rows = X if isinstance(X, tuple) else (X, rank_columns(X), y, np.arange(n))
-    g, f, thr = _batched_split(Z, ranks, zy[rows][None], rows[None], np.array([n]),
+    Z, ranks, rows = X if isinstance(X, tuple) else (X, rank_columns(X), np.arange(n))
+    g, f, thr = _batched_split(Z, ranks, y[None], rows[None], np.array([n]),
                                np.array([fs]), np.array([_sse(y)]), np.array([min_samples_leaf]))
     return None if g[0] == -np.inf else (g[0], int(f[0]), thr[0])
 
@@ -220,8 +220,6 @@ def fit_regression_tree(
     threshold, value, gain = np.zeros((3, size))
     n_samples = np.zeros(size, dtype=int)
     Z, ranks, sample = ranked or (X, rank_columns(X), np.arange(n))
-    zy = np.zeros(len(Z))
-    zy[sample] = y
     # leaf id -> (gain, feature, threshold, rows, depth)
     frontier: dict[int, tuple] = {}
 
@@ -229,7 +227,7 @@ def fit_regression_tree(
         ys = y[rows]
         value[j], n_samples[j] = ys.sum() / len(rows), len(rows)
         if expand and (limits.max_depth < 0 or depth < limits.max_depth):
-            sp = best_split((Z, ranks, zy, sample[rows]), ys, features, msl)
+            sp = best_split((Z, ranks, sample[rows]), ys, features, msl)
             if sp is not None and sp[0] >= limits.min_gain:
                 frontier[j] = (*sp, rows, depth)
 

@@ -367,6 +367,50 @@ class TestLockstep:
         assert slice_runs([], 10) == []
 
 
+# On 40 rows with min_data 4, bags of 36 rows grow at most 9 leaves and so
+# at most 8 levels: a leaves limit of 9 or more and a max_depth of 8 or more
+# cannot bind.  Without bagging a tree sees all 40 rows, up to 10 leaves.
+BASE = GbdtParams(leaves=9, min_data=4, rounds=3, learning_rate=0.3, seed=5)
+ALIKE = [BASE, dataclasses.replace(BASE, leaves=100), dataclasses.replace(BASE, max_depth=8),
+         dataclasses.replace(BASE, leaves=20, max_depth=50)]
+APART = [BASE, dataclasses.replace(BASE, learning_rate=0.2),
+         dataclasses.replace(BASE, min_gain=0.0), dataclasses.replace(BASE, leaves=8),
+         dataclasses.replace(BASE, max_depth=7)]
+WHOLE = [dataclasses.replace(p, bagging_fraction=1.0) for p in ALIKE[:2]]
+SHARED = [(ALIKE, 1), (APART, 5), (WHOLE, 2)]  # params, and the fits they make
+
+
+class TestSharedFits:
+    """The params of a slice whose limits cannot bind on its rows share one
+    fit, and each still gets its own fit's forecast; params that can fit
+    differently never share one."""
+
+    @pytest.mark.parametrize("params, fits", SHARED)
+    def test_one_slice_call(self, rng, monkeypatch, params, fits):
+        calls = []
+        fit = gbdt.fit_gbdt
+        monkeypatch.setattr(gbdt, "fit_gbdt", lambda *args: calls.append(args) or fit(*args))
+        X, y, block = rng.normal(size=(40, 5)), rng.normal(size=40), rng.normal(size=5)
+        [got] = fit_gbdt_slices([40], iter([(X, y, block, params)]))
+        assert len(calls) == fits
+        assert repr(got) == repr([float(predict_gbdt(fit(X, y, p), block)) for p in params])
+
+    @pytest.mark.parametrize("params, fits", SHARED)
+    def test_lockstep_call(self, rng, monkeypatch, params, fits):
+        trees = []
+        grow = gbdt.grow_trees
+        monkeypatch.setattr(gbdt, "LOCKSTEP_SLICES", 1)
+        monkeypatch.setattr(gbdt, "grow_trees",
+                            lambda *args: trees.append(len(args[3])) or grow(*args))
+        slices = [(rng.normal(size=(40, 5)), rng.normal(size=40), rng.normal(size=5), params)
+                  for _ in range(3)]
+        got = fit_gbdt_slices([40] * 3, iter(slices))
+        assert trees == [3 * fits] * BASE.rounds
+        want = [[float(predict_gbdt(fit_gbdt(X, y, p), block)) for p in params]
+                for X, y, block, _ in slices]
+        assert repr(got) == repr(want)
+
+
 def test_one_slice_call_shares_its_rounds(rng):
     # at the default LOCKSTEP_SLICES a one-slice call fits through fit_gbdt,
     # which would take each params' own rounds

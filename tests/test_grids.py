@@ -267,6 +267,13 @@ class TestGbdtLockstep:
                                               "features must be finite")
 
 
+def grid_keys(n):
+    """gbdt's fit key on n rows of the GbdtParams grids builds for each
+    state of the full grid."""
+    return [gbdt._fit_key(gbdt.GbdtParams(**grids._gbdt_values(s, n)), n)
+            for s in enumerate_grid("gbdt")]
+
+
 class TestSharedFits:
     """gbdt states with equal keys share one fit per slice."""
 
@@ -274,16 +281,14 @@ class TestSharedFits:
     def test_validation_fits_of_a_full_grid_task(self, window, fits):
         # one fit per distinct key on each slice of the expanding validation:
         # 81 states on each of window - 10 slices before the key
-        key, grid = grids._gbdt_key, enumerate_grid("gbdt")
-        assert sum(len({key(s, n) for s in grid}) for n in range(10, window)) == fits
+        assert sum(len(set(grid_keys(n))) for n in range(10, window)) == fits
 
     def test_key_reads_each_limit_only_where_it_binds(self):
-        key = grids._gbdt_key
-        state = {s.to_text(): s for s in enumerate_grid("gbdt")}
+        texts = [s.to_text() for s in enumerate_grid("gbdt")]
 
         def at(leaves, min_data, max_depth, fraction, n):
-            return key(state[f"leaves={leaves};min_data={min_data};max_depth={max_depth};"
-                             f"feature_fraction={fraction}"], n)
+            return grid_keys(n)[texts.index(f"leaves={leaves};min_data={min_data};"
+                                            f"max_depth={max_depth};feature_fraction={fraction}")]
 
         # n = 70: md = min_data, bags of k = 63 rows, at most 63 // 10 = 6
         # leaves and 5 levels for min_data 10

@@ -94,9 +94,8 @@ def test_one_best_split_call_per_candidate_leaf(monkeypatch, rng):
     for j, (args, kwargs, result) in enumerate(calls):
         rows = [i for i, p in enumerate(paths) if j in p]
         assert kwargs == {} and len(args) == 4
-        Z, _, zy, zrows = args[0]
+        Z, _, zrows = args[0]
         np.testing.assert_array_equal(Z[zrows], X[rows])
-        np.testing.assert_array_equal(zy[zrows], y[rows])
         np.testing.assert_array_equal(args[1], y[rows])
         assert list(args[2]) == list(features) and args[3] == 8
         assert cells(args, kwargs, result) == len(rows) * 2
@@ -128,13 +127,13 @@ def test_ranked_searches_make_the_same_calls_and_cells(monkeypatch, rng):
         assert kwargs == {} and len(got) == 4
         assert got[1].tobytes() == want[1].tobytes() and got[2:] == want[2:]
         assert cells(got, kwargs, None) == cells(want, {}, None)
-        (Z, _, _, rows), (W, _, _, wrows) = got[0], want[0]
+        (Z, _, rows), (W, _, wrows) = got[0], want[0]
         np.testing.assert_array_equal(Z[rows], W[wrows])
 
 
 def test_one_fit_gbdt_call_per_distinct_key(monkeypatch):
-    """`gbdt.fit_gbdt.calls` counts one fit per distinct key of a slice; every
-    state of a key gets its fit's forecast."""
+    """`gbdt.fit_gbdt.calls` counts one fit per distinct fit key of a slice;
+    every state of a key gets its fit's forecast."""
     data = planted_signal_data(n=120)
     batch = build_tasks(data, "gbdt", window=63, horizon=1, s=5, root_seed=0)[0].batch
     train = batch.slice(0, 50)
@@ -149,14 +148,14 @@ def test_one_fit_gbdt_call_per_distinct_key(monkeypatch):
     monkeypatch.setattr(vollab.gbdt, "fit_gbdt", recording)
     [results] = grids.forecast("gbdt", [(train, 3, batch.blocks[50])], {"gbdt": {"rounds": 2}},
                                grid)
-    keys = [grids._gbdt_key(s, 50) for s in grid]
+    keys = [vollab.gbdt._fit_key(GbdtParams(**grids._gbdt_values(s, 50)), 50) for s in grid]
     first = {k: i for i, k in reversed(list(enumerate(keys)))}  # each key's first state
     assert len(calls) == len(first) < len(grid)
     for args, i in zip(calls, sorted(first.values())):
         values = grids._gbdt_values(grid[i], 50)
         assert {k: getattr(args[2], k) for k in values} == values
     for k, result in zip(keys, results):
-        assert result is results[first[k]]
+        assert repr(result) == repr(results[first[k]])
 
 
 def test_gbdt_facts_count_trees_and_leaves(rng):

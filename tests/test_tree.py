@@ -373,7 +373,7 @@ class TestRankedSearch:
         rows = r.permutation(len(Z))[:r.integers(1, len(Z) + 1)]
         if ascending:
             rows.sort()
-        got = best_split((Z, rank_columns(Z), zy, rows), zy[rows], features, msl)
+        got = best_split((Z, rank_columns(Z), rows), zy[rows], features, msl)
         want = best_split(Z[rows], zy[rows], features, msl)
         assert repr(got) == repr(want)
 
