@@ -46,6 +46,13 @@ class GbdtParams:
         for name, low in (("leaves", 2), ("min_data", 1), ("max_depth", -1), ("rounds", 1)):
             check_int(name, getattr(self, name), low)
 
+    def reseeded(self, seed: int) -> GbdtParams:
+        """These params under another seed.  No check reads the seed, so the
+        copy skips them."""
+        p = object.__new__(type(self))
+        p.__dict__.update(vars(self), seed=seed)
+        return p
+
 
 @dataclass
 class GbdtModel:
@@ -259,7 +266,7 @@ def _boost(fits, stack, Y, offsets, sizes, bases, streams, rounds) -> list[float
         features[unread] = m
         features.sort(axis=1)
         feature, threshold, left, right, value, _, _ = grow_trees(
-            stack, ranks, y, R, k, features, n_features, *limits, row_of)
+            stack, ranks, y, R, k, features, n_features, *limits, row_of, of)
         # the trees side by side: tree t's node j is node t * size + j
         size = feature.shape[1]
         shift = (np.arange(T) * size)[:, None]

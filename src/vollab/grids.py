@@ -104,14 +104,23 @@ def _fit_gbdt(section, states, slices):
     every state's GbdtParams on each slice: one forecast per state, where
     states whose params fit alike on a slice share one fit.  Each slice is
     scaled when the call takes it, so only the lockstep's stack holds every
-    scaled slice."""
+    scaled slice.  A state's params are built and checked once per min_data
+    clip, on the first slice that takes it, and reseeded for each slice."""
+    made = {}  # (state, min_data on the slice) -> GbdtParams
+
+    def params(state, n, seed):
+        values = _gbdt_values(state, n)
+        key = state, values["min_data"]
+        if key not in made:
+            made[key] = GbdtParams(**values, **section)
+        return made[key].reseeded(seed)
 
     def taken(run):
         for train, seed, block in run:
             train, block = _scaled(train, seed, block)
             n, seed = len(train), derive_seed(seed, "gbdt")
             yield train.flat(), train.targets, block.ravel(), [
-                GbdtParams(**_gbdt_values(state, n), **section, seed=seed) for state in states]
+                params(state, n, seed) for state in states]
 
     forecasts = []
     sizes = [len(train) for train, _, _ in slices]

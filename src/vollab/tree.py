@@ -4,18 +4,18 @@ Two growers share one split search, _batched_split.  fit_regression_tree
 grows one tree and scores each node with best_split, a one-node batched
 search; a lone boosting fit uses it.  grow_trees grows many trees in
 lockstep and scores all the leaves one growth step opens in one batched
-search; each of its trees equals fit_regression_tree's on the same sample,
-bit for bit.  A tree's sample there is a set of positions in one target
-vector, each mapped to a row of X, and each tree carries its own limits
-(leaves, depth, leaf size, gain and feature count).  The random-forest
-feature selector grows its forest through it (fit_forest, where a position
-is its row), and so does the boosting lockstep, one round of every fit at a
-time.  The rule: splits scan the midpoints between sorted unique
-feature values; the gain is the reduction in total squared error;
-thresholds route strictly-less to the left; a node's candidates rank by
-feature, then threshold, and a later one wins only if its gain is larger
-by more than a rounding tolerance; among expandable leaves the larger gain
-wins, then the lower leaf id.
+search, equal leaves of trees that share an id once; each of its trees
+equals fit_regression_tree's on the same sample, bit for bit.  A tree's
+sample there is a set of positions in one target vector, each mapped to a
+row of X, and each tree carries its own limits (leaves, depth, leaf size,
+gain and feature count).  The random-forest feature selector grows its
+forest through it (fit_forest, where a position is its row), and so does
+the boosting lockstep, one round of every fit at a time.  The rule: splits
+scan the midpoints between sorted unique feature values; the gain is the
+reduction in total squared error; thresholds route strictly-less to the
+left; a node's candidates rank by feature, then threshold, and a later one
+wins only if its gain is larger by more than a rounding tolerance; among
+expandable leaves the larger gain wins, then the lower leaf id.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ def fit_regression_tree(
     return RegressionTree(*(a[:count].copy() for a in arrays), m)
 
 
-# cells (nodes x features x rows) of one batched split search, which keeps
+# cells (askers x features x rows) of one batched split search, which keeps
 # its working set to a few MB; the row counts of one search's nodes differ
 # by at most _PAD_RATIO, so little of it is padding
 _SEARCH_CELLS = 1 << 15
@@ -274,9 +274,30 @@ def _sums(y, rows, counts):
     return total, sse
 
 
-def _batched_split(X, ranks, Y, rows, counts, features, parent, msl):
+def _leads(share, rows, Y) -> np.ndarray:
+    """Each leaf's lead: the first leaf with its share id, rows of X (in
+    order, padded alike) and target bits.  Leaves group by a hash and each is
+    checked against its group's first, so on a collision a leaf leads itself."""
+    bits = Y.view(np.uint64)
+    h = rows.astype(np.uint64) * 0x9E3779B97F4A7C15 + bits
+    for shift, odd in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        h ^= h >> shift  # the splitmix64 finalizer: two sign flips do not cancel
+        h *= odd
+    h ^= h >> 31
+    key = h.sum(axis=1) + share.astype(np.uint64) * 0x9E3779B97F4A7C15
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    lead = first[group]
+    same = ((share == share[lead]) & (rows == rows[lead]).all(axis=1)
+            & (bits == bits[lead]).all(axis=1))
+    return np.where(same, lead, np.arange(len(lead)))
+
+
+def _batched_split(X, ranks, Y, rows, counts, features, parent, msl, askers=None):
     """The best split of many nodes at once: (gain, feature, threshold)
-    arrays, gain -inf where a node has no split.
+    arrays, gain -inf where a node has no split.  With askers = (node, mine,
+    least), one entry per asker instead: asker a takes node[a]'s best split
+    over the features mine[a] marks in features[node[a]], leaving least[a]
+    >= msl[node[a]] rows on each side.
 
     Node r's rows of X are rows[r, :counts[r]], their targets Y[r,
     :counts[r]], and its split must leave msl[r] rows on each side.  Padding
@@ -285,7 +306,8 @@ def _batched_split(X, ranks, Y, rows, counts, features, parent, msl):
     are sorted by their ranks (ranks[f] orders X[:, f] with ties equal),
     then by position, so every node's own rows come in stable sorted order
     and the padding after them.  The gain of a split is the reduction in
-    squared error, from running sums of Y and Y * Y along that order.
+    squared error, from running sums of Y and Y * Y along that order; its
+    threshold is the midpoint of the node's values of f on either side.
     """
     N, L = rows.shape
     k = features.shape[1]
@@ -310,6 +332,7 @@ def _batched_split(X, ranks, Y, rows, counts, features, parent, msl):
     # order by flat index into rows: row node starts at node * L
     order += (np.arange(N, dtype=order.dtype) * L)[:, None, None]
     sy = Y.take(order)
+    del order
     sq = sy * sy
     sy.cumsum(axis=2, out=sy)
     sq.cumsum(axis=2, out=sq)
@@ -330,7 +353,14 @@ def _batched_split(X, ranks, Y, rows, counts, features, parent, msl):
     del sy, sq, sl, ql, sr, qr
     np.subtract(parent[:, None, None], G, out=G)
     G[~cand] = -np.inf
-    G = G.reshape(N, k * P)
+    node = np.arange(N)
+    if askers is not None:  # a candidate's gain reads only its node's rows and targets
+        node, mine, least = askers
+        G, parent = G[node], parent[node]
+        short = (nl < least[:, None]) | (counts[node, None] - nl < least[:, None])
+        np.copyto(G, -np.inf, where=~mine[:, :, None] | short[:, None])
+    a = np.arange(len(node))
+    G = G.reshape(len(a), k * P)
     # two candidates inducing the same row partition have mathematically equal
     # gains; the running-sum arithmetic separates them by rounding noise of
     # order eps * parent, so ties are judged at a tolerance on that scale.
@@ -338,16 +368,14 @@ def _batched_split(X, ranks, Y, rows, counts, features, parent, msl):
     # earlier candidate comes within tie_tol of the maximum; those nodes
     # take the rule itself
     best = G.argmax(axis=1)
-    top = G[np.arange(N), best]
     tie_tol = 1e-10 * np.maximum(1.0, parent)
-    for r in np.flatnonzero((G >= (top - tie_tol)[:, None]).argmax(axis=1) < best):
+    for r in np.flatnonzero((G >= (G[a, best] - tie_tol)[:, None]).argmax(axis=1) < best):
         best[r] = _kept(G[r], tie_tol[r])
-    node = np.arange(N)
     r, i = np.divmod(best, P)
     i += lo
-    below, above = rows.ravel()[order[node, r, i]], rows.ravel()[order[node, r, i + 1]]
     f = features[node, r]
-    return G[node, best], f, (X[below, f] + X[above, f]) / 2.0
+    v = np.sort(X[rows[node], f[:, None]], axis=1)  # the padding's +inf sorts last
+    return G[a, best], f, (v[a, i] + v[a, i + 1]) / 2.0
 
 
 def rank_columns(X) -> np.ndarray:
@@ -360,7 +388,7 @@ def rank_columns(X) -> np.ndarray:
 
 
 def grow_trees(X, ranks, y, R, sizes, draws, n_features, max_leaves, max_depth,
-               min_samples_leaf, min_gain, row_of=None) -> tuple:
+               min_samples_leaf, min_gain, row_of=None, share=None) -> tuple:
     """Grow one tree per row of R, all in lockstep.  Returns the node arrays
     (feature, threshold, left, right, value, n_samples, gain), one row per
     tree, with fit_regression_tree's node ids.
@@ -379,7 +407,9 @@ def grow_trees(X, ranks, y, R, sizes, draws, n_features, max_leaves, max_depth,
     all the new children of all the trees are scored by batched searches
     (_batched_split) of one feature count and similar row counts, so tree t
     equals fit_regression_tree's on its rows, draw and limits node for node
-    and bit for bit.
+    and bit for bit.  Trees of one share id (share[t]; none when share is
+    None) can hold equal leaves, the same rows of X and the same targets:
+    such leaves are searched together, over their trees' union of features.
     """
     pad = len(y) - 1
     T, width = R.shape
@@ -405,25 +435,41 @@ def grow_trees(X, ranks, y, R, sizes, draws, n_features, max_leaves, max_depth,
         value[trees, ids], n_samples[trees, ids], depth[trees, ids] = total / counts, counts, depths
         bound = max_depth[trees]
         go = np.flatnonzero(expand & (counts >= 2 * msl[trees]) & ((bound < 0) | (depths < bound)))
-        k = n_features[trees[go]]
-        order = np.lexsort((counts[go], k))  # by feature count, then row count
-        go, k = go[order], k[order]
+        t, c, k, n = trees[go], counts[go], n_features[trees[go]], np.arange(len(go))
+        # each leaf asks its lead for its split: itself, or an equal leaf of its share id
+        lead = n if share is None else _leads(share[t], rows_of(rows[go]), y[rows[go]])
+        # a lead searches the union of its askers' features at their least leaf size
+        fs = draws[t][np.arange(draws.shape[1]) < k[:, None]]
+        own, union = np.zeros((2, len(go), X.shape[1]), dtype=bool)
+        own[n.repeat(k), fs] = union[lead.repeat(k), fs] = True
+        del fs
+        least = msl[t]
+        np.minimum.at(least, lead, msl[t])
+        k = union.sum(axis=1)[lead]
+        order = np.lexsort((lead, c, k))  # by feature count, row count, then lead
+        k = k[order]
+        # the leads up to each asker's, its own counted: a lead's askers are adjacent
+        rank = np.cumsum(np.append(True, lead[order[1:]] != lead[order[:-1]]))
+        alone = np.bincount(lead, minlength=len(go)) == 1  # a lead that only asks itself
         start = 0
         while start < len(go):  # chunks of one feature count and similar row counts
             kk = int(k[start])
-            c = counts[go[start:start + np.searchsorted(k[start:], kk, "right")]]
-            cells = np.arange(1, len(c) + 1) * c * kk
+            cu = c[order[start:start + np.searchsorted(k[start:], kk, "right")]]
+            cells = np.arange(1, len(cu) + 1) * cu * kk
             stop = min(np.searchsorted(cells, _SEARCH_CELLS, "right"),
-                       np.searchsorted(c, c[0] * _PAD_RATIO, "right"))
-            chunk = go[start:start + max(1, stop)]
-            start += len(chunk)
-            t, j = trees[chunk], ids[chunk]
-            at = rows[chunk, :counts[chunk[-1]]]
-            g, f, thr = _batched_split(X, ranks, y[at], rows_of(at), counts[chunk],
-                                       draws[t, :kk], sse[chunk], msl[t])
-            ok = g >= min_gain[t]
-            t, j = t[ok], j[ok]
-            open_gain[t, j], open_feature[t, j], open_threshold[t, j] = g[ok], f[ok], thr[ok]
+                       np.searchsorted(cu, cu[0] * _PAD_RATIO, "right"))
+            a = order[start:start + max(1, stop)]
+            node = rank[start:start + len(a)] - rank[start]  # each asker's search
+            start += len(a)
+            L = lead[a[np.searchsorted(node, np.arange(node[-1] + 1))]]  # the leads searched
+            at = rows[go[L], :c[a[-1]]]
+            U = union[L].nonzero()[1].reshape(len(L), kk)
+            g, f, thr = _batched_split(
+                X, ranks, y[at], rows_of(at), c[L], U, sse[go[L]], least[L],
+                None if alone[L].all() else (node, own[a[:, None], U[node]], msl[t[a]]))
+            ok = g >= min_gain[t[a]]
+            ta, j = t[a][ok], ids[go[a]][ok]
+            open_gain[ta, j], open_feature[ta, j], open_threshold[ta, j] = g[ok], f[ok], thr[ok]
 
     add_leaves(np.arange(T), np.zeros(T, dtype=int), R, sizes, np.zeros(T, dtype=int),
                max_leaves > 1)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import median_loop_fit_gbdt, per_tree_predict_gbdt
-from vollab import cli, gbdt
+from vollab import cli, gbdt, tree
 from vollab.config import parse_config
 from vollab.errors import VollabError
 from vollab.gbdt import (GbdtModel, GbdtParams, fit_gbdt, fit_gbdt_slices, predict_gbdt,
@@ -282,13 +282,19 @@ class TestLockstep:
     @settings(max_examples=150, deadline=None)
     @given(sizes=st.lists(st.integers(6, 130), min_size=1, max_size=40),
            seed=st.integers(0, 2**32 - 1), width=st.integers(1, 5), tied=st.booleans(),
-           signed_zeros=st.booleans(), bagging=st.booleans())
-    def test_equals_fit_gbdt_per_fit(self, sizes, seed, width, tied, signed_zeros, bagging):
+           signed_zeros=st.booleans(), bagging=st.booleans(),
+           cells=st.sampled_from([tree._SEARCH_CELLS, 1, 500]))
+    def test_equals_fit_gbdt_per_fit(self, sizes, seed, width, tied, signed_zeros, bagging,
+                                     cells):
+        # small search budgets split the fits that ask for one leaf over
+        # several searches
         slices = lockstep_case(np.random.default_rng(seed), sizes, width, tied, signed_zeros,
                                bagging)
         want = [[repr(float(predict_gbdt(fit_gbdt(X, y, p), block))) for p in params]
                 for X, y, block, params in slices]
-        got = fit_gbdt_slices(sizes, iter(slices))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tree, "_SEARCH_CELLS", cells)
+            got = fit_gbdt_slices(sizes, iter(slices))
         assert [[repr(f) for f in row] for row in got] == want
 
     def test_slices_are_taken_and_checked_in_order(self, rng):

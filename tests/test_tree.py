@@ -514,6 +514,41 @@ def positioned_cases(draw):
     return X, samples, targets, limits, fractions, seeds
 
 
+def lockstep(X, samples, targets, limits, fractions, perms, shuffle, share=None):
+    """grow_trees' trees, each on its own positions of one shuffled target
+    vector, with its own limits and the sorted prefix of its own feature
+    permutation."""
+    n, m = X.shape
+    T = len(samples)
+    sizes = np.array([len(s) for s in samples])
+    # tree t's i-th sample takes a shuffled position; the last is padding
+    place = np.random.default_rng(shuffle).permutation(sizes.sum())
+    positions = np.split(place, sizes.cumsum()[:-1])
+    y = np.zeros(sizes.sum() + 1)
+    row_of = np.full(sizes.sum() + 1, n, dtype=np.int32)
+    R = np.full((T, sizes.max()), sizes.sum(), dtype=np.int32)
+    for t, (pos, s, ys) in enumerate(zip(positions, samples, targets)):
+        y[pos], row_of[pos], R[t, :len(pos)] = ys, s, pos
+    k = np.array([max(1, math.ceil(f * m)) for f in fractions])
+    draws = np.full((T, m), m)
+    for t, perm in enumerate(perms):
+        draws[t, :k[t]] = np.sort(perm[:k[t]])
+    Xp = np.vstack((X, np.full(m, np.inf)))
+    per_tree = [np.array([getattr(lim, name) for lim in limits]) for name in
+                ("max_leaves", "max_depth", "min_samples_leaf", "min_gain")]
+    arrays = grow_trees(Xp, rank_columns(Xp), y, R, sizes, draws, k, *per_tree, row_of, share)
+    n_nodes = 1 + 2 * (arrays[0] >= 0).sum(axis=1)  # a split adds two nodes
+    return [RegressionTree(*(a[t, :c].astype(int if a.dtype == np.int32 else float)
+                             for a in arrays), m) for t, c in enumerate(n_nodes.tolist())]
+
+
+def assert_each_tree_is_its_own(trees, X, samples, targets, limits, fractions, perms):
+    """Each tree equals fit_regression_tree's on its rows, targets and draw."""
+    for got, s, ys, lim, fraction, perm in zip(trees, samples, targets, limits, fractions,
+                                               perms):
+        same_node_arrays(got, fit_regression_tree(X[s], ys, lim, fraction, draw=perm))
+
+
 class TestPerTreeLimits:
     @given(positioned_cases(), st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
@@ -522,34 +557,104 @@ class TestPerTreeLimits:
         vector with its own limits and feature count, grows each tree as
         fit_regression_tree does on that tree's rows and targets."""
         X, samples, targets, limits, fractions, seeds = case
-        n, m = X.shape
-        T = len(samples)
-        sizes = np.array([len(s) for s in samples])
-        # tree t's i-th sample takes a shuffled position; the last is padding
-        place = np.random.default_rng(seed).permutation(sizes.sum())
-        positions = np.split(place, sizes.cumsum()[:-1])
-        y = np.zeros(sizes.sum() + 1)
-        row_of = np.full(sizes.sum() + 1, n, dtype=np.int32)
-        R = np.full((T, sizes.max()), sizes.sum(), dtype=np.int32)
-        for t, (pos, s, ys) in enumerate(zip(positions, samples, targets)):
-            y[pos], row_of[pos], R[t, :len(pos)] = ys, s, pos
-        k = np.array([max(1, math.ceil(f * m)) for f in fractions])
-        draws = np.full((T, m), m)
-        for t, tree_seed in enumerate(seeds):
-            draws[t, :k[t]] = np.sort(feature_draw(m, tree_seed)[:k[t]])
-        Xp = np.vstack((X, np.full(m, np.inf)))
-        per_tree = [np.array([getattr(lim, name) for lim in limits]) for name in
-                    ("max_leaves", "max_depth", "min_samples_leaf", "min_gain")]
-        arrays = grow_trees(Xp, rank_columns(Xp), y, R, sizes, draws, k, *per_tree, row_of)
-        for t in range(T):
-            want = fit_regression_tree(X[samples[t]], targets[t], limits[t], fractions[t],
-                                       seeds[t])
-            c = len(want.feature)
-            assert (arrays[0][t, c:] == -1).all()  # no node past the tree's own
-            got = RegressionTree(*(a[t, :c].astype(int if a.dtype == np.int32 else float)
-                                   for a in arrays), m)
-            same_node_arrays(got, want)
-            assert got.to_json() == want.to_json()
+        perms = [feature_draw(X.shape[1], s) for s in seeds]
+        trees = lockstep(X, samples, targets, limits, fractions, perms, seed)
+        assert_each_tree_is_its_own(trees, X, samples, targets, limits, fractions, perms)
+
+
+@st.composite
+def shared_cases(draw):
+    """(X, samples, targets, limits, fractions, perms, share): groups of trees
+    that share an id, as the boosting lockstep's fits of one slice do.  A
+    group's trees mostly hold the same rows and the same targets, a few of
+    them negated, and take nested prefixes of one feature permutation; each
+    has its own limits.  X repeats some of its columns, some negated, so
+    candidates of two features tie exactly or up to rounding."""
+    n = draw(st.integers(2, 60))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = r.normal(size=(n, draw(st.integers(1, 5))))
+    rounded = r.random(X.shape[1]) < 0.5  # tied thresholds
+    X[:, rounded] = np.round(X[:, rounded])
+    again = r.integers(0, X.shape[1], size=draw(st.integers(0, 3)))
+    X = np.hstack((X, X[:, again] * r.choice([-1.0, 1.0], size=len(again))))
+    m = X.shape[1]
+    flip = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    normal = draw(st.booleans())
+    samples, targets, limits, fractions, perms, share = [], [], [], [], [], []
+    for group in range(draw(st.integers(1, 3))):
+        rows = np.sort(r.permutation(n)[:r.integers(1, n + 1)])
+        ys = r.normal(size=len(rows)) if normal else r.integers(-1, 2, size=len(rows)) * 1.0
+        perm = r.permutation(m)
+        for _ in range(r.integers(1, 7)):
+            own = r.random() < 0.2  # a tree of the group on rows of its own
+            s = r.integers(0, n, size=r.integers(1, n + 1)) if own else rows
+            samples.append(s)
+            targets.append(r.integers(-1, 2, size=len(s)) * 1.0 if own else
+                           np.where(r.random(len(s)) < flip, -ys, ys))
+            limits.append(TreeLimits(max_leaves=int(r.integers(1, 20)),
+                                     max_depth=int(r.integers(-1, 5)),
+                                     min_samples_leaf=int(r.integers(1, 8)),
+                                     min_gain=float(r.choice([0.0, 1e-3, 0.5]))))
+            fractions.append(float(r.choice([0.2, 0.5, 0.8, 1.0])))
+            perms.append(perm)
+            share.append(group)
+    return X, samples, targets, limits, fractions, perms, np.array(share)
+
+
+def searches(monkeypatch):
+    """Record (leaves searched, leaves that asked) of every batched search."""
+    calls, search = [], vollab.tree._batched_split
+
+    def recording(*args):
+        calls.append((len(args[3]), len(args[3]) if len(args) < 9 or args[8] is None
+                      else len(args[8][0])))
+        return search(*args)
+
+    monkeypatch.setattr(vollab.tree, "_batched_split", recording)
+    return calls
+
+
+class TestSharedLeaves:
+    """Trees that share an id search each leaf they hold alike once, and
+    each still equals fit_regression_tree bit for bit."""
+
+    @given(shared_cases(), st.integers(0, 2**32 - 1), st.sampled_from([1, 300, 1 << 15]))
+    @settings(max_examples=300, deadline=None)
+    def test_grow_trees_equals_fit_regression_tree(self, case, seed, cells):
+        """Small search budgets split a leaf's askers over many searches."""
+        *case, share = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vollab.tree, "_SEARCH_CELLS", cells)
+            trees = lockstep(*case, seed, share)
+        assert_each_tree_is_its_own(trees, *case)
+
+    def test_identical_fits_search_each_leaf_once(self, rng, monkeypatch):
+        X = rng.normal(size=(60, 6))
+        y = np.sign(X[:, 0] + rng.normal(size=60))
+        case = X, [np.arange(60)], [y], [TreeLimits(max_leaves=8)], [0.5], [feature_draw(6, 1)]
+        calls = searches(monkeypatch)
+        lockstep(*case, 0, np.array([0]))
+        alone, calls[:] = list(calls), []
+        twice = [X] + [2 * part for part in case[1:]]
+        trees = lockstep(*twice, 0, np.array([3, 3]))
+        assert len(alone) > 1
+        assert calls == [(leaves, 2 * leaves) for leaves, _ in alone]
+        assert_each_tree_is_its_own(trees, *twice)
+
+    def test_two_sign_flips_search_apart(self, rng, monkeypatch):
+        # the same rows and the same target sum and spread: one target
+        # flips from +1 to -1 and another from -1 to +1, which a linear
+        # hash of the target bits would not see
+        X = rng.normal(size=(40, 3))
+        y = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
+        flipped = y.copy()
+        flipped[[4, 7]] *= -1
+        case = (X, [np.arange(40)] * 2, [y, flipped], [TreeLimits(max_leaves=4)] * 2, [1.0] * 2,
+                [np.arange(3)] * 2)
+        calls = searches(monkeypatch)
+        trees = lockstep(*case, 0, np.array([0, 0]))
+        assert calls[0] == (2, 2)
+        assert_each_tree_is_its_own(trees, *case)
 
 
 class TestApplyAndGains:
